@@ -19,8 +19,8 @@ from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      InvalidRootSpecError, NonConvergenceError,
                      NonpositiveRootPartError, NotInRightHalfPlaneError,
                      OffAxisError, SectorLabError, SignFlipError,
-                     ZeroInteriorTermError, ZeroOutsideRightHalfPlaneError,
-                     ZeroPolynomialError, ZeroPolynomialResultError)
+                     ZeroInteriorTermError, ZeroPolynomialError,
+                     ZeroPolynomialResultError)
 from .geometry import (Sector, SectorDisc, Strip, TangencyData,
                        disc_tangency_data, in_disc, in_double_sector,
                        in_sector, jensen_sector_disc,
@@ -31,7 +31,8 @@ from .operators import (BlendParams, CosineAffineSequence, CosineStepSequence,
                         LaguerreQSequence, MultiplierSequence, apply_sequence,
                         bc_strip_bound, cosine_affine_transform,
                         cosine_power_limit, exp_poly_principal_zeros,
-                        parse_sequence_spec, predicted_sector_after_cosine_step,
+                        parse_sequence_spec, predicted_sector,
+                        predicted_sector_after_cosine_step,
                         predicted_sector_after_gauss,
                         predicted_strip_after_gauss, rotation_blend)
 from .poly import (ComplexPolynomial, RealPolynomial, SectorRootSpec,
@@ -53,8 +54,8 @@ __all__ = [
     "PolyGenSpec", "RealPolynomial", "RnProfile", "Sector", "SectorDisc",
     "SectorLabError", "SectorRootSpec", "SignFlipError", "SolverConfig",
     "Strip", "TangencyData", "THEOREM_IDS", "VerificationReport", "ZeroEntry",
-    "ZeroInteriorTermError", "ZeroOutsideRightHalfPlaneError",
-    "ZeroPolynomialError", "ZeroPolynomialResultError", "ZeroSet",
+    "ZeroInteriorTermError", "ZeroPolynomialError",
+    "ZeroPolynomialResultError", "ZeroSet",
     "apply_sequence", "bc_strip_bound", "coefficient_sign_pattern",
     "cosine_affine_transform", "cosine_power_limit", "deflate_origin",
     "disc_tangency_data", "double_sector_demo", "draw_sector_spec",
@@ -63,7 +64,8 @@ __all__ = [
     "jensen_sector_disc", "jsd_bracket", "jsd_modulus_identity_check",
     "min_enclosing_double_sector", "min_enclosing_sector",
     "min_enclosing_strip", "parse_sequence_spec",
-    "predicted_sector_after_cosine_step", "predicted_sector_after_gauss",
+    "predicted_sector", "predicted_sector_after_cosine_step",
+    "predicted_sector_after_gauss",
     "predicted_strip_after_gauss", "principal_arg", "reference_angle",
     "residual_report", "rn_profile", "rotate_argument", "rotation_blend",
     "search_counterexample", "three_term_transformed_roots", "to_document",

@@ -11,8 +11,12 @@ to 1 therefore rule a family out.
 Campaigns draw seeded random polynomials with zeros in a sector, push them
 through an operator, re-measure with the root solver, and report the worst
 margin observed together with a replayable counterexample certificate when a
-margin crosses the violation tolerance.  Each trial derives its RNG stream
-from (seed, trial index), so reports are byte-identical across reruns.
+margin crosses the violation tolerance.  Each theorem campaign is one entry
+of the ``CAMPAIGNS`` registry: its trial function, its violation tolerance
+and the generator defaults of ``sectorlab verify``; ``SEARCH_CAMPAIGN`` is
+the same for ``search_counterexample``.  One trial loop runs them all.  Each
+trial derives its RNG stream from (seed, trial index), so reports are
+byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import (DegenerateLeadingError, DegenerateSequenceError,
-                     NonConvergenceError, NotInRightHalfPlaneError,
+                     InputError, NonConvergenceError, NotInRightHalfPlaneError,
                      SectorLabError, SignFlipError, ZeroInteriorTermError)
-from .geometry import (in_disc, jensen_sector_disc, min_enclosing_double_sector,
+from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
                        min_enclosing_sector, min_enclosing_strip)
 from .operators import (BlendParams, CosineStepSequence, ExplicitSequence,
                         ExpPowerSequence, GaussSequence, MultiplierSequence,
@@ -49,24 +54,13 @@ __all__ = [
     "draw_sector_spec",
     "Counterexample",
     "VerificationReport",
+    "Campaign",
+    "CAMPAIGNS",
+    "SEARCH_CAMPAIGN",
     "verify_theorem",
     "search_counterexample",
     "THEOREM_IDS",
 ]
-
-THEOREM_IDS = ("jsd", "zsro", "cosak", "lms2", "period-strip", "roms")
-
-# violation tolerance per campaign, in the margin units documented below
-_MARGIN_TOL = {
-    "jsd": 1e-8,
-    "jsd-sharpness": 1e-8,
-    "zsro": 1e-7,
-    "cosak": 1e-7,
-    "lms2": 0.0,
-    "period-strip": 1e-7,
-    "roms": 1e-7,
-    "search": 1e-7,
-}
 
 
 @dataclass(frozen=True)
@@ -382,12 +376,13 @@ def _adjudicated_blend_zeros(p, f, alpha: float, lam: float, beta: float):
     return locs
 
 
-def _trial_jsd(gen, params, rng, quadratic: bool):
+def _trial_jsd(gen, params, rng):
     """Containment (or boundary sharpness) of blend zeros in sector discs.
 
     Margin units: signed disc slack (r - |z - c|), normalized by max(1, |z|);
     in sharpness mode, -| |z-c| - r | / r.
     """
+    quadratic = params["quadratic"]
     if quadratic:
         theta_t = rng.uniform(0.05, 1.4)
         mag = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
@@ -433,8 +428,18 @@ def _trial_jsd(gen, params, rng, quadratic: bool):
             worst, worst_zero = margin, z
     if worst is None:
         return None, None
-    detail = (f"blend alpha={alpha!r} lambda={lam!r} beta={beta!r}")
-    return worst, (tuple(p.coeffs.tolist()), detail, worst_zero)
+    return worst, (p, f"blend alpha={alpha!r} lambda={lam!r} beta={beta!r}",
+                   worst_zero, None)
+
+
+def _sector_margin(p, q, predicted: float, op: str):
+    """predicted - measured sector of q's zeros, -pi for a zero outside the
+    right half-plane."""
+    try:
+        measured = min_enclosing_sector(find_roots(q))
+    except NotInRightHalfPlaneError as exc:
+        return -math.pi, (p, op, exc.offender, None)
+    return predicted - measured, (p, op, None, None)
 
 
 def _trial_zsro(gen, params, rng):
@@ -444,13 +449,7 @@ def _trial_zsro(gen, params, rng):
     p = from_sector_roots(spec)
     q = apply_sequence(p, GaussSequence(alpha))
     predicted = predicted_sector_after_gauss(spec.max_angle(), alpha)
-    try:
-        measured = min_enclosing_sector(find_roots(q))
-    except NotInRightHalfPlaneError as exc:
-        return -math.pi, (tuple(p.coeffs.tolist()),
-                          f"gauss:alpha={alpha!r}", exc.offender)
-    return (predicted - measured,
-            (tuple(p.coeffs.tolist()), f"gauss:alpha={alpha!r}", None))
+    return _sector_margin(p, q, predicted, f"gauss:alpha={alpha!r}")
 
 
 def _trial_cosak(gen, params, rng):
@@ -465,11 +464,7 @@ def _trial_cosak(gen, params, rng):
     q = apply_sequence(p, ms)
     predicted = predicted_sector_after_cosine_step(spec.max_angle(), alpha,
                                                    int(big_n))
-    try:
-        measured = min_enclosing_sector(find_roots(q))
-    except NotInRightHalfPlaneError as exc:
-        return -math.pi, (tuple(p.coeffs.tolist()), ms.spec_string(), exc.offender)
-    return predicted - measured, (tuple(p.coeffs.tolist()), ms.spec_string(), None)
+    return _sector_margin(p, q, predicted, ms.spec_string())
 
 
 def _trial_lms2(gen, params, rng):
@@ -489,8 +484,8 @@ def _trial_lms2(gen, params, rng):
         margin = -abs(e.location.imag) / max(1.0, abs(e.location))
         if margin < worst:
             worst, worst_zero = margin, e.location
-    detail = f"cosaffine:lambda={lam!r},theta={theta!r}"
-    return worst, (tuple(p.coeffs.tolist()), detail, worst_zero)
+    return worst, (p, f"cosaffine:lambda={lam!r},theta={theta!r}", worst_zero,
+                   None)
 
 
 def _trial_period_strip(gen, params, rng):
@@ -503,12 +498,12 @@ def _trial_period_strip(gen, params, rng):
     predicted = predicted_strip_after_gauss(spec.max_angle(), alpha)
     logs = exp_poly_principal_zeros(q)
     measured = min_enclosing_strip(logs)
-    return (predicted - measured,
-            (tuple(p.coeffs.tolist()), f"gauss:alpha={alpha!r}", None))
+    return predicted - measured, (p, f"gauss:alpha={alpha!r}", None, None)
 
 
-def _trial_roms(gen, params, rng, ms: MultiplierSequence):
+def _trial_roms(gen, params, rng):
     """T[(1-z)^n] keeps every zero real and positive for admissible T."""
+    ms = params["sequence"]
     n = int(rng.integers(max(gen.deg_lo, 2), gen.deg_hi + 1))
     coeffs = [math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]
     p = RealPolynomial(coeffs)
@@ -523,71 +518,109 @@ def _trial_roms(gen, params, rng, ms: MultiplierSequence):
             margin = min(margin, z.real / max(1.0, abs(z.real)))
         if margin < worst:
             worst, worst_zero = margin, z
-    return worst, (tuple(p.coeffs.tolist()), ms.spec_string(), worst_zero)
+    return worst, (p, ms.spec_string(), worst_zero, None)
 
 
-def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None,
-                   trials: int = 200) -> VerificationReport:
-    """Run a seeded campaign; negative worst margins below the campaign
-    tolerance yield a counterexample certificate."""
-    params = dict(params or {})
-    quadratic = bool(params.pop("quadratic", False))
-    key = "jsd-sharpness" if (theorem_id == "jsd" and quadratic) else theorem_id
-    if theorem_id not in THEOREM_IDS:
-        raise SectorLabError(f"unknown theorem id {theorem_id!r}; "
-                             f"expected one of {THEOREM_IDS}")
-    tol = params.pop("tolerance_override", None)
-    if tol is None:
-        tol = _MARGIN_TOL[key]
-    ms = params.pop("sequence", None)
-    if theorem_id == "roms":
-        ms = ms or GaussSequence(params.get("alpha", 0.5))
+def _trial_search(gen, params, rng):
+    """Sector growth under params["sequence"]; margin = theta_before -
+    theta_after."""
+    ms = params["sequence"]
+    spec = draw_sector_spec(gen, rng)
+    p = from_sector_roots(spec)
+    try:
+        q = apply_sequence(p, ms)
+        after = max(abs(math.atan2(e.location.imag, e.location.real))
+                    for e in find_roots(q).zeros)
+    except SectorLabError:
+        return None, None
+    before = spec.max_angle()
+    return before - after, (p, ms.spec_string(), None,
+                            f"sector grew from {before!r} to {after!r}")
 
+
+@dataclass(frozen=True)
+class Campaign:
+    """``trial(gen, params, rng)`` returns (margin, info), margin None when
+    nothing was tested; a margin below -``tolerance`` is a violation, and
+    info = (polynomial, operator, offending zero or None, certificate detail
+    or None) describes it.  ``theta`` and ``deg_hi`` are the command line's
+    generator defaults."""
+
+    trial: Callable
+    tolerance: float
+    theta: float = 0.785398
+    deg_hi: int = 16
+
+
+# the theorem campaigns of verify_theorem, keyed by theorem id
+CAMPAIGNS = {
+    "jsd": Campaign(_trial_jsd, 1e-8, theta=1.4),
+    "zsro": Campaign(_trial_zsro, 1e-7),
+    "cosak": Campaign(_trial_cosak, 1e-7),
+    "lms2": Campaign(_trial_lms2, 0.0, theta=0.0, deg_hi=12),
+    "period-strip": Campaign(_trial_period_strip, 1e-7),
+    "roms": Campaign(_trial_roms, 1e-7),
+}
+THEOREM_IDS = tuple(CAMPAIGNS)
+# the hunt of search_counterexample; its params carry the "sequence"
+SEARCH_CAMPAIGN = Campaign(_trial_search, 1e-7, theta=0.6, deg_hi=12)
+
+
+def _run_trials(campaign: Campaign, gen: PolyGenSpec, params: dict,
+                trials: int, tol: float):
+    """The trial loop of every campaign; a margin None or a
+    NonConvergenceError skips the trial.  Returns (worst margin, certificate
+    of the worst violation or None, skipped count, seconds)."""
     start = time.perf_counter()
-    worst = None
-    cex = None
+    worst = cex = None
     skipped = 0
     for t in range(trials):
-        rng = _trial_rng(gen.seed, t)
         try:
-            if theorem_id == "jsd":
-                margin, info = _trial_jsd(gen, params, rng, quadratic)
-            elif theorem_id == "zsro":
-                margin, info = _trial_zsro(gen, params, rng)
-            elif theorem_id == "cosak":
-                margin, info = _trial_cosak(gen, params, rng)
-            elif theorem_id == "lms2":
-                margin, info = _trial_lms2(gen, params, rng)
-            elif theorem_id == "period-strip":
-                margin, info = _trial_period_strip(gen, params, rng)
-            else:
-                margin, info = _trial_roms(gen, params, rng, ms)
+            margin, info = campaign.trial(gen, params, _trial_rng(gen.seed, t))
         except NonConvergenceError:
-            skipped += 1
-            continue
+            margin = None
         if margin is None:
             skipped += 1
             continue
         if worst is None or margin < worst:
             worst = margin
         if margin < -tol and (cex is None or margin < cex.margin):
-            coeffs, op, zero = info
-            cex = Counterexample(t, coeffs, op,
+            p, op, zero, detail = info
+            cex = Counterexample(t, tuple(p.coeffs.tolist()), op,
                                  zero if zero is not None else 0.0 + 0.0j,
-                                 margin, f"margin {margin!r} below -{tol!r}")
-    elapsed = time.perf_counter() - start
+                                 margin,
+                                 detail or f"margin {margin!r} below -{tol!r}")
+    return worst, cex, skipped, time.perf_counter() - start
+
+
+def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None,
+                   trials: int = 200) -> VerificationReport:
+    """Run a seeded campaign; negative worst margins below the campaign
+    tolerance yield a counterexample certificate."""
+    if theorem_id not in CAMPAIGNS:
+        raise SectorLabError(f"unknown theorem id {theorem_id!r}; "
+                             f"expected one of {THEOREM_IDS}")
+    campaign = CAMPAIGNS[theorem_id]
+    params = dict(params or {})
+    quadratic = bool(params.pop("quadratic", False))
+    tol = params.pop("tolerance_override", None)
+    if tol is None:
+        tol = campaign.tolerance
+    ms = params.pop("sequence", None)
     report_params = {k: (v.spec_string() if isinstance(v, MultiplierSequence)
                          else v) for k, v in params.items()}
     if quadratic:
         report_params["quadratic"] = True
     if theorem_id == "roms":
+        ms = ms or GaussSequence(params.get("alpha", 0.5))
         report_params["sequence"] = ms.spec_string()
     report_params["tolerance"] = tol
-    report_params["generator"] = {
-        "deg_lo": gen.deg_lo, "deg_hi": gen.deg_hi, "theta": gen.theta,
-        "mag_lo": gen.mag_lo, "mag_hi": gen.mag_hi,
-        "real_fraction": gen.real_fraction,
-    }
+    report_params["generator"] = {k: v for k, v in asdict(gen).items()
+                                  if k != "seed"}
+
+    worst, cex, skipped, elapsed = _run_trials(
+        campaign, gen, dict(params, quadratic=quadratic, sequence=ms), trials,
+        tol)
     return VerificationReport(theorem_id, trials, gen.seed, worst, cex,
                               report_params, skipped, elapsed)
 
@@ -597,41 +630,17 @@ def search_counterexample(ms: MultiplierSequence, gen: PolyGenSpec,
     """Hunt for sector growth under a diagonal family with no proven bound.
 
     Margin per random trial = theta_before - theta_after; a negative value
-    means the enclosing sector strictly grew.  For exp-power families with
+    means the enclosing sector strictly grew.  Any SectorLabError in a
+    trial's operator or solve skips the trial.  For exp-power families with
     p < 2 the report also carries the r_n tail trend and a ladder of
     three-term probes showing the transformed pair angle climbing back
     toward the original as n grows.
     """
     if not isinstance(ms, (ExpPowerSequence, ExplicitSequence)):
-        raise SectorLabError(
-            "search expects an exppower or explicit sequence")
-    tol = _MARGIN_TOL["search"]
-    start = time.perf_counter()
-    worst = None
-    cex = None
-    skipped = 0
-    for t in range(trials):
-        rng = _trial_rng(gen.seed, t)
-        spec = draw_sector_spec(gen, rng)
-        p = from_sector_roots(spec)
-        try:
-            q = apply_sequence(p, ms)
-            before = spec.max_angle()
-            after = max(abs(math.atan2(e.location.imag, e.location.real))
-                        for e in find_roots(q).zeros)
-        except (NonConvergenceError, DegenerateSequenceError,
-                SectorLabError):
-            skipped += 1
-            continue
-        margin = before - after
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < -tol and (cex is None or margin < cex.margin):
-            cex = Counterexample(t, tuple(p.coeffs.tolist()), ms.spec_string(),
-                                 0.0 + 0.0j, margin,
-                                 f"sector grew from {before!r} to {after!r}")
-    elapsed = time.perf_counter() - start
-
+        raise InputError("search expects an exppower or explicit sequence")
+    tol = SEARCH_CAMPAIGN.tolerance
+    worst, cex, skipped, elapsed = _run_trials(
+        SEARCH_CAMPAIGN, gen, {"sequence": ms}, trials, tol)
     params: dict = {"sequence": ms.spec_string(), "tolerance": tol}
     theta_probe = gen.theta if gen.theta > 0.0 else 0.6
     ladder = []

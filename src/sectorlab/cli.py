@@ -11,21 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-from .analysis import (PolyGenSpec, double_sector_demo, search_counterexample,
+from .analysis import (CAMPAIGNS, SEARCH_CAMPAIGN, PolyGenSpec,
+                       double_sector_demo, search_counterexample,
                        verify_theorem, THEOREM_IDS)
 from .errors import (HypothesisViolationError, InputError,
                      NonConvergenceError, NotInRightHalfPlaneError,
                      SectorLabError)
 from .geometry import (disc_tangency_data, jensen_sector_disc,
                        min_enclosing_double_sector, min_enclosing_sector)
-from .operators import (CosineStepSequence, ExplicitSequence, ExpPowerSequence,
-                        GaussSequence, apply_sequence, parse_sequence_spec,
-                        predicted_sector_after_cosine_step,
-                        predicted_sector_after_gauss)
+from .operators import apply_sequence, parse_sequence_spec, predicted_sector
 from .poly import RealPolynomial, from_document
 from .roots import SolverConfig, find_roots
 from .svgplot import render_scene
@@ -105,8 +102,6 @@ def _load_polynomial(args) -> RealPolynomial:
             raise InputError(f"--coeffs expects comma-separated numbers: {exc}")
         try:
             return RealPolynomial(values)
-        except SectorLabError:
-            raise
         except ValueError as exc:
             raise InputError(str(exc))
     try:
@@ -188,13 +183,8 @@ def cmd_apply(args) -> int:
 
     theta_before, _ = measure(p)
     theta_after, zs_after = measure(q)
-    predicted = None
-    if theta_before is not None:
-        if isinstance(ms, GaussSequence):
-            predicted = predicted_sector_after_gauss(theta_before, ms.alpha)
-        elif isinstance(ms, CosineStepSequence):
-            predicted = predicted_sector_after_cosine_step(
-                theta_before, ms.alpha, ms.N)
+    predicted = (None if theta_before is None
+                 else predicted_sector(ms, theta_before))
 
     coeffs_before = ",".join(f"{c:.12g}" for c in p.coeffs)
     coeffs_after = ",".join(f"{c:.12g}" for c in q.coeffs)
@@ -247,6 +237,25 @@ _THEOREM_ALIASES = {
 }
 
 
+def _emit_report(label: str, report, output) -> int:
+    """Write a campaign report, summarize it on stderr; exit 4 on a
+    counterexample."""
+    _emit(report.to_json(), output)
+    cex = "counterexample found" if report.found_counterexample() else \
+        "no counterexample"
+    print(f"{label}: {report.trials} trials, {report.skipped} skipped, "
+          f"worst margin {report.worst_margin!r}, {cex} "
+          f"({report.elapsed:.2f}s)", file=sys.stderr)
+    return 4 if report.found_counterexample() else 0
+
+
+def _generator(args, campaign, seed: int) -> PolyGenSpec:
+    """The flags' generator settings, defaulting to the campaign's."""
+    theta = args.theta if args.theta is not None else campaign.theta
+    return PolyGenSpec(deg_lo=1, deg_hi=args.degree_max or campaign.deg_hi,
+                       theta=theta, seed=seed)
+
+
 def cmd_verify(args) -> int:
     _require_format(args, ("json",), "json")
     seed = _resolve_seed(args)
@@ -266,20 +275,10 @@ def cmd_verify(args) -> int:
               f"-> {verdict}", file=sys.stderr)
         return 4 if reduced else 0
 
-    if theorem not in THEOREM_IDS:
+    if theorem not in CAMPAIGNS:
         raise InputError(f"unknown theorem id {args.theorem!r}; expected one "
                          f"of {', '.join(THEOREM_IDS + ('double-sector',))}")
-
-    if theorem == "lms2":
-        theta = args.theta if args.theta is not None else 0.0
-        deg_hi = args.degree_max or 12
-    elif theorem == "jsd":
-        theta = args.theta if args.theta is not None else 1.4
-        deg_hi = args.degree_max or 16
-    else:
-        theta = args.theta if args.theta is not None else 0.785398
-        deg_hi = args.degree_max or 16
-    gen = PolyGenSpec(deg_lo=1, deg_hi=deg_hi, theta=theta, seed=seed)
+    gen = _generator(args, CAMPAIGNS[theorem], seed)
 
     params: dict = {}
     if args.alpha is not None:
@@ -296,32 +295,16 @@ def cmd_verify(args) -> int:
         params["tolerance_override"] = args.tol_angle
 
     report = verify_theorem(theorem, gen, params, trials=args.trials)
-    _emit(report.to_json(), args.output)
-    cex = "counterexample found" if report.found_counterexample() else \
-        "no counterexample"
-    print(f"{theorem}: {report.trials} trials, {report.skipped} skipped, "
-          f"worst margin {report.worst_margin!r}, {cex} "
-          f"({report.elapsed:.2f}s)", file=sys.stderr)
-    return 4 if report.found_counterexample() else 0
+    return _emit_report(theorem, report, args.output)
 
 
 def cmd_search(args) -> int:
     _require_format(args, ("json",), "json")
     seed = _resolve_seed(args)
     ms = parse_sequence_spec(args.op)
-    if not isinstance(ms, (ExpPowerSequence, ExplicitSequence)):
-        raise InputError("search expects an exppower or explicit sequence")
-    theta = args.theta if args.theta is not None else 0.6
-    gen = PolyGenSpec(deg_lo=1, deg_hi=args.degree_max or 12, theta=theta,
-                      seed=seed)
+    gen = _generator(args, SEARCH_CAMPAIGN, seed)
     report = search_counterexample(ms, gen, trials=args.trials)
-    _emit(report.to_json(), args.output)
-    cex = "counterexample found" if report.found_counterexample() else \
-        "no counterexample"
-    print(f"search {ms.spec_string()}: {report.trials} trials, "
-          f"{report.skipped} skipped, worst margin {report.worst_margin!r}, "
-          f"{cex} ({report.elapsed:.2f}s)", file=sys.stderr)
-    return 4 if report.found_counterexample() else 0
+    return _emit_report(f"search {ms.spec_string()}", report, args.output)
 
 
 def cmd_plot(args) -> int:
@@ -341,7 +324,6 @@ def cmd_plot(args) -> int:
 
     after_locs = []
     predicted = None
-    ms = None
     if args.op:
         ms = parse_sequence_spec(args.op)
         annotations.append(f"operator {ms.spec_string()}")
@@ -349,11 +331,7 @@ def cmd_plot(args) -> int:
         if q.degree >= 1:
             after_locs = find_roots(q, cfg).locations()
         if sector_angle is not None:
-            if isinstance(ms, GaussSequence):
-                predicted = predicted_sector_after_gauss(sector_angle, ms.alpha)
-            elif isinstance(ms, CosineStepSequence):
-                predicted = predicted_sector_after_cosine_step(
-                    sector_angle, ms.alpha, ms.N)
+            predicted = predicted_sector(ms, sector_angle)
 
     discs = []
     if args.show_discs:

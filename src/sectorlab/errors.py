@@ -53,7 +53,8 @@ class EmptyDiscError(SectorLabError):
 
 
 class NotInRightHalfPlaneError(SectorLabError):
-    """A zero with |arg z| >= pi/2 admits no enclosing sector."""
+    """A zero with |arg z| >= pi/2: it admits no enclosing sector, and (for
+    principal logarithms) no strip."""
 
     def __init__(self, message: str, offender: complex | None = None):
         super().__init__(message)
@@ -80,14 +81,6 @@ class HypothesisViolationError(SectorLabError):
 
 class DomainError(SectorLabError):
     """Numeric argument outside the domain of a closed-form bound."""
-
-
-class ZeroOutsideRightHalfPlaneError(SectorLabError):
-    """Principal logarithms need every zero strictly in the right half-plane."""
-
-    def __init__(self, message: str, offender: complex | None = None):
-        super().__init__(message)
-        self.offender = offender
 
 
 # --- analysis ---------------------------------------------------------------

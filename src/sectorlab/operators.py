@@ -38,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateSequenceError, DomainError,
-                     HypothesisViolationError, InputError, SectorLabError,
-                     ZeroOutsideRightHalfPlaneError, ZeroPolynomialResultError)
+                     HypothesisViolationError, InputError,
+                     NotInRightHalfPlaneError, SectorLabError,
+                     ZeroPolynomialResultError)
 from .poly import ComplexPolynomial, RealPolynomial
 from .roots import SolverConfig, find_roots
 
@@ -57,6 +58,7 @@ __all__ = [
     "cosine_affine_transform",
     "predicted_sector_after_gauss",
     "predicted_sector_after_cosine_step",
+    "predicted_sector",
     "cosine_power_limit",
     "exp_poly_principal_zeros",
     "predicted_strip_after_gauss",
@@ -66,10 +68,6 @@ __all__ = [
 
 # |cos| below this is treated as an exact zero of the multiplier
 _TRIG_SNAP = 5e-14
-
-
-def _snap_trig(value: float) -> float:
-    return 0.0 if abs(value) <= _TRIG_SNAP else value
 
 
 class MultiplierSequence:
@@ -227,18 +225,13 @@ def rotation_blend(p: RealPolynomial, bp: BlendParams) -> ComplexPolynomial:
     return ComplexPolynomial(out)
 
 
-def _sequence_values(ms: MultiplierSequence, degree: int) -> np.ndarray:
-    gamma = ms.terms(degree)
-    if ms.trig:
-        gamma = np.array([_snap_trig(v) for v in gamma])
-    return gamma
-
-
 def apply_sequence(p: RealPolynomial, ms: MultiplierSequence) -> RealPolynomial:
     """Diagonal action c_k -> gamma_k c_k; checks family hypotheses first."""
     if isinstance(ms, CosineStepSequence):
         ms.check_degree(p.degree)
-    gamma = _sequence_values(ms, p.degree)
+    gamma = ms.terms(p.degree)
+    if ms.trig:
+        gamma[np.abs(gamma) <= _TRIG_SNAP] = 0.0
     out = p.coeffs * gamma
     if not np.any(out):
         raise DegenerateSequenceError(
@@ -284,6 +277,16 @@ def predicted_sector_after_cosine_step(theta: float, alpha: float,
     return math.acos(min(1.0, math.cos(theta) / math.cos(alpha / N)))
 
 
+def predicted_sector(ms: MultiplierSequence, theta: float) -> float | None:
+    """Proven sector half-angle after ``ms`` acts on S(theta); None for
+    families with no proven bound."""
+    if isinstance(ms, GaussSequence):
+        return predicted_sector_after_gauss(theta, ms.alpha)
+    if isinstance(ms, CosineStepSequence):
+        return predicted_sector_after_cosine_step(theta, ms.alpha, ms.N)
+    return None
+
+
 def cosine_power_limit(alpha: float, N: int) -> float:
     """[cos(alpha/N)]^(N^2), which approaches e^{-alpha^2/2} as N grows."""
     if N < 1:
@@ -302,7 +305,7 @@ def exp_poly_principal_zeros(p: RealPolynomial,
     right half-plane keeps every principal logarithm in |Im| < pi/2.
     """
     if p.coeffs[0] == 0.0:
-        raise ZeroOutsideRightHalfPlaneError(
+        raise NotInRightHalfPlaneError(
             "p(0) = 0 puts a zero at the origin, which has no logarithm",
             offender=0.0 + 0.0j)
     zs = find_roots(p, config)
@@ -310,7 +313,7 @@ def exp_poly_principal_zeros(p: RealPolynomial,
     for e in zs.zeros:
         z = e.location
         if z.real <= 0.0:
-            raise ZeroOutsideRightHalfPlaneError(
+            raise NotInRightHalfPlaneError(
                 f"zero {z} is not strictly inside the right half-plane",
                 offender=z)
         logs.append(cmath.log(z))

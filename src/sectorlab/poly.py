@@ -47,19 +47,26 @@ def _normalized(arr: np.ndarray) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, z):
-    acc = coeffs[-1].item()
-    for k in range(coeffs.size - 2, -1, -1):
-        acc = acc * z + coeffs[k].item()
-    return acc
+    """(p(z), p'(z)) by Horner's scheme over ascending ``coeffs``.
+
+    The coefficients become Python scalars once, so real coefficients at a
+    real ``z`` give a float p(z); the derivative is always complex.
+    """
+    c = coeffs.tolist()
+    pv, dv = c[-1], 0j
+    for ck in reversed(c[:-1]):
+        dv = dv * z + pv
+        pv = pv * z + ck
+    return pv, dv
 
 
-class RealPolynomial:
-    """Real-coefficient polynomial, ascending order, trailing zeros stripped."""
+class _Polynomial:
+    """Shared body of the two value types; ``_dtype`` fixes the coefficients'."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = _normalized(np.array(coeffs, dtype=np.float64))
+        self.coeffs = _normalized(np.array(coeffs, dtype=self._dtype))
 
     @property
     def degree(self) -> int:
@@ -67,57 +74,42 @@ class RealPolynomial:
 
     def eval(self, z):
         """Evaluate by Horner's scheme; exact for degree 0."""
-        return _horner(self.coeffs, z)
+        return _horner(self.coeffs, z)[0]
 
     def scale(self) -> float:
         """Coefficient magnitude scale: max_k |c_k|."""
         return float(np.max(np.abs(self.coeffs)))
 
-    def to_complex(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(self.coeffs.astype(np.complex128))
-
     def __eq__(self, other):
-        return (isinstance(other, RealPolynomial)
+        return (isinstance(other, type(self))
                 and self.coeffs.shape == other.coeffs.shape
                 and bool(np.all(self.coeffs == other.coeffs)))
 
     __hash__ = None
 
     def __repr__(self):
-        return f"RealPolynomial({self.coeffs.tolist()!r})"
+        return f"{type(self).__name__}({self.coeffs.tolist()!r})"
 
 
-class ComplexPolynomial:
+class RealPolynomial(_Polynomial):
+    """Real-coefficient polynomial, ascending order, trailing zeros stripped."""
+
+    __slots__ = ()
+    _dtype = np.float64
+
+    def to_complex(self) -> "ComplexPolynomial":
+        return ComplexPolynomial(self.coeffs.astype(np.complex128))
+
+
+class ComplexPolynomial(_Polynomial):
     """Complex-coefficient polynomial, ascending order, trailing zeros stripped."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = _normalized(np.array(coeffs, dtype=np.complex128))
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def eval(self, z):
-        return _horner(self.coeffs, z)
-
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+    __slots__ = ()
+    _dtype = np.complex128
 
     def is_real_within(self, tol: float = 0.0) -> bool:
         """True when every imaginary part is at most tol * coefficient scale."""
         return bool(np.max(np.abs(self.coeffs.imag)) <= tol * self.scale())
-
-    def __eq__(self, other):
-        return (isinstance(other, ComplexPolynomial)
-                and self.coeffs.shape == other.coeffs.shape
-                and bool(np.all(self.coeffs == other.coeffs)))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ComplexPolynomial({self.coeffs.tolist()!r})"
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeZeroError, NonConvergenceError
-from .poly import ComplexPolynomial, RealPolynomial
+from .poly import _horner, _Polynomial
 
 __all__ = [
     "SolverConfig",
@@ -89,20 +89,11 @@ class ZeroSet:
             return [e.location for e in self.zeros for _ in range(e.multiplicity)]
         return [e.location for e in self.zeros]
 
-    def to_csv(self) -> str:
-        lines = ["re,im,multiplicity,residual"]
-        for e in self.zeros:
-            lines.append(f"{e.location.real:.17g},{e.location.imag:.17g},"
-                         f"{e.multiplicity},{e.residual:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def _coeff_array(p) -> np.ndarray:
-    if isinstance(p, RealPolynomial):
-        return p.coeffs.astype(np.complex128)
-    if isinstance(p, ComplexPolynomial):
-        return p.coeffs.copy()
-    raise TypeError("expected RealPolynomial or ComplexPolynomial")
+    if not isinstance(p, _Polynomial):
+        raise TypeError("expected RealPolynomial or ComplexPolynomial")
+    return p.coeffs.astype(np.complex128)
 
 
 def _derivative(c: np.ndarray) -> np.ndarray:
@@ -116,22 +107,6 @@ def _eval_many(c: np.ndarray, z: np.ndarray):
     for k in range(c.size - 2, -1, -1):
         dv = dv * z + pv
         pv = pv * z + c[k]
-    return pv, dv
-
-
-def _eval_scalar(c: np.ndarray, z: complex):
-    acc = complex(c[-1])
-    for k in range(c.size - 2, -1, -1):
-        acc = acc * z + complex(c[k])
-    return acc
-
-
-def _eval_scalar_pair(c: np.ndarray, z: complex):
-    pv = complex(c[-1])
-    dv = 0.0 + 0.0j
-    for k in range(c.size - 2, -1, -1):
-        dv = dv * z + pv
-        pv = pv * z + complex(c[k])
     return pv, dv
 
 
@@ -173,13 +148,13 @@ def _aberth(q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
 
 def _polish(q: np.ndarray, z: complex) -> complex:
     for _ in range(8):
-        pv, dv = _eval_scalar_pair(q, z)
+        pv, dv = _horner(q, z)
         apv = abs(pv)
         if apv == 0.0 or dv == 0:
             break
         step = pv / dv
         cand = z - step
-        if abs(_eval_scalar(q, cand)) >= apv:
+        if abs(_horner(q, cand)[0]) >= apv:
             break
         z = cand
         if abs(step) <= 1e-16 * max(1.0, abs(z)):
@@ -247,7 +222,7 @@ def _refine_cluster(q: np.ndarray, center: complex, mult: int, span: float,
         return center
     w = center
     for _ in range(60):
-        pv, dv = _eval_scalar_pair(dq, w)
+        pv, dv = _horner(dq, w)
         if dv == 0:
             break
         step = pv / dv
@@ -266,6 +241,13 @@ _PAIR_RADIUS = 1e-3
 # an unpaired nonreal entry this close to the axis is a real root whose mate
 # landed under the strict snap threshold while its own noise did not
 _ORPHAN_SNAP = 1e-6
+
+
+def _snapped(z: complex, tol: float) -> complex:
+    """z made exactly real when |Im z| <= tol * max(1, |z|)."""
+    if z.imag != 0.0 and abs(z.imag) <= tol * max(1.0, abs(z)):
+        return complex(z.real, 0.0)
+    return z
 
 
 def _pair_conjugates(entries: list, cfg: SolverConfig) -> list:
@@ -296,18 +278,8 @@ def _pair_conjugates(entries: list, cfg: SolverConfig) -> list:
             out[i] = (mu, mi)
             out[bestj] = (mu.conjugate(), out[bestj][1])
     for i, (z, m) in enumerate(out):
-        if (i not in paired and z.imag != 0.0
-                and abs(z.imag) <= _ORPHAN_SNAP * max(1.0, abs(z))):
-            out[i] = (complex(z.real, 0.0), m)
-    return out
-
-
-def _snap(entries: list, cfg: SolverConfig) -> list:
-    out = []
-    for z, m in entries:
-        if z.imag != 0.0 and abs(z.imag) <= cfg.real_snap_tol * max(1.0, abs(z)):
-            z = complex(z.real, 0.0)
-        out.append((z, m))
+        if i not in paired:
+            out[i] = (_snapped(z, _ORPHAN_SNAP), m)
     return out
 
 
@@ -324,11 +296,8 @@ def _assert_conjugate_closed(entries: list) -> None:
 
 def deflate_origin(p):
     """Split p(z) = z^k q(z) with q(0) != 0; returns (q, k)."""
-    c = p.coeffs
-    k = 0
-    while c[k] == 0.0:
-        k += 1
-    return type(p)(c[k:]), k
+    k = int(np.flatnonzero(p.coeffs)[0])
+    return type(p)(p.coeffs[k:]), k
 
 
 def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
@@ -340,9 +309,8 @@ def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
         raise DegreeZeroError("a nonzero constant has no zeros")
     is_real = bool(np.all(c.imag == 0.0))
 
-    k0 = 0
-    while c[k0] == 0.0:
-        k0 += 1
+    # deflate_origin without building a polynomial
+    k0 = int(np.flatnonzero(c)[0])
     q = c[k0:]
 
     entries = []
@@ -354,7 +322,7 @@ def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
                for ctr, m, span in clusters]
         # snap before pairing: real roots carrying opposite-signed imaginary
         # noise must not be mistaken for a wide conjugate pair
-        raw = _snap(raw, cfg)
+        raw = [(_snapped(z, cfg.real_snap_tol), m) for z, m in raw]
         if is_real:
             raw = _pair_conjugates(raw, cfg)
             _assert_conjugate_closed(raw)
@@ -366,7 +334,7 @@ def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
     finished = []
     worst = (-1.0, 0.0 + 0.0j)
     for z, m in entries:
-        res = abs(_eval_scalar(c, z)) / (scale * max(1.0, abs(z)) ** degree)
+        res = abs(_horner(c, z)[0]) / (scale * max(1.0, abs(z)) ** degree)
         finished.append(ZeroEntry(z, m, res))
         if res > worst[0]:
             worst = (res, z)
@@ -387,6 +355,6 @@ def residual_report(p, zs: ZeroSet) -> float:
     scale = float(np.max(np.abs(c)))
     worst = 0.0
     for e in zs.zeros:
-        worst = max(worst, abs(_eval_scalar(c, e.location))
+        worst = max(worst, abs(_horner(c, e.location)[0])
                     / (scale * max(1.0, abs(e.location)) ** degree))
     return worst

@@ -162,6 +162,15 @@ def test_verify_jsd_quadratic_sharpness():
     assert doc["worst_margin"] >= -1e-8
 
 
+@pytest.mark.parametrize("theorem,theta,deg_hi", [
+    ("jsd", 1.4, 16), ("lms2", 0.0, 12), ("zsro", 0.785398, 16)])
+def test_verify_generator_defaults(theorem, theta, deg_hi):
+    r = run("verify", theorem, "--trials", "1", "--seed", "3")
+    assert r.returncode == 0
+    generator = json.loads(r.stdout)["params"]["generator"]
+    assert (generator["theta"], generator["deg_hi"]) == (theta, deg_hi)
+
+
 def test_verify_double_sector_verdict():
     r = run("verify", "double-sector", "--trials", "5", "--seed", "1")
     assert r.returncode == 0

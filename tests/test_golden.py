@@ -1,0 +1,81 @@
+"""Golden report bytes: sha256 of ``report.to_json()`` for seeded campaigns.
+
+A refactor of the campaign code must leave every report byte as it was.
+The ``-forced`` cases set ``tolerance_override=-1.0`` so that every tested
+trial crosses the tolerance and the report carries a certificate; the
+search at seed 1 finds one on its own.  Generated polynomials are expanded,
+and ``jsd`` blend zeros re-polished, in ``long double``, so the digests hold
+only where it is the 80-bit x87 format.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from sectorlab import (PolyGenSpec, parse_sequence_spec, search_counterexample,
+                       verify_theorem)
+
+pytestmark = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63,
+    reason="digests were recorded with an 80-bit long double")
+
+_WIDE = dict(deg_hi=16, theta=1.4)
+_FORCED = {"tolerance_override": -1.0}
+
+# (case, theorem id, generator settings, params, trials, sha256)
+VERIFY_CASES = [
+    ("jsd", "jsd", _WIDE, None, 100,
+     "afe327d484b159cf91d357b4bfbb412067b85bbdb3073c0d394b156c7c803126"),
+    ("jsd-quadratic", "jsd", {}, {"quadratic": True}, 50,
+     "9954f61070ac6c782842da30662c65253299b6424e8c08cabcc7d563dfbfbf91"),
+    ("zsro", "zsro", _WIDE, None, 100,
+     "46926d72e691c96d3c7a1898dc92f2aa712bf2a8c508909314a33b1d48f6161b"),
+    ("cosak", "cosak", _WIDE, None, 50,
+     "39c1919423bf5d4f0b2cc73d6c2339f68c54c6d93a990d88dbaecd02204c012c"),
+    ("lms2", "lms2", dict(deg_hi=12, theta=0.0, real_fraction=1.0), None, 100,
+     "0b38e6d464e47aebe25cf40de6dbb02db30ad4b99ff560c190d650d50ceecac5"),
+    ("period-strip", "period-strip", _WIDE, None, 50,
+     "39416fef81f843476f63c985fd368f02328d8b945c637b51209d7f8fd4a95c99"),
+    ("roms", "roms", dict(deg_hi=16, theta=0.785398), None, 50,
+     "454d910e40601a5551a3fc685df3d3066795d52ddb82ce990676ecbda07e5b0b"),
+    ("zsro-forced", "zsro", _WIDE, _FORCED, 20,
+     "dbfe42bf08b08c51429db93969eabc8009b2467a22ad6c8971fc047bec427034"),
+    ("jsd-forced", "jsd", _WIDE, _FORCED, 20,
+     "dbc00e64d18f10cde71c73c206158f3d0964ac52a62e338891848ff07838b6a3"),
+    ("roms-forced", "roms", dict(deg_hi=16, theta=0.785398), _FORCED, 10,
+     "9e1883939f16df63367c9524130ef2901a32e54cf44b0eae8eebc0f5778c886d"),
+]
+
+# (seed, sha256, trial index of the certificate or None)
+SEARCH_CASES = [
+    (42, "5e0a15d15894282ce70dadbc64051c284726e20aa0bc4778649f8409d2e33eec",
+     None),
+    (1, "e71e13dd484b25ca15801e4c5cf1f82021de1e6b9e84002cc00080ec9a752ada",
+     181),
+]
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case,theorem,generator,params,trials,digest",
+                         VERIFY_CASES, ids=[c[0] for c in VERIFY_CASES])
+def test_verify_report_bytes(case, theorem, generator, params, trials, digest):
+    report = verify_theorem(theorem, PolyGenSpec(seed=42, **generator),
+                            dict(params) if params else None, trials=trials)
+    if case.endswith("-forced"):
+        assert report.found_counterexample()
+    assert _digest(report) == digest
+
+
+@pytest.mark.parametrize("seed,digest,cex_trial", SEARCH_CASES,
+                         ids=[f"seed{c[0]}" for c in SEARCH_CASES])
+def test_search_report_bytes(seed, digest, cex_trial):
+    report = search_counterexample(
+        parse_sequence_spec("exppower:alpha=0.3,p=1.5"),
+        PolyGenSpec(seed=seed, deg_hi=12, theta=0.6), trials=200)
+    cex = report.counterexample
+    assert (None if cex is None else cex.trial_index) == cex_trial
+    assert _digest(report) == digest

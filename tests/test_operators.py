@@ -18,9 +18,9 @@ from sectorlab import (
     HypothesisViolationError,
     InputError,
     LaguerreQSequence,
+    NotInRightHalfPlaneError,
     RealPolynomial,
     SectorLabError,
-    ZeroOutsideRightHalfPlaneError,
     ZeroPolynomialResultError,
     apply_sequence,
     bc_strip_bound,
@@ -87,6 +87,14 @@ def test_trigonometric_zeros_snapped_exact():
     assert q.coeffs[0] == 0.0
     assert math.isclose(q.coeffs[1], math.cos(math.pi / 2.0 + math.pi / 3.0),
                         rel_tol=1e-15)
+    # the snap over the whole multiplier array equals the per-term one
+    for lam, theta in ((0.0, math.pi / 2.0), (math.pi / 4.0, math.pi / 4.0),
+                       (math.pi / 3.0, math.pi / 6.0)):
+        seq = CosineAffineSequence(lam=lam, theta=theta)
+        terms = [seq.term(k) for k in range(13)]
+        ref = [0.0 if abs(t) <= 5e-14 else t for t in terms]
+        q = apply_sequence(RealPolynomial([1.0] * 13), seq)
+        assert q.coeffs.tolist() == ref and ref.count(0.0) >= 2
 
 
 def test_laguerre_terms_and_validation():
@@ -254,9 +262,9 @@ def test_exp_poly_principal_zeros_oracle():
 
 
 def test_exp_poly_principal_zeros_requires_right_half_plane():
-    with pytest.raises(ZeroOutsideRightHalfPlaneError):
+    with pytest.raises(NotInRightHalfPlaneError):
         exp_poly_principal_zeros(RealPolynomial([0.0, 1.0]))
-    with pytest.raises(ZeroOutsideRightHalfPlaneError):
+    with pytest.raises(NotInRightHalfPlaneError):
         exp_poly_principal_zeros(RealPolynomial([1.0, 1.0]))
 
 

@@ -197,14 +197,6 @@ def test_zeros_sorted_by_real_then_imaginary():
     assert locs == sorted(locs, key=lambda z: (z.real, z.imag))
 
 
-def test_csv_output_shape():
-    text = find_roots(RealPolynomial([2.0, -2.0, 1.0])).to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "re,im,multiplicity,residual"
-    assert len(lines) == 3
-    assert lines[1].split(",")[:3] == ["1", "-1", "1"]
-
-
 def test_locations_with_multiplicity_expands():
     zs = find_roots(RealPolynomial([-1.0, 3.0, -3.0, 1.0]))
     assert zs.locations(with_multiplicity=True) == [1 + 0j, 1 + 0j, 1 + 0j]
