@@ -39,7 +39,7 @@ from .poly import (ComplexPolynomial, RealPolynomial, SectorRootSpec,
                    coefficient_sign_pattern, from_document, from_sector_roots,
                    rotate_argument, to_document)
 from .roots import (SolverConfig, ZeroEntry, ZeroSet, deflate_origin,
-                    find_roots, residual_report)
+                    find_roots, find_roots_many)
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,8 @@ __all__ = [
     "apply_sequence", "bc_strip_bound", "coefficient_sign_pattern",
     "cosine_affine_transform", "cosine_power_limit", "deflate_origin",
     "disc_tangency_data", "double_sector_demo", "draw_sector_spec",
-    "exp_poly_principal_zeros", "find_roots", "from_document",
+    "exp_poly_principal_zeros", "find_roots", "find_roots_many",
+    "from_document",
     "from_sector_roots", "in_disc", "in_double_sector", "in_sector",
     "jensen_sector_disc", "jsd_bracket", "jsd_modulus_identity_check",
     "min_enclosing_double_sector", "min_enclosing_sector",
@@ -67,7 +68,7 @@ __all__ = [
     "predicted_sector", "predicted_sector_after_cosine_step",
     "predicted_sector_after_gauss",
     "predicted_strip_after_gauss", "principal_arg", "reference_angle",
-    "residual_report", "rn_profile", "rotate_argument", "rotation_blend",
+    "rn_profile", "rotate_argument", "rotation_blend",
     "search_counterexample", "three_term_transformed_roots", "to_document",
     "verify_theorem",
 ]

@@ -17,6 +17,12 @@ and the generator defaults of ``sectorlab verify``; ``SEARCH_CAMPAIGN`` is
 the same for ``search_counterexample``.  One trial loop runs them all.  Each
 trial derives its RNG stream from (seed, trial index), so reports are
 byte-identical across reruns.
+
+A trial is a generator that yields the polynomial it needs solved and
+receives its zeros.  The loop advances a chunk of trials together and
+solves their pending polynomials as one ``find_roots_many`` batch, whose
+results are bitwise those of solving each alone, so a report does not
+depend on how trials are batched.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -36,12 +43,13 @@ from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
                        min_enclosing_sector, min_enclosing_strip)
 from .operators import (BlendParams, CosineStepSequence, ExplicitSequence,
                         ExpPowerSequence, GaussSequence, MultiplierSequence,
-                        apply_sequence, cosine_affine_transform,
-                        exp_poly_principal_zeros, predicted_sector_after_cosine_step,
+                        _principal_logs, apply_sequence,
+                        cosine_affine_transform,
+                        predicted_sector_after_cosine_step,
                         predicted_sector_after_gauss, predicted_strip_after_gauss,
                         rotation_blend)
 from .poly import RealPolynomial, SectorRootSpec, from_sector_roots
-from .roots import find_roots
+from .roots import SolverConfig, find_roots, find_roots_many
 
 __all__ = [
     "RnProfile",
@@ -356,15 +364,16 @@ def _newton_longdouble(coeffs: np.ndarray, zs, steps: int = 4) -> np.ndarray:
     return w
 
 
-def _adjudicated_blend_zeros(p, f, alpha: float, lam: float, beta: float):
-    """Solve the blend and return zero locations with realness resolved.
+def _adjudicated_blend_zeros(p, f, zeros, alpha: float, lam: float,
+                             beta: float):
+    """Zero locations of the blend ``f``, solved as ``zeros``, with realness
+    resolved.
 
     Double rounding of the blend coefficients can displace a crowded real
     zero off the axis by more than the containment inflation, so simple
     zeros are re-polished against extended-precision coefficients before
     their imaginary parts are trusted.
     """
-    zeros = find_roots(f)
     locs = [e.location for e in zeros.zeros]
     simple = [i for i, e in enumerate(zeros.zeros)
               if e.multiplicity == 1 and e.location.imag != 0.0]
@@ -408,7 +417,8 @@ def _trial_jsd(gen, params, rng):
     f = rotation_blend(p, BlendParams(alpha, lam, beta))
     if f.degree == 0:
         return None, None
-    locs = _adjudicated_blend_zeros(p, f, alpha, lam, beta)
+    zeros = yield f
+    locs = _adjudicated_blend_zeros(p, f, zeros, alpha, lam, beta)
     discs = [jensen_sector_disc(a, b, alpha) for a, b in spec.pairs]
     live = [d for d in discs if not d.empty]
     worst = None
@@ -435,8 +445,9 @@ def _trial_jsd(gen, params, rng):
 def _sector_margin(p, q, predicted: float, op: str):
     """predicted - measured sector of q's zeros, -pi for a zero outside the
     right half-plane."""
+    zeros = yield q
     try:
-        measured = min_enclosing_sector(find_roots(q))
+        measured = min_enclosing_sector(zeros)
     except NotInRightHalfPlaneError as exc:
         return -math.pi, (p, op, exc.offender, None)
     return predicted - measured, (p, op, None, None)
@@ -449,7 +460,8 @@ def _trial_zsro(gen, params, rng):
     p = from_sector_roots(spec)
     q = apply_sequence(p, GaussSequence(alpha))
     predicted = predicted_sector_after_gauss(spec.max_angle(), alpha)
-    return _sector_margin(p, q, predicted, f"gauss:alpha={alpha!r}")
+    return (yield from _sector_margin(p, q, predicted,
+                                      f"gauss:alpha={alpha!r}"))
 
 
 def _trial_cosak(gen, params, rng):
@@ -464,7 +476,7 @@ def _trial_cosak(gen, params, rng):
     q = apply_sequence(p, ms)
     predicted = predicted_sector_after_cosine_step(spec.max_angle(), alpha,
                                                    int(big_n))
-    return _sector_margin(p, q, predicted, ms.spec_string())
+    return (yield from _sector_margin(p, q, predicted, ms.spec_string()))
 
 
 def _trial_lms2(gen, params, rng):
@@ -477,7 +489,7 @@ def _trial_lms2(gen, params, rng):
         q = cosine_affine_transform(p, lam, theta)
     except DegenerateSequenceError:
         return None, None
-    zeros = find_roots(q)
+    zeros = yield q
     worst = 0.0
     worst_zero = None
     for e in zeros.zeros:
@@ -496,7 +508,7 @@ def _trial_period_strip(gen, params, rng):
     p = from_sector_roots(spec)
     q = apply_sequence(p, GaussSequence(alpha))
     predicted = predicted_strip_after_gauss(spec.max_angle(), alpha)
-    logs = exp_poly_principal_zeros(q)
+    logs = _principal_logs((yield q))
     measured = min_enclosing_strip(logs)
     return predicted - measured, (p, f"gauss:alpha={alpha!r}", None, None)
 
@@ -508,7 +520,7 @@ def _trial_roms(gen, params, rng):
     coeffs = [math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]
     p = RealPolynomial(coeffs)
     q = apply_sequence(p, ms)
-    zeros = find_roots(q)
+    zeros = yield q
     worst = math.inf
     worst_zero = None
     for e in zeros.zeros:
@@ -529,10 +541,11 @@ def _trial_search(gen, params, rng):
     p = from_sector_roots(spec)
     try:
         q = apply_sequence(p, ms)
-        after = max(abs(math.atan2(e.location.imag, e.location.real))
-                    for e in find_roots(q).zeros)
+        zeros = yield q
     except SectorLabError:
         return None, None
+    after = max(abs(math.atan2(e.location.imag, e.location.real))
+                for e in zeros.zeros)
     before = spec.max_angle()
     return before - after, (p, ms.spec_string(), None,
                             f"sector grew from {before!r} to {after!r}")
@@ -540,68 +553,130 @@ def _trial_search(gen, params, rng):
 
 @dataclass(frozen=True)
 class Campaign:
-    """``trial(gen, params, rng)`` returns (margin, info), margin None when
-    nothing was tested; a margin below -``tolerance`` is a violation, and
-    info = (polynomial, operator, offending zero or None, certificate detail
-    or None) describes it.  ``theta`` and ``deg_hi`` are the command line's
-    generator defaults."""
+    """``trial(gen, params, rng)`` is a generator: it yields each polynomial
+    to solve, receives its ``ZeroSet`` (or has the solve's exception thrown
+    in), and returns (margin, info), margin None when nothing was tested.  A
+    margin below -``tolerance`` is a violation, and info = (polynomial,
+    operator, offending zero or None, certificate detail or None) describes
+    it.  ``params`` names the params the trial reads; ``theta`` and
+    ``deg_hi`` are the command line's generator defaults."""
 
     trial: Callable
     tolerance: float
+    params: tuple = ()
     theta: float = 0.785398
     deg_hi: int = 16
 
 
 # the theorem campaigns of verify_theorem, keyed by theorem id
 CAMPAIGNS = {
-    "jsd": Campaign(_trial_jsd, 1e-8, theta=1.4),
-    "zsro": Campaign(_trial_zsro, 1e-7),
-    "cosak": Campaign(_trial_cosak, 1e-7),
-    "lms2": Campaign(_trial_lms2, 0.0, theta=0.0, deg_hi=12),
-    "period-strip": Campaign(_trial_period_strip, 1e-7),
-    "roms": Campaign(_trial_roms, 1e-7),
+    "jsd": Campaign(_trial_jsd, 1e-8, ("quadratic", "alpha", "lam", "beta"),
+                    theta=1.4),
+    "zsro": Campaign(_trial_zsro, 1e-7, ("alpha",)),
+    "cosak": Campaign(_trial_cosak, 1e-7, ("alpha", "N")),
+    "lms2": Campaign(_trial_lms2, 0.0, ("lam", "mult_theta"), theta=0.0,
+                     deg_hi=12),
+    "period-strip": Campaign(_trial_period_strip, 1e-7, ("alpha",)),
+    "roms": Campaign(_trial_roms, 1e-7, ("sequence", "alpha")),
 }
 THEOREM_IDS = tuple(CAMPAIGNS)
 # the hunt of search_counterexample; its params carry the "sequence"
-SEARCH_CAMPAIGN = Campaign(_trial_search, 1e-7, theta=0.6, deg_hi=12)
+SEARCH_CAMPAIGN = Campaign(_trial_search, 1e-7, ("sequence",), theta=0.6,
+                           deg_hi=12)
+
+# trials advanced together, whose pending polynomials are solved as one batch
+_CHUNK = 1000
+
+
+def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
+               trials: range, config: SolverConfig | None) -> list:
+    """Run ``trials`` to completion; per trial, what it returned or the
+    exception it did not handle."""
+    steps = {t: campaign.trial(gen, params, _trial_rng(gen.seed, t))
+             for t in trials}
+    outcomes = {}
+    replies = dict.fromkeys(steps)
+    while True:
+        pending = {}
+        for t, reply in replies.items():
+            try:
+                if isinstance(reply, Exception):
+                    pending[t] = steps[t].throw(reply)
+                else:
+                    pending[t] = steps[t].send(reply)
+            except StopIteration as stop:
+                outcomes[t] = stop.value
+            except Exception as exc:  # the trial's own outcome
+                outcomes[t] = exc
+        if not pending:
+            return [outcomes[t] for t in trials]
+        replies = dict(zip(pending,
+                           find_roots_many(list(pending.values()), config)))
 
 
 def _run_trials(campaign: Campaign, gen: PolyGenSpec, params: dict,
-                trials: int, tol: float):
+                trials: int, tol: float, config: SolverConfig | None):
     """The trial loop of every campaign; a margin None or a
-    NonConvergenceError skips the trial.  Returns (worst margin, certificate
-    of the worst violation or None, skipped count, seconds)."""
+    NonConvergenceError skips the trial, and any other exception a trial
+    raises is raised from the earliest such trial.  Returns (worst margin,
+    certificate of the worst violation or None, skipped count, seconds)."""
     start = time.perf_counter()
     worst = cex = None
     skipped = 0
-    for t in range(trials):
-        try:
-            margin, info = campaign.trial(gen, params, _trial_rng(gen.seed, t))
-        except NonConvergenceError:
-            margin = None
-        if margin is None:
-            skipped += 1
-            continue
-        if worst is None or margin < worst:
-            worst = margin
-        if margin < -tol and (cex is None or margin < cex.margin):
-            p, op, zero, detail = info
-            cex = Counterexample(t, tuple(p.coeffs.tolist()), op,
-                                 zero if zero is not None else 0.0 + 0.0j,
-                                 margin,
-                                 detail or f"margin {margin!r} below -{tol!r}")
+    for lo in range(0, trials, _CHUNK):
+        chunk = range(lo, min(lo + _CHUNK, trials))
+        with warnings.catch_warnings(record=True) as caught:
+            outcomes = _run_chunk(campaign, gen, params, chunk, config)
+        failed = next((i for i, o in enumerate(outcomes)
+                       if isinstance(o, Exception)
+                       and not isinstance(o, NonConvergenceError)), None)
+        if failed is not None and failed + 1 < len(chunk):
+            # the trials after the failure must leave no trace, such as a
+            # warning, that a trial-by-trial loop would never have made
+            chunk = chunk[:failed + 1]
+            with warnings.catch_warnings(record=True) as caught:
+                outcomes = _run_chunk(campaign, gen, params, chunk, config)
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                                 w.file, w.line)
+        for t, outcome in zip(chunk, outcomes):
+            if isinstance(outcome, NonConvergenceError):
+                outcome = None, None
+            elif isinstance(outcome, Exception):
+                raise outcome
+            margin, info = outcome
+            if margin is None:
+                skipped += 1
+                continue
+            if worst is None or margin < worst:
+                worst = margin
+            if margin < -tol and (cex is None or margin < cex.margin):
+                p, op, zero, detail = info
+                cex = Counterexample(t, tuple(p.coeffs.tolist()), op,
+                                     zero if zero is not None else 0.0 + 0.0j,
+                                     margin,
+                                     detail or f"margin {margin!r} below "
+                                               f"-{tol!r}")
     return worst, cex, skipped, time.perf_counter() - start
 
 
 def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None,
-                   trials: int = 200) -> VerificationReport:
+                   trials: int = 200,
+                   config: SolverConfig | None = None) -> VerificationReport:
     """Run a seeded campaign; negative worst margins below the campaign
-    tolerance yield a counterexample certificate."""
+    tolerance yield a counterexample certificate.  ``config`` is the solver
+    configuration of every trial's solves.  A param the campaign's trial
+    does not read raises InputError."""
     if theorem_id not in CAMPAIGNS:
         raise SectorLabError(f"unknown theorem id {theorem_id!r}; "
                              f"expected one of {THEOREM_IDS}")
     campaign = CAMPAIGNS[theorem_id]
     params = dict(params or {})
+    unread = sorted(set(params) - set(campaign.params)
+                    - {"tolerance_override"})
+    if unread:
+        raise InputError(f"{theorem_id} reads no param {', '.join(unread)}; "
+                         f"it reads {', '.join(campaign.params)}")
     quadratic = bool(params.pop("quadratic", False))
     tol = params.pop("tolerance_override", None)
     if tol is None:
@@ -620,13 +695,15 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
 
     worst, cex, skipped, elapsed = _run_trials(
         campaign, gen, dict(params, quadratic=quadratic, sequence=ms), trials,
-        tol)
+        tol, config)
     return VerificationReport(theorem_id, trials, gen.seed, worst, cex,
                               report_params, skipped, elapsed)
 
 
 def search_counterexample(ms: MultiplierSequence, gen: PolyGenSpec,
-                          trials: int = 200) -> VerificationReport:
+                          trials: int = 200,
+                          config: SolverConfig | None = None
+                          ) -> VerificationReport:
     """Hunt for sector growth under a diagonal family with no proven bound.
 
     Margin per random trial = theta_before - theta_after; a negative value
@@ -640,7 +717,7 @@ def search_counterexample(ms: MultiplierSequence, gen: PolyGenSpec,
         raise InputError("search expects an exppower or explicit sequence")
     tol = SEARCH_CAMPAIGN.tolerance
     worst, cex, skipped, elapsed = _run_trials(
-        SEARCH_CAMPAIGN, gen, {"sequence": ms}, trials, tol)
+        SEARCH_CAMPAIGN, gen, {"sequence": ms}, trials, tol, config)
     params: dict = {"sequence": ms.spec_string(), "tolerance": tol}
     theta_probe = gen.theta if gen.theta > 0.0 else 0.6
     ladder = []

@@ -294,7 +294,8 @@ def cmd_verify(args) -> int:
     if args.tol_angle is not None:
         params["tolerance_override"] = args.tol_angle
 
-    report = verify_theorem(theorem, gen, params, trials=args.trials)
+    report = verify_theorem(theorem, gen, params, trials=args.trials,
+                            config=_solver_config(args))
     return _emit_report(theorem, report, args.output)
 
 
@@ -303,7 +304,8 @@ def cmd_search(args) -> int:
     seed = _resolve_seed(args)
     ms = parse_sequence_spec(args.op)
     gen = _generator(args, SEARCH_CAMPAIGN, seed)
-    report = search_counterexample(ms, gen, trials=args.trials)
+    report = search_counterexample(ms, gen, trials=args.trials,
+                                   config=_solver_config(args))
     return _emit_report(f"search {ms.spec_string()}", report, args.output)
 
 

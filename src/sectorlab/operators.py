@@ -296,6 +296,20 @@ def cosine_power_limit(alpha: float, N: int) -> float:
     return math.cos(alpha / N) ** (N * N)
 
 
+def _principal_logs(zs) -> list:
+    """Principal logarithms of the solved zeros ``zs``; each must lie
+    strictly inside the right half-plane."""
+    logs = []
+    for e in zs.zeros:
+        z = e.location
+        if z.real <= 0.0:
+            raise NotInRightHalfPlaneError(
+                f"zero {z} is not strictly inside the right half-plane",
+                offender=z)
+        logs.append(cmath.log(z))
+    return logs
+
+
 def exp_poly_principal_zeros(p: RealPolynomial,
                              config: SolverConfig | None = None) -> list:
     """Principal logarithms of the zeros of p.
@@ -308,16 +322,7 @@ def exp_poly_principal_zeros(p: RealPolynomial,
         raise NotInRightHalfPlaneError(
             "p(0) = 0 puts a zero at the origin, which has no logarithm",
             offender=0.0 + 0.0j)
-    zs = find_roots(p, config)
-    logs = []
-    for e in zs.zeros:
-        z = e.location
-        if z.real <= 0.0:
-            raise NotInRightHalfPlaneError(
-                f"zero {z} is not strictly inside the right half-plane",
-                offender=z)
-        logs.append(cmath.log(z))
-    return logs
+    return _principal_logs(find_roots(p, config))
 
 
 def predicted_strip_after_gauss(half_width: float, alpha: float) -> float:

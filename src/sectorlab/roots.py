@@ -1,12 +1,16 @@
 """Simultaneous polynomial root finding with residual certificates.
 
-The solve pipeline:
+``find_roots_many`` solves a batch of polynomials; ``find_roots`` is the
+batch of one.  The solve pipeline:
 
-1. deflate exact zeros at the origin,
-2. Aberth-Ehrlich simultaneous iteration from equispaced angles at radii
-   ramped around ``|c_0 / c_d|^(1/d)`` (geometric mean of the root moduli),
-   with a fixed irrational angular offset so the start never aligns with an
-   axis and no two starts are antipodal,
+1. deflate exact zeros at the origin, and group the batch by the degree
+   left over,
+2. Aberth-Ehrlich simultaneous iteration, one stacked run per group:
+   equispaced angles at radii ramped around ``|c_0 / c_d|^(1/d)``
+   (geometric mean of the root moduli), with a fixed irrational angular
+   offset so the start never aligns with an axis and no two starts are
+   antipodal; a polynomial leaves the stack after the sweep in which its
+   own stopping test passes,
 3. guarded Newton polishing of each iterate,
 4. cluster merging: iterates are merged when they sit within
    ``cluster_tol * max(1, |z|)`` of each other or when their Gerschgorin-style
@@ -21,10 +25,23 @@ The solve pipeline:
    pairs and the returned multiset is exactly conjugation invariant,
 8. every entry gets the normalized residual |p(z)| / (scale * max(1,|z|)^d)
    with scale = max_k |c_k|; if any entry exceeds ``residual_accept`` the
-   solve raises instead of returning a bad certificate.
+   polynomial's solve fails instead of returning a bad certificate.
 
-The iteration order, the start configuration and the merge order are all
-fixed, so identical input and configuration produce bitwise identical output.
+Stages 3-8 run per polynomial.  The iteration order, the start
+configuration and the merge order are all fixed, so identical input and
+configuration produce bitwise identical output, whatever else shares the
+batch: each row of the stacked run does exactly the floating-point
+operations of a lone solve.  That holds only while every complex product
+of the kernel runs through the same numpy loop in both cases.  numpy's SIMD
+complex multiply fuses multiplies and adds (FMA; numpy 2.4 on an AVX-512
+x86-64 CPU) where its scalar loop does not, and which loop runs depends on
+the operands' length, strides and aliasing: an in-place ``pv *= z`` on a
+one-element array takes the scalar loop, so the Horner sweep written in
+place changed the last bit of degree-1 solves run as batches of one.  The kernel therefore multiplies complex
+arrays out of place, on contiguous operands of one shape, and broadcasts
+per-row constants only into additions and real factors, which round the
+same in either loop.  The tests compare it bitwise against a
+per-polynomial loop.
 """
 
 from __future__ import annotations
@@ -42,8 +59,8 @@ __all__ = [
     "ZeroEntry",
     "ZeroSet",
     "find_roots",
+    "find_roots_many",
     "deflate_origin",
-    "residual_report",
 ]
 
 # fixed start rotation, 1/sqrt(2) radians
@@ -101,49 +118,73 @@ def _derivative(c: np.ndarray) -> np.ndarray:
 
 
 def _eval_many(c: np.ndarray, z: np.ndarray):
-    """Vectorized Horner returning (p(z), p'(z))."""
+    """Vectorized Horner returning (p(z), p'(z)); each c[k] broadcasts
+    against z."""
     pv = np.full_like(z, c[-1])
     dv = np.zeros_like(z)
-    for k in range(c.size - 2, -1, -1):
+    for k in range(len(c) - 2, -1, -1):
         dv = dv * z + pv
         pv = pv * z + c[k]
     return pv, dv
 
 
-def _aberth(q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    d = q.size - 1
-    radius = float(abs(q[0] / q[-1])) ** (1.0 / d) * cfg.seed_radius_factor
-    if not math.isfinite(radius) or radius == 0.0:
-        radius = 1.0
+def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """Iterates for a (B, d+1) stack of degree-d polynomials, shape (B, d).
+
+    Each row runs the sweeps it would run alone and leaves the active set
+    after the sweep in which its own stopping test passes.
+    """
+    B, d = Q.shape[0], Q.shape[1] - 1
+    radius = np.empty(B)
+    for i, q in enumerate(Q):
+        r = float(abs(q[0] / q[-1])) ** (1.0 / d) * cfg.seed_radius_factor
+        radius[i] = r if math.isfinite(r) and r != 0.0 else 1.0
     ang = 2.0 * math.pi * np.arange(d) / d + _START_OFFSET
     # ramped radii: no two starts are antipodal, which would otherwise trap
     # even-degree real input in near-cyclic dynamics for many iterations
     ramp = 0.9 + 0.2 * np.arange(d) / max(1, d - 1)
-    z = radius * ramp * np.exp(1j * ang)
+    z = radius[:, None] * ramp * np.exp(1j * ang)
     fallback_phase = np.exp(1j * (0.7 + np.arange(d)))
+    nudge = np.arange(d) + 1.0
+    out = np.empty_like(z)
+    rows = np.arange(B)
+    # per-row constants broadcast to the iterates' shape: numpy adds
+    # same-shape operands fastest, and addition rounds the same either way
+    cols = list(np.repeat(Q.T[:, :, None], d, axis=2))
+    rad = np.repeat(radius[:, None], d, axis=1)
     # run to convergence or budget; early "stagnation" exits leave iterates
     # whose Weierstrass inclusion disks still straddle distinct nearby roots,
     # which the cluster stage would then wrongly merge
     for _ in range(cfg.max_iterations):
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        if np.any(diff == 0):
-            # coincident iterates break the repulsion term; separate them
-            z = z + radius * 1e-9 * (np.arange(d) + 1.0)
-            continue
-        pv, dv = _eval_many(q, z)
+        diff = z[:, :, None] - z[:, None, :]
+        diff.reshape(rows.size, -1)[:, ::d + 1] = np.inf
+        stuck = (diff == 0).any(axis=(1, 2)) if (diff == 0).any() else None
+        pv, dv = _eval_many(cols, z)
         with np.errstate(all="ignore"):
-            repulse = (1.0 / diff).sum(axis=1)
+            repulse = (1.0 / diff).sum(axis=2)
             newton = pv / dv
             w = newton / (1.0 - newton * repulse)
-            fallback = 0.01 * (np.abs(z) + radius) * fallback_phase
+            fallback = 0.01 * (np.abs(z) + rad) * fallback_phase
             w = np.where(np.isfinite(w), w,
                          np.where(np.isfinite(newton), newton, fallback))
-        z = z - w
-        m = float((np.abs(w) / np.maximum(1.0, np.abs(z))).max())
-        if m <= cfg.convergence_tol:
-            break
-    return z
+        step = z - w
+        done = (np.abs(w) / np.maximum(1.0, np.abs(step))).max(axis=1) \
+            <= cfg.convergence_tol
+        if stuck is not None:
+            # coincident iterates break the repulsion term; such a row is
+            # separated instead, and skips this sweep's stopping test
+            step[stuck] = z[stuck] + rad[stuck] * 1e-9 * nudge
+            done &= ~stuck
+        z = step
+        if done.any():
+            out[rows[done]] = z[done]
+            keep = ~done
+            rows, z, rad = rows[keep], z[keep], rad[keep]
+            if not rows.size:
+                return out
+            cols = [ck[keep] for ck in cols]
+    out[rows] = z
+    return out
 
 
 def _polish(q: np.ndarray, z: complex) -> complex:
@@ -300,22 +341,12 @@ def deflate_origin(p):
     return type(p)(p.coeffs[k:]), k
 
 
-def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
-    """Solve for all zeros of p; see the module docstring for the pipeline."""
-    cfg = config or SolverConfig()
-    c = _coeff_array(p)
+def _finish(c: np.ndarray, q: np.ndarray, k0: int, iterates, cfg) -> ZeroSet:
+    """Polish, cluster, refine, snap and pair one polynomial's iterates, then
+    certify every entry against the full coefficients ``c``."""
     degree = c.size - 1
-    if degree == 0:
-        raise DegreeZeroError("a nonzero constant has no zeros")
-    is_real = bool(np.all(c.imag == 0.0))
-
-    # deflate_origin without building a polynomial
-    k0 = int(np.flatnonzero(c)[0])
-    q = c[k0:]
-
     entries = []
-    if q.size >= 2:
-        iterates = _aberth(q, cfg)
+    if iterates is not None:
         iterates = np.array([_polish(q, complex(v)) for v in iterates])
         clusters = _cluster(q, iterates, cfg)
         raw = [(_refine_cluster(q, ctr, m, span, cfg), m)
@@ -323,7 +354,7 @@ def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
         # snap before pairing: real roots carrying opposite-signed imaginary
         # noise must not be mistaken for a wide conjugate pair
         raw = [(_snapped(z, cfg.real_snap_tol), m) for z, m in raw]
-        if is_real:
+        if bool(np.all(c.imag == 0.0)):
             raw = _pair_conjugates(raw, cfg)
             _assert_conjugate_closed(raw)
         entries.extend(raw)
@@ -348,13 +379,48 @@ def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
     return ZeroSet(tuple(finished), degree)
 
 
-def residual_report(p, zs: ZeroSet) -> float:
-    """Worst normalized residual |p(z)| / (scale * max(1,|z|)^degree)."""
-    c = _coeff_array(p)
-    degree = c.size - 1
-    scale = float(np.max(np.abs(c)))
-    worst = 0.0
-    for e in zs.zeros:
-        worst = max(worst, abs(_horner(c, e.location)[0])
-                    / (scale * max(1.0, abs(e.location)) ** degree))
-    return worst
+def _solve_many(polys, config: SolverConfig | None) -> list:
+    """find_roots_many, which find_roots calls under this private name: a
+    traced run wraps every public function, and a nested public call would
+    count each solve twice."""
+    cfg = config or SolverConfig()
+    out = [None] * len(polys)
+    groups = {}
+    for i, p in enumerate(polys):
+        try:
+            c = _coeff_array(p)
+            if c.size == 1:
+                raise DegreeZeroError("a nonzero constant has no zeros")
+        except (TypeError, DegreeZeroError) as exc:
+            out[i] = exc
+            continue
+        # deflate_origin without building a polynomial
+        k0 = int(np.flatnonzero(c)[0])
+        groups.setdefault(c.size - 1 - k0, []).append((i, c, k0))
+    for d, members in groups.items():
+        qs = [c[k0:] for _, c, k0 in members]
+        iterates = _aberth(np.stack(qs), cfg) if d else [None] * len(qs)
+        for (i, c, k0), q, z in zip(members, qs, iterates):
+            try:
+                out[i] = _finish(c, q, k0, z, cfg)
+            except Exception as exc:  # one polynomial's failure is its entry
+                out[i] = exc
+    return out
+
+
+def find_roots_many(polys, config: SolverConfig | None = None) -> list:
+    """Solve every polynomial of ``polys``; see the module docstring.
+
+    Returns one entry per input, in order: its ``ZeroSet``, or the exception
+    solving it alone would have raised.  Each entry is bitwise equal to what
+    ``find_roots`` returns for that polynomial.
+    """
+    return _solve_many(polys, config)
+
+
+def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
+    """Solve for all zeros of p; see the module docstring for the pipeline."""
+    result = _solve_many([p], config)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result

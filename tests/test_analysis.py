@@ -1,20 +1,25 @@
 """Ratio profiles, three-term probes, identity checks, and campaigns."""
 
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from sectorlab import analysis
 from sectorlab import (
     DegenerateLeadingError,
     ExplicitSequence,
     ExpPowerSequence,
     GaussSequence,
+    InputError,
     LaguerreQSequence,
     PolyGenSpec,
     RealPolynomial,
     SectorLabError,
+    SolverConfig,
     SignFlipError,
     ZeroInteriorTermError,
     double_sector_demo,
@@ -325,3 +330,71 @@ def test_search_exppower_p_three_halves_flags_climb():
     angles = [row["angle_after"] for row in ladder]
     assert angles[-1] > angles[0]
     assert report.params["three_term_probe"]["max_angle_after"] == max(angles)
+
+
+def _chunked_report(monkeypatch, chunk, run):
+    monkeypatch.setattr(analysis, "_CHUNK", chunk)
+    return run().to_json()
+
+
+@pytest.mark.parametrize("run,digest", [
+    (lambda: verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=16, theta=1.4),
+                            {"tolerance_override": -1.0}, trials=20),
+     "dbfe42bf08b08c51429db93969eabc8009b2467a22ad6c8971fc047bec427034"),
+    (lambda: search_counterexample(ExpPowerSequence(alpha=0.3, p=1.5),
+                                   PolyGenSpec(seed=1, deg_hi=12, theta=0.6),
+                                   trials=200),
+     "e71e13dd484b25ca15801e4c5cf1f82021de1e6b9e84002cc00080ec9a752ada"),
+], ids=["zsro-forced", "search-seed1"])
+def test_report_bytes_do_not_depend_on_the_chunk(monkeypatch, run, digest):
+    small = _chunked_report(monkeypatch, 7, run)
+    assert small == _chunked_report(monkeypatch, 1000, run)
+    # the digests of tests/test_golden.py, recorded with an 80-bit long double
+    if np.finfo(np.longdouble).nmant == 63:
+        assert hashlib.sha256(small.encode("utf-8")).hexdigest() == digest
+
+
+def test_unhandled_trial_error_comes_from_the_earliest_trial():
+    # a degree-40 Gauss image overflows the residual of one trial; trials
+    # batched after it must add no warning of their own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError):
+            verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=40), trials=200)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def _trial_probe(gen, params, rng):
+    """Solves z^2 - 2 (inexact zeros) or z^2 - 2z + 2 (exact zeros)."""
+    inexact = rng.uniform() < 0.5
+    p = RealPolynomial([-2.0, 0.0, 1.0] if inexact else [2.0, -2.0, 1.0])
+    zeros = yield p
+    return min(e.location.real for e in zeros.zeros), (p, "probe", None, None)
+
+
+def test_nonconvergence_skips_only_its_own_trial(monkeypatch):
+    monkeypatch.setitem(analysis.CAMPAIGNS, "probe",
+                        analysis.Campaign(_trial_probe, 1e-7))
+    monkeypatch.setattr(analysis, "_CHUNK", 7)
+    gen = PolyGenSpec(seed=5)
+    strict = SolverConfig(residual_accept=1e-30)
+    report = verify_theorem("probe", gen, trials=30, config=strict)
+    inexact = sum(analysis._trial_rng(5, t).uniform() < 0.5 for t in range(30))
+    assert 0 < inexact < 30
+    assert report.skipped == inexact
+    assert report.worst_margin == 1.0
+    lenient = verify_theorem("probe", gen, trials=30)
+    assert lenient.skipped == 0
+    assert math.isclose(lenient.worst_margin, -math.sqrt(2.0), rel_tol=1e-12)
+
+
+def test_verify_rejects_params_the_campaign_never_reads():
+    gen = PolyGenSpec(seed=1)
+    for theorem, params in (("zsro", {"sequence": LaguerreQSequence(0.5)}),
+                            ("zsro", {"N": 3}), ("lms2", {"alpha": 0.3}),
+                            ("cosak", {"quadratic": True})):
+        with pytest.raises(InputError):
+            verify_theorem(theorem, gen, params, trials=1)
+    report = verify_theorem("jsd", gen, {"quadratic": True, "alpha": 0.4,
+                                         "tolerance_override": 0.1}, trials=2)
+    assert report.params["quadratic"] is True

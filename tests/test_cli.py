@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from sectorlab import PolyGenSpec, verify_theorem
+
 _CLI = [sys.executable, "-m", "sectorlab.cli"]
 
 
@@ -169,6 +171,24 @@ def test_verify_generator_defaults(theorem, theta, deg_hi):
     assert r.returncode == 0
     generator = json.loads(r.stdout)["params"]["generator"]
     assert (generator["theta"], generator["deg_hi"]) == (theta, deg_hi)
+
+
+def test_verify_tol_residual_reaches_campaign_solves():
+    strict = run("verify", "zsro", "--trials", "20", "--seed", "42",
+                 "--tol-residual", "1e-30")
+    assert strict.returncode == 0
+    assert json.loads(strict.stdout)["skipped"] == 20
+    plain = run("verify", "zsro", "--trials", "20", "--seed", "42")
+    assert plain.stdout == verify_theorem(
+        "zsro", PolyGenSpec(seed=42), trials=20).to_json()
+
+
+@pytest.mark.parametrize("flags", [["--op", "laguerre:q=0.5"], ["--N", "3"]])
+def test_verify_rejects_flags_the_campaign_never_reads(flags):
+    r = run("verify", "zsro", "--trials", "20", "--seed", "42", *flags)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "zsro reads no param" in r.stderr
 
 
 def test_verify_double_sector_verdict():

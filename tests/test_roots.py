@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sectorlab import (
+    ComplexPolynomial,
     DegreeZeroError,
     NonConvergenceError,
     RealPolynomial,
@@ -14,8 +15,10 @@ from sectorlab import (
     ZeroPolynomialError,
     deflate_origin,
     find_roots,
+    find_roots_many,
     from_sector_roots,
 )
+from sectorlab import roots
 
 
 def expand(zero_set):
@@ -201,3 +204,138 @@ def test_locations_with_multiplicity_expands():
     zs = find_roots(RealPolynomial([-1.0, 3.0, -3.0, 1.0]))
     assert zs.locations(with_multiplicity=True) == [1 + 0j, 1 + 0j, 1 + 0j]
     assert zs.locations() == [1 + 0j]
+
+
+def _aberth_loop(q, cfg):
+    """Reference: the Aberth stage one polynomial at a time, as it ran
+    before the stacked kernel; every row of the stack must match it."""
+    d = q.size - 1
+    radius = float(abs(q[0] / q[-1])) ** (1.0 / d) * cfg.seed_radius_factor
+    if not math.isfinite(radius) or radius == 0.0:
+        radius = 1.0
+    ang = 2.0 * math.pi * np.arange(d) / d + roots._START_OFFSET
+    ramp = 0.9 + 0.2 * np.arange(d) / max(1, d - 1)
+    z = radius * ramp * np.exp(1j * ang)
+    fallback_phase = np.exp(1j * (0.7 + np.arange(d)))
+    for _ in range(cfg.max_iterations):
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        if np.any(diff == 0):
+            z = z + radius * 1e-9 * (np.arange(d) + 1.0)
+            continue
+        pv = np.full_like(z, q[-1])
+        dv = np.zeros_like(z)
+        for k in range(q.size - 2, -1, -1):
+            dv = dv * z + pv
+            pv = pv * z + q[k]
+        with np.errstate(all="ignore"):
+            repulse = (1.0 / diff).sum(axis=1)
+            newton = pv / dv
+            w = newton / (1.0 - newton * repulse)
+            fallback = 0.01 * (np.abs(z) + radius) * fallback_phase
+            w = np.where(np.isfinite(w), w,
+                         np.where(np.isfinite(newton), newton, fallback))
+        z = z - w
+        if float((np.abs(w) / np.maximum(1.0, np.abs(z))).max()) \
+                <= cfg.convergence_tol:
+            break
+    return z
+
+
+def _batch_corpus():
+    """Degrees 1-24, real and complex coefficients, origin zeros, repeats."""
+    rng = np.random.default_rng(7)
+    polys = []
+    for deg in range(1, 25):
+        reals = tuple(float(v) for v in rng.uniform(0.1, 10.0, deg % 3))
+        pairs = tuple((float(a), float(b)) for a, b in
+                      rng.uniform(0.1, 3.0, ((deg - deg % 3) // 2, 2)))
+        if deg % 3 + 2 * len(pairs) == deg:
+            polys.append(from_sector_roots(SectorRootSpec(reals, pairs)))
+        polys.append(RealPolynomial(rng.normal(size=deg + 1)))
+        polys.append(ComplexPolynomial(rng.normal(size=deg + 1)
+                                       + 1j * rng.normal(size=deg + 1)))
+        polys.append(RealPolynomial([0.0] * int(rng.integers(1, 4))
+                                    + rng.normal(size=deg + 1).tolist()))
+    # linear ones share one stacked run here but run on one-element arrays
+    # alone, the case where numpy's loops part ways
+    polys += [RealPolynomial(c) for c in rng.normal(size=(30, 2))]
+    polys += polys[::5]
+    polys.append(RealPolynomial([0.0, 0.0, 2.0]))
+    polys.append(RealPolynomial([-1.0, 3.0, -3.0, 1.0]))
+    return polys
+
+
+def _bits(result):
+    """A solve result with every float as its bit pattern."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    locs = np.array([e.location for e in result.zeros], dtype=complex)
+    res = np.array([e.residual for e in result.zeros], dtype=float)
+    return (result.source_degree, [e.multiplicity for e in result.zeros],
+            locs.view(np.float64).tolist(), res.view(np.int64).tolist())
+
+
+def _solve_alone(p, cfg=None):
+    try:
+        return find_roots(p, cfg)
+    except Exception as exc:
+        return exc
+
+
+def test_find_roots_many_bitwise_equals_lone_solves():
+    polys = _batch_corpus()
+    batch = find_roots_many(polys)
+    assert len(batch) == len(polys)
+    assert [_bits(r) for r in batch] == \
+        [_bits(_solve_alone(p)) for p in polys]
+
+
+def test_stacked_aberth_rows_match_the_per_polynomial_loop():
+    cfg = SolverConfig()
+    by_degree = {}
+    for p in _batch_corpus():
+        q, _ = deflate_origin(p)
+        if q.degree:
+            by_degree.setdefault(q.degree, []).append(
+                q.coeffs.astype(np.complex128))
+    # degree-1 batches of one work on one-element arrays, where numpy can
+    # take a loop of its own
+    rng = np.random.default_rng(11)
+    lone = [[q] for q in rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))]
+    for qs in list(by_degree.values()) + lone:
+        stacked = roots._aberth(np.stack(qs), cfg)
+        for row, q in zip(stacked, qs):
+            assert row.view(np.float64).tolist() == \
+                _aberth_loop(q, cfg).view(np.float64).tolist()
+
+
+def test_stacked_aberth_fallback_and_budget_rows_match_the_loop():
+    # a start radius near the underflow threshold sends every row down the
+    # fallback branch; a one-sweep budget stops every row unconverged
+    qs = [np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
+          np.array([2.0, -3.0, 0.5, 1.0], dtype=complex)]
+    for cfg in (SolverConfig(seed_radius_factor=1e-320),
+                SolverConfig(max_iterations=1)):
+        stacked = roots._aberth(np.stack(qs), cfg)
+        for row, q in zip(stacked, qs):
+            assert row.view(np.float64).tolist() == \
+                _aberth_loop(q, cfg).view(np.float64).tolist()
+
+
+def test_find_roots_many_returns_failures_in_place():
+    good = [RealPolynomial([2.0, -2.0, 1.0]), RealPolynomial([-3.0, 1.0]),
+            RealPolynomial([1.0, 0.5])]
+    out = find_roots_many([good[0], RealPolynomial([3.0]), good[1]])
+    assert isinstance(out[1], DegreeZeroError)
+    assert [_bits(out[0]), _bits(out[2])] == \
+        [_bits(find_roots(good[0])), _bits(find_roots(good[1]))]
+
+    starved = SolverConfig(max_iterations=1)
+    hard = RealPolynomial([5040.0, -13068.0, 13132.0, -6769.0, 1960.0,
+                           -322.0, 28.0, -1.0])
+    out = find_roots_many([good[1], hard, good[2]], starved)
+    assert isinstance(out[1], NonConvergenceError)
+    assert [_bits(out[0]), _bits(out[2])] == \
+        [_bits(find_roots(good[1], starved)), _bits(find_roots(good[2], starved))]
+    assert find_roots_many([]) == []
