@@ -194,12 +194,14 @@ def jsd_bracket(a: float, b: float, alpha: float, z: complex) -> float:
             * (a * (mod2 + x * x + y * y) - 2.0 * x * mod2 * math.cos(alpha)))
 
 
-def double_sector_demo(ms: MultiplierSequence):
+def double_sector_demo(ms: MultiplierSequence,
+                       config: SolverConfig | None = None):
     """Fold angle of 4 + z^4 before and after the diagonal action.
 
     Only gamma_0 and gamma_4 survive, so the transformed zeros are the fourth
     roots of -4 gamma_0 / gamma_4: the fold angle stays exactly pi/4 for any
-    admissible sequence.  Returns (before, after) as measured by the solver.
+    admissible sequence.  Returns (before, after) as measured by the solver,
+    whose configuration is ``config``.
     """
     g0, g4 = ms.term(0), ms.term(4)
     if g0 == 0.0 or g4 == 0.0:
@@ -209,9 +211,9 @@ def double_sector_demo(ms: MultiplierSequence):
         raise SignFlipError(f"endpoint terms differ in sign: "
                             f"gamma_0={g0!r}, gamma_4={g4!r}")
     base = RealPolynomial([4.0, 0.0, 0.0, 0.0, 1.0])
-    before = min_enclosing_double_sector(find_roots(base))
+    before = min_enclosing_double_sector(find_roots(base, config))
     image = RealPolynomial([4.0 * g0, 0.0, 0.0, 0.0, g4])
-    after = min_enclosing_double_sector(find_roots(image))
+    after = min_enclosing_double_sector(find_roots(image, config))
     return before, after
 
 

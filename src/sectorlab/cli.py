@@ -256,15 +256,25 @@ def _generator(args, campaign, seed: int) -> PolyGenSpec:
                        theta=theta, seed=seed)
 
 
+# verify flags that only the seeded campaigns read
+_CAMPAIGN_FLAGS = ("seed", "trials", "theta", "degree_max", "alpha", "lam",
+                   "N", "quadratic", "tol_angle")
+
+
 def cmd_verify(args) -> int:
     _require_format(args, ("json",), "json")
-    seed = _resolve_seed(args)
     theorem = _THEOREM_ALIASES.get(args.theorem, args.theorem)
 
     if theorem == "double-sector":
+        given = [f"--{name.replace('_', '-')}" for name in _CAMPAIGN_FLAGS
+                 if getattr(args, name) is not None
+                 and getattr(args, name) is not False]
+        if given:
+            raise InputError(f"double-sector reads no flag {', '.join(given)}"
+                             f"; it reads --op and --tol-residual")
         spec = args.op or "explicit:1,1,1,1,1"
         ms = parse_sequence_spec(spec)
-        before, after = double_sector_demo(ms)
+        before, after = double_sector_demo(ms, _solver_config(args))
         reduced = after < before - 1e-9
         verdict = ("reduction observed (unexpected)" if reduced
                    else "no reduction (as proven)")
@@ -278,7 +288,7 @@ def cmd_verify(args) -> int:
     if theorem not in CAMPAIGNS:
         raise InputError(f"unknown theorem id {args.theorem!r}; expected one "
                          f"of {', '.join(THEOREM_IDS + ('double-sector',))}")
-    gen = _generator(args, CAMPAIGNS[theorem], seed)
+    gen = _generator(args, CAMPAIGNS[theorem], _resolve_seed(args))
 
     params: dict = {}
     if args.alpha is not None:
@@ -294,7 +304,8 @@ def cmd_verify(args) -> int:
     if args.tol_angle is not None:
         params["tolerance_override"] = args.tol_angle
 
-    report = verify_theorem(theorem, gen, params, trials=args.trials,
+    trials = 200 if args.trials is None else args.trials
+    report = verify_theorem(theorem, gen, params, trials=trials,
                             config=_solver_config(args))
     return _emit_report(theorem, report, args.output)
 
@@ -406,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("theorem", help="one of %s, double-sector"
                                     % ", ".join(THEOREM_IDS))
     _add_common(sp, with_input=False)
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--trials", type=int, default=None,
+                    help="campaign trials (default 200)")
     sp.add_argument("--seed", type=int, default=None,
                     help=f"campaign seed (default ${_ENV_SEED} or 0)")
     sp.add_argument("--theta", type=float, default=None,

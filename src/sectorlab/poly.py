@@ -46,13 +46,13 @@ def _normalized(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horner(coeffs: np.ndarray, z):
-    """(p(z), p'(z)) by Horner's scheme over ascending ``coeffs``.
+def _horner(c: list, z):
+    """(p(z), p'(z)) by Horner's scheme over the ascending coefficients ``c``.
 
-    The coefficients become Python scalars once, so real coefficients at a
-    real ``z`` give a float p(z); the derivative is always complex.
+    ``c`` is a list of Python scalars (``coeffs.tolist()``, made once by the
+    caller), so real coefficients at a real ``z`` give a float p(z); the
+    derivative is always complex.
     """
-    c = coeffs.tolist()
     pv, dv = c[-1], 0j
     for ck in reversed(c[:-1]):
         dv = dv * z + pv
@@ -74,7 +74,7 @@ class _Polynomial:
 
     def eval(self, z):
         """Evaluate by Horner's scheme; exact for degree 0."""
-        return _horner(self.coeffs, z)[0]
+        return _horner(self.coeffs.tolist(), z)[0]
 
     def scale(self) -> float:
         """Coefficient magnitude scale: max_k |c_k|."""

@@ -5,12 +5,9 @@ batch of one.  The solve pipeline:
 
 1. deflate exact zeros at the origin, and group the batch by the degree
    left over,
-2. Aberth-Ehrlich simultaneous iteration, one stacked run per group:
-   equispaced angles at radii ramped around ``|c_0 / c_d|^(1/d)``
-   (geometric mean of the root moduli), with a fixed irrational angular
-   offset so the start never aligns with an axis and no two starts are
-   antipodal; a polynomial leaves the stack after the sweep in which its
-   own stopping test passes,
+2. Aberth-Ehrlich simultaneous iteration from equispaced angles at radii
+   ramped around ``|c_0 / c_d|^(1/d)``, turned by a fixed irrational offset
+   so that no start lies on an axis and no two starts are antipodal,
 3. guarded Newton polishing of each iterate,
 4. cluster merging: iterates are merged when they sit within
    ``cluster_tol * max(1, |z|)`` of each other or when their Gerschgorin-style
@@ -27,21 +24,24 @@ batch of one.  The solve pipeline:
    with scale = max_k |c_k|; if any entry exceeds ``residual_accept`` the
    polynomial's solve fails instead of returning a bad certificate.
 
-Stages 3-8 run per polynomial.  The iteration order, the start
-configuration and the merge order are all fixed, so identical input and
-configuration produce bitwise identical output, whatever else shares the
-batch: each row of the stacked run does exactly the floating-point
-operations of a lone solve.  That holds only while every complex product
-of the kernel runs through the same numpy loop in both cases.  numpy's SIMD
-complex multiply fuses multiplies and adds (FMA; numpy 2.4 on an AVX-512
-x86-64 CPU) where its scalar loop does not, and which loop runs depends on
-the operands' length, strides and aliasing: an in-place ``pv *= z`` on a
-one-element array takes the scalar loop, so the Horner sweep written in
-place changed the last bit of degree-1 solves run as batches of one.  The kernel therefore multiplies complex
-arrays out of place, on contiguous operands of one shape, and broadcasts
-per-row constants only into additions and real factors, which round the
-same in either loop.  The tests compare it bitwise against a
-per-polynomial loop.
+Stacked on (B, d) arrays, once per degree group: Aberth (a row leaves the
+stack after the sweep in which its own stopping test passes), and stage 4's
+sort, inclusion radii and mask of candidate pairs.  Scalar, per polynomial,
+on Python lists made once: polishing, each candidate pair's merge test,
+refinement, snapping, pairing and the residual.  The merge test decides, so
+it runs on Python complex numbers, whose |.| is libm's hypot, as on numpy
+scalars; numpy's SIMD abs may differ in the last bit: the mask has a margin.
+
+Iteration order, start configuration and merge order are fixed, so the
+same input and configuration give bitwise identical output, whatever else
+shares the batch: each row does exactly the floating-point operations of a
+lone solve, while every complex product runs through the same numpy loop.
+numpy's SIMD complex multiply fuses multiplies and adds (FMA; numpy 2.4 on
+an AVX-512 x86-64 CPU) where its scalar loop does not, and an in-place
+``pv *= z`` on a one-element array takes the scalar loop.  So complex
+arrays are multiplied out of place, on contiguous operands of one shape,
+and per-row constants are broadcast only into additions and real factors,
+which round the same in either loop.
 """
 
 from __future__ import annotations
@@ -148,9 +148,7 @@ def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     nudge = np.arange(d) + 1.0
     out = np.empty_like(z)
     rows = np.arange(B)
-    # per-row constants broadcast to the iterates' shape: numpy adds
-    # same-shape operands fastest, and addition rounds the same either way
-    cols = list(np.repeat(Q.T[:, :, None], d, axis=2))
+    cols = _columns(Q, d)
     rad = np.repeat(radius[:, None], d, axis=1)
     # run to convergence or budget; early "stagnation" exits leave iterates
     # whose Weierstrass inclusion disks still straddle distinct nearby roots,
@@ -164,9 +162,11 @@ def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
             repulse = (1.0 / diff).sum(axis=2)
             newton = pv / dv
             w = newton / (1.0 - newton * repulse)
-            fallback = 0.01 * (np.abs(z) + rad) * fallback_phase
-            w = np.where(np.isfinite(w), w,
-                         np.where(np.isfinite(newton), newton, fallback))
+            finite = np.isfinite(w)
+            if not finite.all():
+                fallback = 0.01 * (np.abs(z) + rad) * fallback_phase
+                w = np.where(finite, w,
+                             np.where(np.isfinite(newton), newton, fallback))
         step = z - w
         done = (np.abs(w) / np.maximum(1.0, np.abs(step))).max(axis=1) \
             <= cfg.convergence_tol
@@ -187,7 +187,13 @@ def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     return out
 
 
-def _polish(q: np.ndarray, z: complex) -> complex:
+def _columns(Q: np.ndarray, n: int) -> list:
+    """Column k of Q broadcast to shape (B, n), for every k: numpy adds
+    same-shape operands fastest, and addition rounds the same either way."""
+    return list(np.repeat(Q.T[:, :, None], n, axis=2))
+
+
+def _polish(q: list, z: complex) -> complex:
     for _ in range(8):
         pv, dv = _horner(q, z)
         apv = abs(pv)
@@ -203,21 +209,72 @@ def _polish(q: np.ndarray, z: complex) -> complex:
     return z
 
 
-def _cluster(q: np.ndarray, zs: np.ndarray, cfg: SolverConfig) -> list:
-    """Merge iterates into (center, multiplicity, span) clusters."""
-    order = np.lexsort((zs.imag, zs.real))
-    z = zs[order]
-    n = z.size
-    pv, _ = _eval_many(q, z)
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
-    prods = np.abs(diff).prod(axis=1)
+def _mean(members: list) -> complex:
+    """complex(np.mean(members)), bitwise.  numpy's sum of one z is 0 + z,
+    which turns -0.0 parts into +0.0, so the mean of one finite z is
+    (0 + z) / 1 in Python's complex arithmetic too."""
+    z = members[0]
+    if len(members) == 1 and math.isfinite(z.real) and math.isfinite(z.imag):
+        return (0j + z) / 1
+    return complex(np.array(members).mean())
+
+
+def _cluster_many(Q: np.ndarray, Z: np.ndarray, cfg: SolverConfig) -> list:
+    """Merge each row of Z, the polished iterates (B, d) of the rows of Q,
+    into (center, multiplicity, span) clusters; one list per row."""
+    z, incl = _inclusion_radii(Q, Z)
+    pairs = {}
+    for r, i, j in zip(*(ix.tolist() for ix in
+                         np.nonzero(_near_pairs(z, incl, cfg.cluster_tol)))):
+        pairs.setdefault(r, []).append((i, j))
+    return [_merge(zl, il, pairs.get(r, ()), cfg.cluster_tol)
+            for r, (zl, il) in enumerate(zip(z.tolist(), incl.tolist()))]
+
+
+def _inclusion_radii(Q: np.ndarray, Z: np.ndarray):
+    """Each row of Z sorted by real then imaginary part, and the radii
+    d |p(z)/c_d| / prod |z - z_j| of its inclusion discs, at most
+    0.05 * max(1, |z|)."""
+    B, n = Z.shape
+    order = np.lexsort((Z.imag, Z.real), axis=-1)
+    z = np.take_along_axis(Z, order, axis=-1)
+    pv, _ = _eval_many(_columns(Q, n), z)
+    diff = z[:, :, None] - z[:, None, :]
+    diff.reshape(B, -1)[:, ::n + 1] = 1.0
+    prods = np.abs(diff).prod(axis=2)
     with np.errstate(all="ignore"):
-        incl = n * np.abs(pv / q[-1]) / prods
+        incl = n * np.abs(pv / Q[:, -1:]) / prods
     incl = np.where(np.isfinite(incl), incl, np.inf)
     incl = np.minimum(incl, 0.05 * np.maximum(1.0, np.abs(z)))
+    return z, incl
 
-    parent = list(range(n))
+
+def _near_pairs(z: np.ndarray, incl: np.ndarray, tol: float) -> np.ndarray:
+    """(B, n, n) mask of the pairs i < j of each row that ``_close`` might
+    merge.  numpy's SIMD complex abs is not libm's hypot, so the limit gets
+    a margin, and a NaN comparison counts as near: the mask holds every pair
+    that ``_close`` merges, and ``_close`` decides."""
+    with np.errstate(all="ignore"):
+        absz = np.abs(z)
+        lim = np.maximum(
+            tol * np.maximum(1.0, np.maximum(absz[:, :, None],
+                                             absz[:, None, :])),
+            incl[:, :, None] + incl[:, None, :])
+        far = np.abs(z[:, :, None] - z[:, None, :]) > lim * (1.0 + 1e-9)
+    return ~far & np.triu(np.ones(far.shape[1:], bool), 1)
+
+
+def _close(zi: complex, zj: complex, ri: float, rj: float, tol: float) -> bool:
+    """The merge test: z_i and z_j lie within tol * max(1, |z_i|, |z_j|), or
+    their inclusion discs of radii r_i, r_j overlap.  It runs on Python
+    complex numbers, so every |.| is libm's hypot."""
+    return abs(zi - zj) <= max(tol * max(1.0, abs(zi), abs(zj)), ri + rj)
+
+
+def _merge(z: list, incl: list, pairs, tol: float) -> list:
+    """Clusters of the sorted iterates z, merging the pairs (i, j) of
+    ``pairs`` that pass ``_close``."""
+    parent = list(range(len(z)))
 
     def find(i):
         while parent[i] != i:
@@ -225,28 +282,23 @@ def _cluster(q: np.ndarray, zs: np.ndarray, cfg: SolverConfig) -> list:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = abs(z[i] - z[j])
-            lim = max(cfg.cluster_tol * max(1.0, abs(z[i]), abs(z[j])),
-                      incl[i] + incl[j])
-            if dist <= lim:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j in pairs:
+        if _close(z[i], z[j], incl[i], incl[j], tol):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
 
     groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, zi in enumerate(z):
+        groups.setdefault(find(i), []).append(zi)
     clusters = []
     for key in sorted(groups):
-        members = z[groups[key]]
-        center = complex(members.mean())
+        members = groups[key]
         span = 0.0
-        for i in range(members.size):
-            for j in range(i + 1, members.size):
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
                 span = max(span, abs(members[i] - members[j]))
-        clusters.append((center, members.size, span))
+        clusters.append((_mean(members), len(members), span))
     clusters.sort(key=lambda t: (t[0].real, t[0].imag))
     return clusters
 
@@ -261,6 +313,7 @@ def _refine_cluster(q: np.ndarray, center: complex, mult: int, span: float,
         dq = _derivative(dq)
     if dq.size < 2:
         return center
+    dq = dq.tolist()
     w = center
     for _ in range(60):
         pv, dv = _horner(dq, w)
@@ -341,31 +394,28 @@ def deflate_origin(p):
     return type(p)(p.coeffs[k:]), k
 
 
-def _finish(c: np.ndarray, q: np.ndarray, k0: int, iterates, cfg) -> ZeroSet:
-    """Polish, cluster, refine, snap and pair one polynomial's iterates, then
-    certify every entry against the full coefficients ``c``."""
+def _finish(c: np.ndarray, q: np.ndarray, k0: int, clusters: list,
+            cfg: SolverConfig) -> ZeroSet:
+    """Refine, snap and pair one polynomial's clusters, then certify every
+    entry against the full coefficients ``c``."""
     degree = c.size - 1
-    entries = []
-    if iterates is not None:
-        iterates = np.array([_polish(q, complex(v)) for v in iterates])
-        clusters = _cluster(q, iterates, cfg)
-        raw = [(_refine_cluster(q, ctr, m, span, cfg), m)
-               for ctr, m, span in clusters]
-        # snap before pairing: real roots carrying opposite-signed imaginary
-        # noise must not be mistaken for a wide conjugate pair
-        raw = [(_snapped(z, cfg.real_snap_tol), m) for z, m in raw]
-        if bool(np.all(c.imag == 0.0)):
-            raw = _pair_conjugates(raw, cfg)
-            _assert_conjugate_closed(raw)
-        entries.extend(raw)
+    raw = [(_refine_cluster(q, ctr, m, span, cfg), m)
+           for ctr, m, span in clusters]
+    # snap before pairing: real roots carrying opposite-signed imaginary
+    # noise must not be mistaken for a wide conjugate pair
+    entries = [(_snapped(z, cfg.real_snap_tol), m) for z, m in raw]
+    if bool(np.all(c.imag == 0.0)):
+        entries = _pair_conjugates(entries, cfg)
+        _assert_conjugate_closed(entries)
     if k0 > 0:
         entries.append((0.0 + 0.0j, k0))
 
+    cl = c.tolist()
     scale = float(np.max(np.abs(c)))
     finished = []
     worst = (-1.0, 0.0 + 0.0j)
     for z, m in entries:
-        res = abs(_horner(c, z)[0]) / (scale * max(1.0, abs(z)) ** degree)
+        res = abs(_horner(cl, z)[0]) / (scale * max(1.0, abs(z)) ** degree)
         finished.append(ZeroEntry(z, m, res))
         if res > worst[0]:
             worst = (res, z)
@@ -377,6 +427,34 @@ def _finish(c: np.ndarray, q: np.ndarray, k0: int, iterates, cfg) -> ZeroSet:
 
     finished.sort(key=lambda e: (e.location.real, e.location.imag))
     return ZeroSet(tuple(finished), degree)
+
+
+def _finish_many(Q: np.ndarray, members: list, iterates, cfg: SolverConfig
+                 ) -> list:
+    """Polish, cluster and finish one group: ``members`` holds the (c, k0)
+    whose deflated coefficients are the rows of Q, and ``iterates`` their
+    (B, d) Aberth iterates, None for d = 0.  Returns each member's ZeroSet
+    or the exception it raised; one member's failure fails no other."""
+    out = [[] for _ in members]
+    if iterates is not None:
+        polished, ok = [], []
+        for r, (q, zs) in enumerate(zip(Q.tolist(), iterates.tolist())):
+            try:
+                polished.append([_polish(q, v) for v in zs])
+                ok.append(r)
+            except Exception as exc:
+                out[r] = exc
+        if ok:
+            for r, clusters in zip(ok, _cluster_many(Q[ok], np.array(polished),
+                                                     cfg)):
+                out[r] = clusters
+    for r, ((c, k0), q) in enumerate(zip(members, Q)):
+        if not isinstance(out[r], Exception):
+            try:
+                out[r] = _finish(c, q, k0, out[r], cfg)
+            except Exception as exc:
+                out[r] = exc
+    return out
 
 
 def _solve_many(polys, config: SolverConfig | None) -> list:
@@ -398,13 +476,11 @@ def _solve_many(polys, config: SolverConfig | None) -> list:
         k0 = int(np.flatnonzero(c)[0])
         groups.setdefault(c.size - 1 - k0, []).append((i, c, k0))
     for d, members in groups.items():
-        qs = [c[k0:] for _, c, k0 in members]
-        iterates = _aberth(np.stack(qs), cfg) if d else [None] * len(qs)
-        for (i, c, k0), q, z in zip(members, qs, iterates):
-            try:
-                out[i] = _finish(c, q, k0, z, cfg)
-            except Exception as exc:  # one polynomial's failure is its entry
-                out[i] = exc
+        Q = np.stack([c[k0:] for _, c, k0 in members])
+        results = _finish_many(Q, [(c, k0) for _, c, k0 in members],
+                               _aberth(Q, cfg) if d else None, cfg)
+        for (i, _, _), result in zip(members, results):
+            out[i] = result
     return out
 
 

@@ -192,12 +192,33 @@ def test_verify_rejects_flags_the_campaign_never_reads(flags):
 
 
 def test_verify_double_sector_verdict():
-    r = run("verify", "double-sector", "--trials", "5", "--seed", "1")
+    r = run("verify", "double-sector")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["verdict"] == "no reduction (as proven)"
     assert abs(doc["before"] - math.pi / 4.0) <= 1e-12
     assert abs(doc["after"] - math.pi / 4.0) <= 1e-12
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "1"], ["--trials", "5"], ["--theta", "0.5"],
+    ["--degree-max", "8"], ["--alpha", "0.3"], ["--lam", "0.5"],
+    ["--N", "0"], ["--quadratic"], ["--tol-angle", "0"]])
+def test_verify_double_sector_rejects_campaign_flags(flags):
+    r = run("verify", "double-sector", *flags)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert f"double-sector reads no flag {flags[0]};" in r.stderr
+
+
+def test_verify_double_sector_tol_residual_reaches_its_solves():
+    # the zeros of 4 + 3 z^4 carry a residual of about 1e-16
+    op = ["--op", "explicit:1,1,1,1,3"]
+    assert run("verify", "double-sector", *op).returncode == 0
+    r = run("verify", "double-sector", *op, "--tol-residual", "1e-30")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "acceptance threshold 1.000e-30" in r.stderr
 
 
 def test_verify_unknown_theorem():

@@ -1,5 +1,6 @@
 """Root solver: exactness on small cases, multiplicities, and random round trips."""
 
+import cmath
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from sectorlab import (
     from_sector_roots,
 )
 from sectorlab import roots
+from sectorlab.poly import _horner
 
 
 def expand(zero_set):
@@ -273,7 +275,7 @@ def _bits(result):
     locs = np.array([e.location for e in result.zeros], dtype=complex)
     res = np.array([e.residual for e in result.zeros], dtype=float)
     return (result.source_degree, [e.multiplicity for e in result.zeros],
-            locs.view(np.float64).tolist(), res.view(np.int64).tolist())
+            locs.view(np.int64).tolist(), res.view(np.int64).tolist())
 
 
 def _solve_alone(p, cfg=None):
@@ -339,3 +341,258 @@ def test_find_roots_many_returns_failures_in_place():
     assert [_bits(out[0]), _bits(out[2])] == \
         [_bits(find_roots(good[1], starved)), _bits(find_roots(good[2], starved))]
     assert find_roots_many([]) == []
+
+
+def _polish_loop(q, z):
+    """Reference: Newton polish as it ran before the stacked finish."""
+    c = q.tolist()
+    for _ in range(8):
+        pv, dv = _horner(c, z)
+        apv = abs(pv)
+        if apv == 0.0 or dv == 0:
+            break
+        step = pv / dv
+        cand = z - step
+        if abs(_horner(c, cand)[0]) >= apv:
+            break
+        z = cand
+        if abs(step) <= 1e-16 * max(1.0, abs(z)):
+            break
+    return z
+
+
+def _inclusion_loop(q, zs):
+    """Reference: one polynomial's sorted iterates and inclusion radii."""
+    order = np.lexsort((zs.imag, zs.real))
+    z = zs[order]
+    pv, _ = roots._eval_many(q, z)
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    prods = np.abs(diff).prod(axis=1)
+    with np.errstate(all="ignore"):
+        incl = z.size * np.abs(pv / q[-1]) / prods
+    incl = np.where(np.isfinite(incl), incl, np.inf)
+    return z, np.minimum(incl, 0.05 * np.maximum(1.0, np.abs(z)))
+
+
+def _cluster_loop(q, zs, cfg):
+    """Reference: cluster merging one polynomial at a time, with a pair
+    loop over numpy scalars and numpy means."""
+    z, incl = _inclusion_loop(q, zs)
+    n = z.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist = abs(z[i] - z[j])
+            lim = max(cfg.cluster_tol * max(1.0, abs(z[i]), abs(z[j])),
+                      incl[i] + incl[j])
+            if dist <= lim:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for key in sorted(groups):
+        members = z[groups[key]]
+        span = 0.0
+        for i in range(members.size):
+            for j in range(i + 1, members.size):
+                span = max(span, abs(members[i] - members[j]))
+        clusters.append((complex(members.mean()), members.size, span))
+    clusters.sort(key=lambda t: (t[0].real, t[0].imag))
+    return clusters
+
+
+def _finish_loop(c, q, k0, iterates, cfg):
+    """Reference: polish, cluster, refine, snap, pair and certify one
+    polynomial's iterates, as the finish stage ran before it was stacked."""
+    degree = c.size - 1
+    entries = []
+    if iterates is not None:
+        iterates = np.array([_polish_loop(q, complex(v)) for v in iterates])
+        raw = [(roots._refine_cluster(q, ctr, m, span, cfg), m)
+               for ctr, m, span in _cluster_loop(q, iterates, cfg)]
+        raw = [(roots._snapped(z, cfg.real_snap_tol), m) for z, m in raw]
+        if bool(np.all(c.imag == 0.0)):
+            raw = roots._pair_conjugates(raw, cfg)
+            roots._assert_conjugate_closed(raw)
+        entries.extend(raw)
+    if k0 > 0:
+        entries.append((0.0 + 0.0j, k0))
+    cl = c.tolist()
+    scale = float(np.max(np.abs(c)))
+    finished = []
+    worst = (-1.0, 0.0 + 0.0j)
+    for z, m in entries:
+        res = abs(_horner(cl, z)[0]) / (scale * max(1.0, abs(z)) ** degree)
+        finished.append(roots.ZeroEntry(z, m, res))
+        if res > worst[0]:
+            worst = (res, z)
+    if worst[0] > cfg.residual_accept:
+        raise NonConvergenceError("residual above the acceptance threshold",
+                                  location=worst[1], residual=worst[0])
+    finished.sort(key=lambda e: (e.location.real, e.location.imag))
+    return roots.ZeroSet(tuple(finished), degree)
+
+
+def _solve_loop(p, cfg):
+    """Reference solve: the lone Aberth row, then ``_finish_loop``."""
+    c = p.coeffs.astype(complex)
+    k0 = int(np.flatnonzero(c)[0])
+    q = c[k0:]
+    try:
+        iterates = roots._aberth(q[None, :], cfg)[0] if q.size > 1 else None
+        return _finish_loop(c, q, k0, iterates, cfg)
+    except Exception as exc:
+        return exc
+
+
+def _finish_corpus():
+    """Multiple roots, close simple roots around cluster_tol, and linear
+    polynomials, beside the batch corpus."""
+    polys = [RealPolynomial(np.poly(zs)[::-1]) for zs in
+             ([1.0, 1.0, 1.0], [2.0, 2.0, -1.0], [0.5, 0.5, 0.5, 3.0, 3.0],
+              [1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j], [-1.0, -1.0, 0.25, 0.25, 4.0])]
+    polys.append(RealPolynomial([2.0, -math.sqrt(2.0), 0.25]))
+    tol = SolverConfig().cluster_tol
+    for x in (1.0, 3.0, 0.2):
+        for f in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 10.0):
+            delta = f * tol * max(1.0, x)
+            polys.append(RealPolynomial(np.poly([x, x + delta, -2.0])[::-1]))
+            polys.append(ComplexPolynomial(
+                np.poly([x + 1j, x + 1j + delta * 1j])[::-1]))
+    rng = np.random.default_rng(5)
+    polys += [RealPolynomial(c) for c in rng.normal(size=(10, 2))]
+    polys += [ComplexPolynomial(c) for c in
+              rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))]
+    return polys
+
+
+def test_stacked_finish_matches_the_per_polynomial_loop():
+    cfg = SolverConfig()
+    polys = _batch_corpus() + _finish_corpus()
+    expected = [_bits(_solve_loop(p, cfg)) for p in polys]
+    assert [_bits(r) for r in find_roots_many(polys, cfg)] == expected
+    # degree-1 batches of one
+    linear = [i for i, p in enumerate(polys) if deflate_origin(p)[0].degree == 1]
+    assert len(linear) > 40
+    assert [_bits(find_roots_many([polys[i]], cfg)[0]) for i in linear] == \
+        [expected[i] for i in linear]
+
+
+def test_stacked_inclusion_radii_match_the_per_polynomial_loop():
+    cfg = SolverConfig()
+    by_degree = {}
+    for p in _batch_corpus() + _finish_corpus():
+        q = deflate_origin(p)[0].coeffs.astype(complex)
+        if q.size > 1:
+            by_degree.setdefault(q.size - 1, []).append(q)
+    for qs in list(by_degree.values()) + [[q] for q in by_degree[1]]:
+        Q = np.stack(qs)
+        Z = np.array([[_polish_loop(q, complex(v)) for v in row]
+                      for q, row in zip(qs, roots._aberth(Q, cfg))])
+        z, incl = roots._inclusion_radii(Q, Z)
+        for q, zs, zr, ir in zip(qs, Z, z, incl):
+            want_z, want_incl = _inclusion_loop(q, zs)
+            assert zr.view(np.int64).tolist() == want_z.view(np.int64).tolist()
+            assert ir.view(np.int64).tolist() == \
+                want_incl.view(np.int64).tolist()
+
+
+def test_stacked_finish_keeps_signed_zeros_of_singletons():
+    # iterates on exact roots survive polishing unchanged, so the centres of
+    # these singleton clusters are the means of signed zeros
+    cfg = SolverConfig()
+    cases = [
+        (RealPolynomial([1.0, 0.0, 1.0]), [complex(-0.0, 1.0), complex(-0.0, -1.0)]),
+        (RealPolynomial([-2.0, 1.0]), [complex(2.0, -0.0)]),
+        (ComplexPolynomial([-1j, 1.0]), [complex(-0.0, 1.0)]),
+        (ComplexPolynomial([1.0, 1j]), [complex(-0.0, 1.0)]),
+        (ComplexPolynomial([1j, 1.0]), [complex(-0.0, -1.0)]),
+        (ComplexPolynomial([0.0, -1j, 1.0]), [complex(-0.0, 1.0)]),
+        (RealPolynomial([-1.0, 0.0, 0.0, 0.0, 1.0]),
+         [complex(-1.0, -0.0), complex(-0.0, -1.0), complex(-0.0, 1.0),
+          complex(1.0, -0.0)]),
+    ]
+    for p, zs in cases:
+        c = p.coeffs.astype(complex)
+        k0 = int(np.flatnonzero(c)[0])
+        q = c[k0:]
+        iterates = np.array([zs])
+        got = roots._finish_many(q[None, :], [(c, k0)], iterates, cfg)[0]
+        assert _bits(got) == _bits(_finish_loop(c, q, k0, iterates[0], cfg))
+
+
+def test_singleton_mean_is_numpys_mean_bitwise():
+    parts = [0.0, -0.0, 1.5, -2.25, 5e-324, -1e-310, 1e308, -1e308,
+             math.inf, -math.inf, math.nan]
+    for re in parts:
+        for im in parts:
+            z = complex(re, im)
+            with np.errstate(all="ignore"):
+                want = complex(np.array([z]).mean())
+            with np.errstate(all="ignore"):
+                got = np.array([roots._mean([z])])
+            assert got.view(np.int64).tolist() == \
+                np.array([want]).view(np.int64).tolist()
+
+
+def test_near_pairs_hold_every_pair_the_exact_test_merges():
+    # pairs a few ulps either side of the merge limit, once with the
+    # inclusion radii setting the limit and once with cluster_tol setting it
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    tol = SolverConfig().cluster_tol
+    rows, radii = [], []
+    for k in range(-4, 5):
+        for phi in rng.uniform(0.0, 2.0 * math.pi, 40):
+            zi = complex(*rng.uniform(-2.0, 2.0, 2))
+            zj = zi + 0.01 * cmath.exp(1j * phi)
+            half = abs(zi - zj) * (1.0 + k * eps) / 2.0
+            rows.append([zi, zj])
+            radii.append([half, half])
+            # |z| < 1, so the limit is cluster_tol itself
+            zi = complex(*rng.uniform(-1e-8, 1e-8, 2))
+            rows.append([zi, zi + tol * (1.0 + k * eps) * cmath.exp(1j * phi)])
+            radii.append([0.0, 0.0])
+    near = roots._near_pairs(np.array(rows), np.array(radii), tol)
+    merged = [roots._close(zi, zj, ri, rj, tol)
+              for (zi, zj), (ri, rj) in zip(rows, radii)]
+    assert 0 < sum(merged) < len(merged)
+    assert all(near[r, 0, 1] for r, m in enumerate(merged) if m)
+    assert not near[:, 1, 0].any() and not near[:, 0, 0].any()
+
+
+def test_a_failing_finish_is_its_own_entry(monkeypatch):
+    # residual: |z|^40 overflows a float for the root 1e10 of z^39 (z - 1e10)
+    huge = RealPolynomial([0.0] * 39 + [-1e10, 1.0])
+    with pytest.raises(OverflowError):
+        find_roots(huge)
+    good = [RealPolynomial([-3.0, 1.0]), RealPolynomial([2.0, 0.5])]
+    out = find_roots_many([good[0], huge, good[1]])
+    assert isinstance(out[1], OverflowError)
+    assert [_bits(out[0]), _bits(out[2])] == [_bits(find_roots(p)) for p in good]
+
+    # polish: a stand-in that overflows near the root 7 of one polynomial
+    polish = roots._polish
+
+    def overflowing(q, z):
+        if abs(z - 7.0) < 1e-6:
+            raise OverflowError("absolute value too large")
+        return polish(q, z)
+
+    lone = [_bits(find_roots(p)) for p in good]
+    monkeypatch.setattr(roots, "_polish", overflowing)
+    bad = RealPolynomial([-7.0, 1.0])
+    out = find_roots_many([good[0], bad, good[1]])
+    assert isinstance(out[1], OverflowError)
+    assert [_bits(out[0]), _bits(out[2])] == lone
