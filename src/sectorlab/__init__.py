@@ -36,8 +36,7 @@ from .operators import (BlendParams, CosineAffineSequence, CosineStepSequence,
                         predicted_sector_after_gauss,
                         predicted_strip_after_gauss, rotation_blend)
 from .poly import (ComplexPolynomial, RealPolynomial, SectorRootSpec,
-                   coefficient_sign_pattern, from_document, from_sector_roots,
-                   rotate_argument, to_document)
+                   from_document, from_sector_roots, to_document)
 from .roots import (SolverConfig, ZeroEntry, ZeroSet, deflate_origin,
                     find_roots, find_roots_many)
 
@@ -56,7 +55,7 @@ __all__ = [
     "Strip", "TangencyData", "THEOREM_IDS", "VerificationReport", "ZeroEntry",
     "ZeroInteriorTermError", "ZeroPolynomialError",
     "ZeroPolynomialResultError", "ZeroSet",
-    "apply_sequence", "bc_strip_bound", "coefficient_sign_pattern",
+    "apply_sequence", "bc_strip_bound",
     "cosine_affine_transform", "cosine_power_limit", "deflate_origin",
     "disc_tangency_data", "double_sector_demo", "draw_sector_spec",
     "exp_poly_principal_zeros", "find_roots", "find_roots_many",
@@ -68,7 +67,7 @@ __all__ = [
     "predicted_sector", "predicted_sector_after_cosine_step",
     "predicted_sector_after_gauss",
     "predicted_strip_after_gauss", "principal_arg", "reference_angle",
-    "rn_profile", "rotate_argument", "rotation_blend",
+    "rn_profile", "rotation_blend",
     "search_counterexample", "three_term_transformed_roots", "to_document",
     "verify_theorem",
 ]

@@ -22,7 +22,10 @@ A trial is a generator that yields the polynomial it needs solved and
 receives its zeros.  The loop advances a chunk of trials together and
 solves their pending polynomials as one ``find_roots_many`` batch, whose
 results are bitwise those of solving each alone, so a report does not
-depend on how trials are batched.
+depend on how trials are batched.  Each chunk runs once, and an exception
+a trial does not handle is raised after its chunk, from the earliest such
+trial: trials share no state and the solver emits no warnings, so the
+later trials of that chunk leave no trace.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -40,14 +42,12 @@ from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      InputError, NonConvergenceError, NotInRightHalfPlaneError,
                      SectorLabError, SignFlipError, ZeroInteriorTermError)
 from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
-                       min_enclosing_sector, min_enclosing_strip)
+                       min_enclosing_sector)
 from .operators import (BlendParams, CosineStepSequence, ExplicitSequence,
                         ExpPowerSequence, GaussSequence, MultiplierSequence,
-                        _principal_logs, apply_sequence,
-                        cosine_affine_transform,
+                        apply_sequence, cosine_affine_transform,
                         predicted_sector_after_cosine_step,
-                        predicted_sector_after_gauss, predicted_strip_after_gauss,
-                        rotation_blend)
+                        predicted_sector_after_gauss, rotation_blend)
 from .poly import RealPolynomial, SectorRootSpec, from_sector_roots
 from .roots import SolverConfig, find_roots, find_roots_many
 
@@ -502,19 +502,6 @@ def _trial_lms2(gen, params, rng):
                    None)
 
 
-def _trial_period_strip(gen, params, rng):
-    """Strip bound for principal zeros of the exponential sum; margin =
-    predicted - measured."""
-    spec = draw_sector_spec(gen, rng)
-    alpha = _uniform(rng, 0.1, 1.0, params.get("alpha"))
-    p = from_sector_roots(spec)
-    q = apply_sequence(p, GaussSequence(alpha))
-    predicted = predicted_strip_after_gauss(spec.max_angle(), alpha)
-    logs = _principal_logs((yield q))
-    measured = min_enclosing_strip(logs)
-    return predicted - measured, (p, f"gauss:alpha={alpha!r}", None, None)
-
-
 def _trial_roms(gen, params, rng):
     """T[(1-z)^n] keeps every zero real and positive for admissible T."""
     ms = params["sequence"]
@@ -578,7 +565,8 @@ CAMPAIGNS = {
     "cosak": Campaign(_trial_cosak, 1e-7, ("alpha", "N")),
     "lms2": Campaign(_trial_lms2, 0.0, ("lam", "mult_theta"), theta=0.0,
                      deg_hi=12),
-    "period-strip": Campaign(_trial_period_strip, 1e-7, ("alpha",)),
+    # the strip of the principal logs is the sector: Im log z = arg z
+    "period-strip": Campaign(_trial_zsro, 1e-7, ("alpha",)),
     "roms": Campaign(_trial_roms, 1e-7, ("sequence", "alpha")),
 }
 THEOREM_IDS = tuple(CAMPAIGNS)
@@ -618,30 +606,20 @@ def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
 
 def _run_trials(campaign: Campaign, gen: PolyGenSpec, params: dict,
                 trials: int, tol: float, config: SolverConfig | None):
-    """The trial loop of every campaign; a margin None or a
-    NonConvergenceError skips the trial, and any other exception a trial
-    raises is raised from the earliest such trial.  Returns (worst margin,
-    certificate of the worst violation or None, skipped count, seconds)."""
+    """The trial loop of every campaign.  A margin None or a
+    NonConvergenceError skips the trial; any other exception a trial raises
+    is raised once its chunk has run, from the earliest such trial.  Fewer
+    than one trial raises InputError.  Returns (worst margin, certificate of
+    the worst violation or None, skipped count, seconds)."""
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials!r}")
     start = time.perf_counter()
     worst = cex = None
     skipped = 0
     for lo in range(0, trials, _CHUNK):
         chunk = range(lo, min(lo + _CHUNK, trials))
-        with warnings.catch_warnings(record=True) as caught:
-            outcomes = _run_chunk(campaign, gen, params, chunk, config)
-        failed = next((i for i, o in enumerate(outcomes)
-                       if isinstance(o, Exception)
-                       and not isinstance(o, NonConvergenceError)), None)
-        if failed is not None and failed + 1 < len(chunk):
-            # the trials after the failure must leave no trace, such as a
-            # warning, that a trial-by-trial loop would never have made
-            chunk = chunk[:failed + 1]
-            with warnings.catch_warnings(record=True) as caught:
-                outcomes = _run_chunk(campaign, gen, params, chunk, config)
-        for w in caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno,
-                                 w.file, w.line)
-        for t, outcome in zip(chunk, outcomes):
+        for t, outcome in zip(chunk, _run_chunk(campaign, gen, params, chunk,
+                                                config)):
             if isinstance(outcome, NonConvergenceError):
                 outcome = None, None
             elif isinstance(outcome, Exception):

@@ -119,9 +119,13 @@ def _load_polynomial(args) -> RealPolynomial:
 
 
 def _solver_config(args) -> SolverConfig:
-    if getattr(args, "tol_residual", None) is not None:
-        return SolverConfig(residual_accept=args.tol_residual)
-    return SolverConfig()
+    tol = getattr(args, "tol_residual", None)
+    if tol is None:
+        return SolverConfig()
+    try:
+        return SolverConfig(residual_accept=tol)
+    except ValueError as exc:
+        raise InputError(f"--tol-residual {tol!r}: {exc}")
 
 
 def _resolve_seed(args) -> int:

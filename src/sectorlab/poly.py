@@ -7,8 +7,7 @@ arrays are marked read-only.
 
 Besides the two value types the module provides construction from
 sector-constrained root data (nonnegative real roots plus conjugate pairs
-``a +/- ib`` with ``a, b > 0``), argument rotation ``p(z) -> p(e^{i phi} z)``,
-coefficient sign classification, and a small JSON document format used by the
+``a +/- ib`` with ``a, b > 0``) and a small JSON document format used by the
 command line tools.
 """
 
@@ -26,8 +25,6 @@ __all__ = [
     "ComplexPolynomial",
     "SectorRootSpec",
     "from_sector_roots",
-    "rotate_argument",
-    "coefficient_sign_pattern",
     "to_document",
     "from_document",
 ]
@@ -96,9 +93,6 @@ class RealPolynomial(_Polynomial):
 
     __slots__ = ()
     _dtype = np.float64
-
-    def to_complex(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(self.coeffs.astype(np.complex128))
 
 
 class ComplexPolynomial(_Polynomial):
@@ -178,30 +172,6 @@ def from_sector_roots(spec: SectorRootSpec, lead: float = 1.0) -> RealPolynomial
     for _, f in factors:
         acc = np.convolve(acc, f)
     return RealPolynomial((acc * ld(lead)).astype(np.float64))
-
-
-def rotate_argument(p, phi: float) -> ComplexPolynomial:
-    """Return q with q(z) = p(e^{i phi} z), i.e. c_k -> c_k e^{i k phi}."""
-    k = np.arange(p.coeffs.size)
-    return ComplexPolynomial(p.coeffs.astype(np.complex128) * np.exp(1j * phi * k))
-
-
-def coefficient_sign_pattern(p: RealPolynomial) -> str:
-    """Classify signs as 'alternating', 'constant-sign' or 'other'.
-
-    A strict alternation requires every coefficient nonzero.  With interior
-    zero coefficients present the pattern is 'other' unless all remaining
-    coefficients share one sign.
-    """
-    c = p.coeffs
-    signs = np.sign(c[c != 0.0])
-    if np.any(c == 0.0):
-        return "constant-sign" if np.all(signs == signs[0]) else "other"
-    if np.all(signs[1:] * signs[:-1] < 0):
-        return "alternating"
-    if np.all(signs == signs[0]):
-        return "constant-sign"
-    return "other"
 
 
 def to_document(p) -> dict:

@@ -42,6 +42,14 @@ an AVX-512 x86-64 CPU) where its scalar loop does not, and an in-place
 arrays are multiplied out of place, on contiguous operands of one shape,
 and per-row constants are broadcast only into additions and real factors,
 which round the same in either loop.
+
+The solver emits no floating-point warnings: ``_aberth`` and
+``_finish_many`` (polishing, clustering and finishing) run under
+``np.errstate(all="ignore")``.  The iterates of a hard solve can overflow,
+and the stages handle each non-finite value where it arises (the Aberth
+fallback step, an infinite inclusion radius), so a warning would only
+report what is already handled.  errstate changes only what numpy reports,
+never a bit of the result.
 """
 
 from __future__ import annotations
@@ -83,7 +91,7 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         for name in ("convergence_tol", "residual_accept", "cluster_tol",
                      "real_snap_tol", "seed_radius_factor"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -128,6 +136,7 @@ def _eval_many(c: np.ndarray, z: np.ndarray):
     return pv, dv
 
 
+@np.errstate(all="ignore")
 def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Iterates for a (B, d+1) stack of degree-d polynomials, shape (B, d).
 
@@ -158,15 +167,14 @@ def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
         diff.reshape(rows.size, -1)[:, ::d + 1] = np.inf
         stuck = (diff == 0).any(axis=(1, 2)) if (diff == 0).any() else None
         pv, dv = _eval_many(cols, z)
-        with np.errstate(all="ignore"):
-            repulse = (1.0 / diff).sum(axis=2)
-            newton = pv / dv
-            w = newton / (1.0 - newton * repulse)
-            finite = np.isfinite(w)
-            if not finite.all():
-                fallback = 0.01 * (np.abs(z) + rad) * fallback_phase
-                w = np.where(finite, w,
-                             np.where(np.isfinite(newton), newton, fallback))
+        repulse = (1.0 / diff).sum(axis=2)
+        newton = pv / dv
+        w = newton / (1.0 - newton * repulse)
+        finite = np.isfinite(w)
+        if not finite.all():
+            fallback = 0.01 * (np.abs(z) + rad) * fallback_phase
+            w = np.where(finite, w,
+                         np.where(np.isfinite(newton), newton, fallback))
         step = z - w
         done = (np.abs(w) / np.maximum(1.0, np.abs(step))).max(axis=1) \
             <= cfg.convergence_tol
@@ -242,8 +250,7 @@ def _inclusion_radii(Q: np.ndarray, Z: np.ndarray):
     diff = z[:, :, None] - z[:, None, :]
     diff.reshape(B, -1)[:, ::n + 1] = 1.0
     prods = np.abs(diff).prod(axis=2)
-    with np.errstate(all="ignore"):
-        incl = n * np.abs(pv / Q[:, -1:]) / prods
+    incl = n * np.abs(pv / Q[:, -1:]) / prods
     incl = np.where(np.isfinite(incl), incl, np.inf)
     incl = np.minimum(incl, 0.05 * np.maximum(1.0, np.abs(z)))
     return z, incl
@@ -254,13 +261,11 @@ def _near_pairs(z: np.ndarray, incl: np.ndarray, tol: float) -> np.ndarray:
     merge.  numpy's SIMD complex abs is not libm's hypot, so the limit gets
     a margin, and a NaN comparison counts as near: the mask holds every pair
     that ``_close`` merges, and ``_close`` decides."""
-    with np.errstate(all="ignore"):
-        absz = np.abs(z)
-        lim = np.maximum(
-            tol * np.maximum(1.0, np.maximum(absz[:, :, None],
-                                             absz[:, None, :])),
-            incl[:, :, None] + incl[:, None, :])
-        far = np.abs(z[:, :, None] - z[:, None, :]) > lim * (1.0 + 1e-9)
+    absz = np.abs(z)
+    lim = np.maximum(
+        tol * np.maximum(1.0, np.maximum(absz[:, :, None], absz[:, None, :])),
+        incl[:, :, None] + incl[:, None, :])
+    far = np.abs(z[:, :, None] - z[:, None, :]) > lim * (1.0 + 1e-9)
     return ~far & np.triu(np.ones(far.shape[1:], bool), 1)
 
 
@@ -429,6 +434,7 @@ def _finish(c: np.ndarray, q: np.ndarray, k0: int, clusters: list,
     return ZeroSet(tuple(finished), degree)
 
 
+@np.errstate(all="ignore")
 def _finish_many(Q: np.ndarray, members: list, iterates, cfg: SolverConfig
                  ) -> list:
     """Polish, cluster and finish one group: ``members`` holds the (c, k0)

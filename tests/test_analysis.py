@@ -355,13 +355,32 @@ def test_report_bytes_do_not_depend_on_the_chunk(monkeypatch, run, digest):
 
 
 def test_unhandled_trial_error_comes_from_the_earliest_trial():
-    # a degree-40 Gauss image overflows the residual of one trial; trials
-    # batched after it must add no warning of their own
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(OverflowError):
-            verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=40), trials=200)
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    # a degree-40 Gauss image overflows the residual of one trial; the
+    # trials batched after it run too, and add no warning.  Roms trial 3 at
+    # degree 64 overflows numpy's products before its residual overflows,
+    # and the solver reports none of that either
+    for theorem, deg_hi, trials in (("zsro", 40, 200), ("roms", 64, 4)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError):
+                verify_theorem(theorem, PolyGenSpec(seed=42, deg_hi=deg_hi),
+                               trials=trials)
+        assert [w for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("theta", [1.4, 0.785398])
+@pytest.mark.parametrize("seed", [42, 1, 2])
+@pytest.mark.parametrize("params", [None, {"tolerance_override": -1.0}],
+                         ids=["plain", "forced"])
+def test_period_strip_is_zsro_in_log_coordinates(theta, seed, params):
+    # Im log z = arg z: the strip of the principal logs is the zeros' sector
+    gen = PolyGenSpec(seed=seed, theta=theta)
+    strip = verify_theorem("period-strip", gen, params, trials=60).to_json_dict()
+    sector = verify_theorem("zsro", gen, params, trials=60).to_json_dict()
+    assert strip.pop("theorem_id") == "period-strip"
+    assert sector.pop("theorem_id") == "zsro"
+    assert strip == sector
 
 
 def _trial_probe(gen, params, rng):

@@ -191,6 +191,23 @@ def test_verify_rejects_flags_the_campaign_never_reads(flags):
     assert "zsro reads no param" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--coeffs", "1,0,1", "--tol-residual", "0"],
+    ["roots", "--coeffs", "1,0,1", "--tol-residual", "-1"],
+    ["roots", "--coeffs", "1,0,1", "--tol-residual", "nan"],
+    ["verify", "zsro", "--trials", "5", "--tol-residual", "nan"],
+    ["verify", "zsro", "--trials", "0"],
+    ["verify", "zsro", "--trials", "-5"],
+    ["search", "--op", "exppower:alpha=0.3,p=1.5", "--trials", "0"]],
+    ids=["tol0", "tol-1", "tolnan", "verify-tolnan", "trials0", "trials-5",
+         "search-trials0"])
+def test_bad_tolerances_and_trial_counts_are_input_errors(argv):
+    r = run(*argv)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error:")
+
+
 def test_verify_double_sector_verdict():
     r = run("verify", "double-sector")
     assert r.returncode == 0

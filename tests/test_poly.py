@@ -12,10 +12,8 @@ from sectorlab import (
     RealPolynomial,
     SectorRootSpec,
     ZeroPolynomialError,
-    coefficient_sign_pattern,
     from_document,
     from_sector_roots,
-    rotate_argument,
     to_document,
 )
 
@@ -71,13 +69,6 @@ def test_equality_by_exact_coefficients():
     assert RealPolynomial([1.0, 2.0]) == RealPolynomial([1, 2])
     assert RealPolynomial([1.0, 2.0]) != RealPolynomial([1.0, 2.0, 3.0])
     assert ComplexPolynomial([1j]) == ComplexPolynomial([1j])
-
-
-def test_to_complex_preserves_values():
-    q = RealPolynomial([2.0, -2.0, 1.0]).to_complex()
-    assert isinstance(q, ComplexPolynomial)
-    assert q.coeffs.tolist() == [2.0 + 0j, -2.0 + 0j, 1.0 + 0j]
-    assert q.is_real_within(0.0)
 
 
 def test_sector_root_spec_validation():
@@ -137,39 +128,6 @@ def test_from_sector_roots_mixed_magnitudes_stay_accurate():
     p = from_sector_roots(spec)
     for z in spec.all_roots():
         assert abs(p.eval(z)) <= 1e-10 * p.scale() * max(1.0, abs(z)) ** p.degree
-
-
-def test_rotate_argument_zero_is_identity():
-    p = RealPolynomial([2.0, -2.0, 1.0])
-    q = rotate_argument(p, 0.0)
-    assert np.array_equal(q.coeffs, p.coeffs.astype(np.complex128))
-
-
-def test_rotate_argument_pointwise_and_composition():
-    rng = np.random.default_rng(11)
-    p = RealPolynomial(rng.normal(size=6))
-    ph1, ph2 = 0.37, -1.11
-    q = rotate_argument(p, ph1)
-    z = complex(rng.normal(), rng.normal())
-    assert abs(q.eval(z) - p.eval(np.exp(1j * ph1) * z)) <= 1e-12 * p.scale() * 8
-    qq = rotate_argument(q, ph2)
-    q12 = rotate_argument(p, ph1 + ph2)
-    assert np.allclose(qq.coeffs, q12.coeffs, rtol=0, atol=1e-14 * p.scale())
-
-
-def test_rotate_argument_preserves_coefficient_moduli():
-    p = RealPolynomial([3.0, -1.0, 0.5, 2.0])
-    q = rotate_argument(p, 0.9)
-    assert np.allclose(np.abs(q.coeffs), np.abs(p.coeffs), rtol=0, atol=1e-15)
-
-
-def test_coefficient_sign_pattern():
-    assert coefficient_sign_pattern(RealPolynomial([2.0, -2.0, 1.0])) == "alternating"
-    assert coefficient_sign_pattern(RealPolynomial([1.0, 2.0, 3.0])) == "constant-sign"
-    assert coefficient_sign_pattern(RealPolynomial([1.0, 1.0, -1.0])) == "other"
-    # interior zeros block strict alternation
-    assert coefficient_sign_pattern(RealPolynomial([1.0, 0.0, 1.0])) == "constant-sign"
-    assert coefficient_sign_pattern(RealPolynomial([1.0, 0.0, -1.0])) == "other"
 
 
 def test_document_round_trip():

@@ -101,6 +101,8 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(convergence_tol=-1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(residual_accept=math.nan)
 
 
 def test_wilkinson_ten_recovered():
