@@ -21,7 +21,7 @@ from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      OffAxisError, SectorLabError, SignFlipError,
                      ZeroInteriorTermError, ZeroPolynomialError,
                      ZeroPolynomialResultError)
-from .geometry import (Sector, SectorDisc, Strip, TangencyData,
+from .geometry import (Sector, SectorDisc, TangencyData,
                        disc_tangency_data, in_disc, in_double_sector,
                        in_sector, jensen_sector_disc,
                        min_enclosing_double_sector, min_enclosing_sector,
@@ -52,7 +52,7 @@ __all__ = [
     "NonpositiveRootPartError", "NotInRightHalfPlaneError", "OffAxisError",
     "PolyGenSpec", "RealPolynomial", "RnProfile", "Sector", "SectorDisc",
     "SectorLabError", "SectorRootSpec", "SignFlipError", "SolverConfig",
-    "Strip", "TangencyData", "THEOREM_IDS", "VerificationReport", "ZeroEntry",
+    "TangencyData", "THEOREM_IDS", "VerificationReport", "ZeroEntry",
     "ZeroInteriorTermError", "ZeroPolynomialError",
     "ZeroPolynomialResultError", "ZeroSet",
     "apply_sequence", "bc_strip_bound",

@@ -662,8 +662,7 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
     if tol is None:
         tol = campaign.tolerance
     ms = params.pop("sequence", None)
-    report_params = {k: (v.spec_string() if isinstance(v, MultiplierSequence)
-                         else v) for k, v in params.items()}
+    report_params = dict(params)
     if quadratic:
         report_params["quadratic"] = True
     if theorem_id == "roms":

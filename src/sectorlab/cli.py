@@ -140,14 +140,6 @@ def _resolve_seed(args) -> int:
         raise InputError(f"{_ENV_SEED}={raw!r} is not an integer")
 
 
-def _require_format(args, allowed: tuple, default: str) -> str:
-    fmt = args.format or default
-    if fmt not in allowed:
-        raise InputError(f"format {fmt!r} not supported here; "
-                         f"choose from {', '.join(allowed)}")
-    return fmt
-
-
 def _conjugate_pairs(zs):
     """(a, b) for each distinct upper-half-plane zero of a real polynomial."""
     return [(e.location.real, e.location.imag)
@@ -156,13 +148,12 @@ def _conjugate_pairs(zs):
 
 def cmd_roots(args) -> int:
     p = _load_polynomial(args)
-    fmt = _require_format(args, ("text", "json", "csv"), "text")
     zs = find_roots(p, _solver_config(args))
-    if fmt == "text":
+    if args.format == "text":
         _emit(_zeros_text(zs), args.output)
         worst = max(e.residual for e in zs.zeros)
         print(f"max normalized residual {worst:.3e}", file=sys.stderr)
-    elif fmt == "json":
+    elif args.format == "json":
         _emit(_zeros_json(zs), args.output)
     else:
         _emit(_zeros_csv(zs), args.output)
@@ -171,7 +162,6 @@ def cmd_roots(args) -> int:
 
 def cmd_apply(args) -> int:
     p = _load_polynomial(args)
-    fmt = _require_format(args, ("text", "json"), "text")
     ms = parse_sequence_spec(args.op)
     q = apply_sequence(p, ms)
     cfg = _solver_config(args)
@@ -192,7 +182,7 @@ def cmd_apply(args) -> int:
 
     coeffs_before = ",".join(f"{c:.12g}" for c in p.coeffs)
     coeffs_after = ",".join(f"{c:.12g}" for c in q.coeffs)
-    if fmt == "text":
+    if args.format == "text":
         lines = [
             f"operator {ms.spec_string()}",
             f"coeffs_before {coeffs_before}",
@@ -221,13 +211,12 @@ def cmd_apply(args) -> int:
 
 def cmd_sector(args) -> int:
     p = _load_polynomial(args)
-    fmt = _require_format(args, ("text", "json"), "text")
     zs = find_roots(p, _solver_config(args))
     if args.double:
         theta = min_enclosing_double_sector(zs)
     else:
         theta = min_enclosing_sector(zs)
-    if fmt == "text":
+    if args.format == "text":
         _emit(f"{theta:.12g}\n", args.output)
     else:
         doc = {"double": bool(args.double), "theta": theta}
@@ -256,8 +245,9 @@ def _emit_report(label: str, report, output) -> int:
 def _generator(args, campaign, seed: int) -> PolyGenSpec:
     """The flags' generator settings, defaulting to the campaign's."""
     theta = args.theta if args.theta is not None else campaign.theta
-    return PolyGenSpec(deg_lo=1, deg_hi=args.degree_max or campaign.deg_hi,
-                       theta=theta, seed=seed)
+    deg_hi = (args.degree_max if args.degree_max is not None
+              else campaign.deg_hi)
+    return PolyGenSpec(deg_lo=1, deg_hi=deg_hi, theta=theta, seed=seed)
 
 
 # verify flags that only the seeded campaigns read
@@ -266,7 +256,6 @@ _CAMPAIGN_FLAGS = ("seed", "trials", "theta", "degree_max", "alpha", "lam",
 
 
 def cmd_verify(args) -> int:
-    _require_format(args, ("json",), "json")
     theorem = _THEOREM_ALIASES.get(args.theorem, args.theorem)
 
     if theorem == "double-sector":
@@ -315,7 +304,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _require_format(args, ("json",), "json")
     seed = _resolve_seed(args)
     ms = parse_sequence_spec(args.op)
     gen = _generator(args, SEARCH_CAMPAIGN, seed)
@@ -326,7 +314,6 @@ def cmd_search(args) -> int:
 
 def cmd_plot(args) -> int:
     p = _load_polynomial(args)
-    _require_format(args, ("svg",), "svg")
     cfg = _solver_config(args)
     zs_before = find_roots(p, cfg)
     annotations = [f"degree {p.degree}"]
@@ -369,6 +356,9 @@ def cmd_plot(args) -> int:
         if gamma is not None:
             predicted = gamma if predicted is None else max(predicted, gamma)
             annotations.append(f"gamma {gamma:.6g}")
+    elif args.alpha is not None:
+        raise InputError("--alpha sets the disc angle, so it needs "
+                         "--show-discs")
 
     if predicted is not None and f"gamma {predicted:.6g}" not in annotations:
         annotations.append(f"predicted {predicted:.6g}")
@@ -380,20 +370,20 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_common(sub, with_input=True):
+def _add_common(sub, formats: tuple, with_input=True):
+    """The polynomial input (unless with_input is false), --format with the
+    subcommand's formats, the first the default, -o and --tol-residual."""
     if with_input:
         grp = sub.add_mutually_exclusive_group(required=True)
         grp.add_argument("--coeffs", help="comma-separated ascending "
                          "coefficients, e.g. 2,-2,1")
         grp.add_argument("--input", help="path to a polynomial JSON document")
-    sub.add_argument("--format", choices=("text", "json", "csv", "svg"),
-                     default=None, help="output format")
+    sub.add_argument("--format", choices=formats, default=formats[0],
+                     help="output format")
     sub.add_argument("-o", "--output", default=None,
                      help="write output to this path instead of stdout")
     sub.add_argument("--tol-residual", type=float, default=None,
                      help="solver residual acceptance override")
-    sub.add_argument("--tol-angle", type=float, default=None,
-                     help="angle-margin tolerance override for campaigns")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,22 +395,24 @@ def build_parser() -> argparse.ArgumentParser:
                                  parser_class=_Parser)
 
     sp = subs.add_parser("roots", help="find zeros with multiplicities")
-    _add_common(sp)
+    _add_common(sp, ("text", "json", "csv"))
 
     sp = subs.add_parser("apply", help="apply a multiplier sequence")
-    _add_common(sp)
+    _add_common(sp, ("text", "json"))
     sp.add_argument("--op", required=True,
                     help="sequence spec, e.g. gauss:alpha=0.5")
 
     sp = subs.add_parser("sector", help="measure the smallest enclosing sector")
-    _add_common(sp)
+    _add_common(sp, ("text", "json"))
     sp.add_argument("--double", action="store_true",
                     help="fold through the origin (double sector)")
 
     sp = subs.add_parser("verify", help="run a randomized theorem campaign")
     sp.add_argument("theorem", help="one of %s, double-sector"
                                     % ", ".join(THEOREM_IDS))
-    _add_common(sp, with_input=False)
+    _add_common(sp, ("json",), with_input=False)
+    sp.add_argument("--tol-angle", type=float, default=None,
+                    help="angle-margin tolerance override")
     sp.add_argument("--trials", type=int, default=None,
                     help="campaign trials (default 200)")
     sp.add_argument("--seed", type=int, default=None,
@@ -440,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sequence spec for roms / double-sector")
 
     sp = subs.add_parser("search", help="hunt for sector-growth counterexamples")
-    _add_common(sp, with_input=False)
+    _add_common(sp, ("json",), with_input=False)
     sp.add_argument("--op", required=True,
                     help="exppower or explicit sequence spec")
     sp.add_argument("--trials", type=int, default=200)
@@ -449,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree-max", type=int, default=None)
 
     sp = subs.add_parser("plot", help="render zeros, sectors and discs as SVG")
-    _add_common(sp)
+    _add_common(sp, ("svg",))
     sp.add_argument("--op", default=None,
                     help="overlay zeros after this sequence")
     sp.add_argument("--alpha", type=float, default=None,

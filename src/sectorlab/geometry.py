@@ -33,7 +33,6 @@ from .roots import ZeroSet
 
 __all__ = [
     "Sector",
-    "Strip",
     "SectorDisc",
     "TangencyData",
     "reference_angle",
@@ -61,17 +60,6 @@ class Sector:
         if not (0.0 <= self.half_angle < math.pi / 2.0):
             raise SectorLabError(
                 f"sector half-angle {self.half_angle!r} outside [0, pi/2)")
-
-
-@dataclass(frozen=True)
-class Strip:
-    """Closed horizontal strip |Im z| <= half_width."""
-
-    half_width: float
-
-    def __post_init__(self):
-        if not (self.half_width >= 0.0):
-            raise SectorLabError(f"strip half-width {self.half_width!r} negative")
 
 
 @dataclass(frozen=True)

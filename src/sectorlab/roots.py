@@ -10,13 +10,13 @@ batch of one.  The solve pipeline:
    so that no start lies on an axis and no two starts are antipodal,
 3. guarded Newton polishing of each iterate,
 4. cluster merging: iterates are merged when they sit within
-   ``cluster_tol * max(1, |z|)`` of each other or when their Gerschgorin-style
+   _CLUSTER_TOL * max(1, |z|) of each other or when their Gerschgorin-style
    inclusion discs of radius ``d |p(z)/c_d| / prod |z - z_j|`` overlap, which
    is what certifies a multiple root whose iterates stall on the evaluation
    noise floor,
 5. clusters of multiplicity m are re-centered on the nearby simple root of
    the (m-1)-th derivative, recovering full accuracy for multiple roots,
-6. near-real locations are snapped: |Im z| <= real_snap_tol * max(1, |z|)
+6. near-real locations are snapped: |Im z| <= _REAL_SNAP_TOL * max(1, |z|)
    becomes exactly real,
 7. for real coefficient input, remaining conjugate iterates are averaged in
    pairs and the returned multiset is exactly conjugation invariant,
@@ -73,26 +73,26 @@ __all__ = [
 
 # fixed start rotation, 1/sqrt(2) radians
 _START_OFFSET = 0.7071067811865476
+# Aberth sweep budget, and its stopping test on the relative step
+_MAX_ITERATIONS = 200
+_CONVERGENCE_TOL = 1e-13
+# merge distance of iterates, relative to max(1, |z|)
+_CLUSTER_TOL = 1e-6
+# |Im z| below this, relative to max(1, |z|), is snapped to the real axis
+_REAL_SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable solve parameters; the defaults satisfy the test suite."""
+    """The solve's acceptance threshold: the largest normalized residual a
+    returned zero may carry.  It decides only whether a solve succeeds,
+    never where its zeros land."""
 
-    max_iterations: int = 200
-    convergence_tol: float = 1e-13
     residual_accept: float = 1e-9
-    cluster_tol: float = 1e-6
-    real_snap_tol: float = 1e-9
-    seed_radius_factor: float = 1.0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        for name in ("convergence_tol", "residual_accept", "cluster_tol",
-                     "real_snap_tol", "seed_radius_factor"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        if not self.residual_accept > 0.0:
+            raise ValueError("residual_accept must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _eval_many(c: np.ndarray, z: np.ndarray):
 
 
 @np.errstate(all="ignore")
-def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _aberth(Q: np.ndarray) -> np.ndarray:
     """Iterates for a (B, d+1) stack of degree-d polynomials, shape (B, d).
 
     Each row runs the sweeps it would run alone and leaves the active set
@@ -146,7 +146,7 @@ def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     B, d = Q.shape[0], Q.shape[1] - 1
     radius = np.empty(B)
     for i, q in enumerate(Q):
-        r = float(abs(q[0] / q[-1])) ** (1.0 / d) * cfg.seed_radius_factor
+        r = float(abs(q[0] / q[-1])) ** (1.0 / d)
         radius[i] = r if math.isfinite(r) and r != 0.0 else 1.0
     ang = 2.0 * math.pi * np.arange(d) / d + _START_OFFSET
     # ramped radii: no two starts are antipodal, which would otherwise trap
@@ -162,7 +162,7 @@ def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     # run to convergence or budget; early "stagnation" exits leave iterates
     # whose Weierstrass inclusion disks still straddle distinct nearby roots,
     # which the cluster stage would then wrongly merge
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         diff = z[:, :, None] - z[:, None, :]
         diff.reshape(rows.size, -1)[:, ::d + 1] = np.inf
         stuck = (diff == 0).any(axis=(1, 2)) if (diff == 0).any() else None
@@ -177,7 +177,7 @@ def _aberth(Q: np.ndarray, cfg: SolverConfig) -> np.ndarray:
                          np.where(np.isfinite(newton), newton, fallback))
         step = z - w
         done = (np.abs(w) / np.maximum(1.0, np.abs(step))).max(axis=1) \
-            <= cfg.convergence_tol
+            <= _CONVERGENCE_TOL
         if stuck is not None:
             # coincident iterates break the repulsion term; such a row is
             # separated instead, and skips this sweep's stopping test
@@ -227,15 +227,15 @@ def _mean(members: list) -> complex:
     return complex(np.array(members).mean())
 
 
-def _cluster_many(Q: np.ndarray, Z: np.ndarray, cfg: SolverConfig) -> list:
+def _cluster_many(Q: np.ndarray, Z: np.ndarray) -> list:
     """Merge each row of Z, the polished iterates (B, d) of the rows of Q,
     into (center, multiplicity, span) clusters; one list per row."""
     z, incl = _inclusion_radii(Q, Z)
     pairs = {}
     for r, i, j in zip(*(ix.tolist() for ix in
-                         np.nonzero(_near_pairs(z, incl, cfg.cluster_tol)))):
+                         np.nonzero(_near_pairs(z, incl, _CLUSTER_TOL)))):
         pairs.setdefault(r, []).append((i, j))
-    return [_merge(zl, il, pairs.get(r, ()), cfg.cluster_tol)
+    return [_merge(zl, il, pairs.get(r, ()), _CLUSTER_TOL)
             for r, (zl, il) in enumerate(zip(z.tolist(), incl.tolist()))]
 
 
@@ -308,8 +308,8 @@ def _merge(z: list, incl: list, pairs, tol: float) -> list:
     return clusters
 
 
-def _refine_cluster(q: np.ndarray, center: complex, mult: int, span: float,
-                    cfg: SolverConfig) -> complex:
+def _refine_cluster(q: np.ndarray, center: complex, mult: int,
+                    span: float) -> complex:
     """Re-center a multiplicity-m cluster on the simple root of p^(m-1)."""
     if mult == 1:
         return center
@@ -328,7 +328,7 @@ def _refine_cluster(q: np.ndarray, center: complex, mult: int, span: float,
         w = w - step
         if abs(step) <= 1e-16 * max(1.0, abs(w)):
             break
-    limit = max(4.0 * span, 8.0 * cfg.cluster_tol * max(1.0, abs(center)))
+    limit = max(4.0 * span, 8.0 * _CLUSTER_TOL * max(1.0, abs(center)))
     return w if abs(w - center) <= limit else center
 
 
@@ -349,7 +349,7 @@ def _snapped(z: complex, tol: float) -> complex:
     return z
 
 
-def _pair_conjugates(entries: list, cfg: SolverConfig) -> list:
+def _pair_conjugates(entries: list) -> list:
     """Average nearby conjugate partners so the multiset conjugates exactly.
 
     Runs after real snapping, so real roots carrying opposite-signed noise
@@ -404,13 +404,12 @@ def _finish(c: np.ndarray, q: np.ndarray, k0: int, clusters: list,
     """Refine, snap and pair one polynomial's clusters, then certify every
     entry against the full coefficients ``c``."""
     degree = c.size - 1
-    raw = [(_refine_cluster(q, ctr, m, span, cfg), m)
-           for ctr, m, span in clusters]
+    raw = [(_refine_cluster(q, ctr, m, span), m) for ctr, m, span in clusters]
     # snap before pairing: real roots carrying opposite-signed imaginary
     # noise must not be mistaken for a wide conjugate pair
-    entries = [(_snapped(z, cfg.real_snap_tol), m) for z, m in raw]
+    entries = [(_snapped(z, _REAL_SNAP_TOL), m) for z, m in raw]
     if bool(np.all(c.imag == 0.0)):
-        entries = _pair_conjugates(entries, cfg)
+        entries = _pair_conjugates(entries)
         _assert_conjugate_closed(entries)
     if k0 > 0:
         entries.append((0.0 + 0.0j, k0))
@@ -451,8 +450,8 @@ def _finish_many(Q: np.ndarray, members: list, iterates, cfg: SolverConfig
             except Exception as exc:
                 out[r] = exc
         if ok:
-            for r, clusters in zip(ok, _cluster_many(Q[ok], np.array(polished),
-                                                     cfg)):
+            for r, clusters in zip(ok, _cluster_many(Q[ok],
+                                                     np.array(polished))):
                 out[r] = clusters
     for r, ((c, k0), q) in enumerate(zip(members, Q)):
         if not isinstance(out[r], Exception):
@@ -484,7 +483,7 @@ def _solve_many(polys, config: SolverConfig | None) -> list:
     for d, members in groups.items():
         Q = np.stack([c[k0:] for _, c, k0 in members])
         results = _finish_many(Q, [(c, k0) for _, c, k0 in members],
-                               _aberth(Q, cfg) if d else None, cfg)
+                               _aberth(Q) if d else None, cfg)
         for (i, _, _), result in zip(members, results):
             out[i] = result
     return out

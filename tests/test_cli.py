@@ -208,6 +208,40 @@ def test_bad_tolerances_and_trial_counts_are_input_errors(argv):
     assert r.stderr.startswith("input error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--coeffs", "2,-2,1", "--tol-angle", "0.1"],
+    ["apply", "--coeffs", "2,-2,1", "--op", "gauss:alpha=0.5",
+     "--tol-angle", "0.1"],
+    ["sector", "--coeffs", "2,-2,1", "--tol-angle", "0.1"],
+    ["search", "--op", "exppower:alpha=0.3,p=1.5", "--trials", "1",
+     "--tol-angle", "0.1"],
+    ["plot", "--coeffs", "2,-2,1", "--tol-angle", "0.1"],
+    ["apply", "--coeffs", "2,-2,1", "--op", "gauss:alpha=0.5",
+     "--format", "csv"],
+    ["verify", "zsro", "--trials", "1", "--format", "text"],
+    ["plot", "--coeffs", "2,-2,1", "--format", "json"]],
+    ids=["roots-tol-angle", "apply-tol-angle", "sector-tol-angle",
+         "search-tol-angle", "plot-tol-angle", "apply-csv", "verify-text",
+         "plot-json"])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
+    r = run(*argv)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("usage: sectorlab")
+    assert "error: " in r.stderr and argv[-2] in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "zsro", "--trials", "1"],
+    ["search", "--op", "exppower:alpha=0.3,p=1.5", "--trials", "1"]],
+    ids=["verify", "search"])
+def test_degree_max_zero_is_rejected(argv):
+    r = run(*argv, "--degree-max", "0")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: need 1 <= deg_lo <= deg_hi\n"
+
+
 def test_verify_double_sector_verdict():
     r = run("verify", "double-sector")
     assert r.returncode == 0
@@ -270,6 +304,13 @@ def test_plot_is_byte_identical(tmp_path):
 
 def test_plot_requires_alpha_for_discs():
     assert run("plot", "--coeffs", "2,-2,1", "--show-discs").returncode == 1
+
+
+def test_plot_alpha_requires_show_discs():
+    r = run("plot", "--coeffs", "2,-2,1", "--alpha", "0.3")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error: --alpha")
 
 
 def test_plot_left_half_plane_annotates_instead_of_failing():

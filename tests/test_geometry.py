@@ -54,10 +54,6 @@ def test_sector_and_strip_validation():
         Sector(-0.1)
     with pytest.raises(SectorLabError):
         Sector(math.pi / 2.0)
-    with pytest.raises(SectorLabError):
-        Strip_neg = None
-        from sectorlab import Strip
-        Strip_neg = Strip(-1.0)
 
 
 def test_disc_oracle_values():

@@ -90,19 +90,17 @@ def test_degree_zero_and_zero_polynomial_rejected():
         find_roots(RealPolynomial([0.0]))
 
 
-def test_starved_iteration_budget_raises():
+def test_starved_iteration_budget_raises(monkeypatch):
     p = RealPolynomial([5040.0, -13068.0, 13132.0, -6769.0, 1960.0, -322.0, 28.0, -1.0])
+    monkeypatch.setattr(roots, "_MAX_ITERATIONS", 1)
     with pytest.raises(NonConvergenceError):
-        find_roots(p, SolverConfig(max_iterations=1))
+        find_roots(p)
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(convergence_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(residual_accept=math.nan)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            SolverConfig(residual_accept=bad)
 
 
 def test_wilkinson_ten_recovered():
@@ -210,18 +208,19 @@ def test_locations_with_multiplicity_expands():
     assert zs.locations() == [1 + 0j]
 
 
-def _aberth_loop(q, cfg):
+@np.errstate(all="ignore")
+def _aberth_loop(q):
     """Reference: the Aberth stage one polynomial at a time, as it ran
     before the stacked kernel; every row of the stack must match it."""
     d = q.size - 1
-    radius = float(abs(q[0] / q[-1])) ** (1.0 / d) * cfg.seed_radius_factor
+    radius = float(abs(q[0] / q[-1])) ** (1.0 / d)
     if not math.isfinite(radius) or radius == 0.0:
         radius = 1.0
     ang = 2.0 * math.pi * np.arange(d) / d + roots._START_OFFSET
     ramp = 0.9 + 0.2 * np.arange(d) / max(1, d - 1)
     z = radius * ramp * np.exp(1j * ang)
     fallback_phase = np.exp(1j * (0.7 + np.arange(d)))
-    for _ in range(cfg.max_iterations):
+    for _ in range(roots._MAX_ITERATIONS):
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         if np.any(diff == 0):
@@ -232,16 +231,15 @@ def _aberth_loop(q, cfg):
         for k in range(q.size - 2, -1, -1):
             dv = dv * z + pv
             pv = pv * z + q[k]
-        with np.errstate(all="ignore"):
-            repulse = (1.0 / diff).sum(axis=1)
-            newton = pv / dv
-            w = newton / (1.0 - newton * repulse)
-            fallback = 0.01 * (np.abs(z) + radius) * fallback_phase
-            w = np.where(np.isfinite(w), w,
-                         np.where(np.isfinite(newton), newton, fallback))
+        repulse = (1.0 / diff).sum(axis=1)
+        newton = pv / dv
+        w = newton / (1.0 - newton * repulse)
+        fallback = 0.01 * (np.abs(z) + radius) * fallback_phase
+        w = np.where(np.isfinite(w), w,
+                     np.where(np.isfinite(newton), newton, fallback))
         z = z - w
         if float((np.abs(w) / np.maximum(1.0, np.abs(z))).max()) \
-                <= cfg.convergence_tol:
+                <= roots._CONVERGENCE_TOL:
             break
     return z
 
@@ -280,9 +278,9 @@ def _bits(result):
             locs.view(np.int64).tolist(), res.view(np.int64).tolist())
 
 
-def _solve_alone(p, cfg=None):
+def _solve_alone(p):
     try:
-        return find_roots(p, cfg)
+        return find_roots(p)
     except Exception as exc:
         return exc
 
@@ -295,8 +293,22 @@ def test_find_roots_many_bitwise_equals_lone_solves():
         [_bits(_solve_alone(p)) for p in polys]
 
 
+def test_residual_accept_moves_no_zero():
+    # the config reaches only the acceptance check: another threshold may
+    # fail a solve or pass it, but moves no bit of a result
+    polys = _batch_corpus()
+    base = find_roots_many(polys)
+    for accept in (1e-30, 1.0):
+        other = find_roots_many(polys, SolverConfig(residual_accept=accept))
+        both = [i for i, (a, b) in enumerate(zip(base, other))
+                if not isinstance(a, Exception)
+                and not isinstance(b, Exception)]
+        assert len(both) >= 40
+        assert [_bits(other[i]) for i in both] == \
+            [_bits(base[i]) for i in both]
+
+
 def test_stacked_aberth_rows_match_the_per_polynomial_loop():
-    cfg = SolverConfig()
     by_degree = {}
     for p in _batch_corpus():
         q, _ = deflate_origin(p)
@@ -308,26 +320,28 @@ def test_stacked_aberth_rows_match_the_per_polynomial_loop():
     rng = np.random.default_rng(11)
     lone = [[q] for q in rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))]
     for qs in list(by_degree.values()) + lone:
-        stacked = roots._aberth(np.stack(qs), cfg)
+        stacked = roots._aberth(np.stack(qs))
         for row, q in zip(stacked, qs):
             assert row.view(np.float64).tolist() == \
-                _aberth_loop(q, cfg).view(np.float64).tolist()
+                _aberth_loop(q).view(np.float64).tolist()
 
 
-def test_stacked_aberth_fallback_and_budget_rows_match_the_loop():
-    # a start radius near the underflow threshold sends every row down the
-    # fallback branch; a one-sweep budget stops every row unconverged
-    qs = [np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
+def test_stacked_aberth_fallback_and_budget_rows_match_the_loop(monkeypatch):
+    # Horner overflows at the iterates of the huge middle coefficients, so
+    # the first row takes the fallback branch; a one-sweep budget stops
+    # every row unconverged
+    qs = [np.array([1.0, 1e150, 1e150, 1.0], dtype=complex),
+          np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
           np.array([2.0, -3.0, 0.5, 1.0], dtype=complex)]
-    for cfg in (SolverConfig(seed_radius_factor=1e-320),
-                SolverConfig(max_iterations=1)):
-        stacked = roots._aberth(np.stack(qs), cfg)
+    for budget in (roots._MAX_ITERATIONS, 1):
+        monkeypatch.setattr(roots, "_MAX_ITERATIONS", budget)
+        stacked = roots._aberth(np.stack(qs))
         for row, q in zip(stacked, qs):
             assert row.view(np.float64).tolist() == \
-                _aberth_loop(q, cfg).view(np.float64).tolist()
+                _aberth_loop(q).view(np.float64).tolist()
 
 
-def test_find_roots_many_returns_failures_in_place():
+def test_find_roots_many_returns_failures_in_place(monkeypatch):
     good = [RealPolynomial([2.0, -2.0, 1.0]), RealPolynomial([-3.0, 1.0]),
             RealPolynomial([1.0, 0.5])]
     out = find_roots_many([good[0], RealPolynomial([3.0]), good[1]])
@@ -335,14 +349,15 @@ def test_find_roots_many_returns_failures_in_place():
     assert [_bits(out[0]), _bits(out[2])] == \
         [_bits(find_roots(good[0])), _bits(find_roots(good[1]))]
 
-    starved = SolverConfig(max_iterations=1)
+    assert find_roots_many([]) == []
+
+    monkeypatch.setattr(roots, "_MAX_ITERATIONS", 1)
     hard = RealPolynomial([5040.0, -13068.0, 13132.0, -6769.0, 1960.0,
                            -322.0, 28.0, -1.0])
-    out = find_roots_many([good[1], hard, good[2]], starved)
+    out = find_roots_many([good[1], hard, good[2]])
     assert isinstance(out[1], NonConvergenceError)
     assert [_bits(out[0]), _bits(out[2])] == \
-        [_bits(find_roots(good[1], starved)), _bits(find_roots(good[2], starved))]
-    assert find_roots_many([]) == []
+        [_bits(find_roots(good[1])), _bits(find_roots(good[2]))]
 
 
 def _polish_loop(q, z):
@@ -377,7 +392,7 @@ def _inclusion_loop(q, zs):
     return z, np.minimum(incl, 0.05 * np.maximum(1.0, np.abs(z)))
 
 
-def _cluster_loop(q, zs, cfg):
+def _cluster_loop(q, zs):
     """Reference: cluster merging one polynomial at a time, with a pair
     loop over numpy scalars and numpy means."""
     z, incl = _inclusion_loop(q, zs)
@@ -393,7 +408,7 @@ def _cluster_loop(q, zs, cfg):
     for i in range(n):
         for j in range(i + 1, n):
             dist = abs(z[i] - z[j])
-            lim = max(cfg.cluster_tol * max(1.0, abs(z[i]), abs(z[j])),
+            lim = max(roots._CLUSTER_TOL * max(1.0, abs(z[i]), abs(z[j])),
                       incl[i] + incl[j])
             if dist <= lim:
                 ri, rj = find(i), find(j)
@@ -421,11 +436,11 @@ def _finish_loop(c, q, k0, iterates, cfg):
     entries = []
     if iterates is not None:
         iterates = np.array([_polish_loop(q, complex(v)) for v in iterates])
-        raw = [(roots._refine_cluster(q, ctr, m, span, cfg), m)
-               for ctr, m, span in _cluster_loop(q, iterates, cfg)]
-        raw = [(roots._snapped(z, cfg.real_snap_tol), m) for z, m in raw]
+        raw = [(roots._refine_cluster(q, ctr, m, span), m)
+               for ctr, m, span in _cluster_loop(q, iterates)]
+        raw = [(roots._snapped(z, roots._REAL_SNAP_TOL), m) for z, m in raw]
         if bool(np.all(c.imag == 0.0)):
-            raw = roots._pair_conjugates(raw, cfg)
+            raw = roots._pair_conjugates(raw)
             roots._assert_conjugate_closed(raw)
         entries.extend(raw)
     if k0 > 0:
@@ -452,7 +467,7 @@ def _solve_loop(p, cfg):
     k0 = int(np.flatnonzero(c)[0])
     q = c[k0:]
     try:
-        iterates = roots._aberth(q[None, :], cfg)[0] if q.size > 1 else None
+        iterates = roots._aberth(q[None, :])[0] if q.size > 1 else None
         return _finish_loop(c, q, k0, iterates, cfg)
     except Exception as exc:
         return exc
@@ -465,7 +480,7 @@ def _finish_corpus():
              ([1.0, 1.0, 1.0], [2.0, 2.0, -1.0], [0.5, 0.5, 0.5, 3.0, 3.0],
               [1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j], [-1.0, -1.0, 0.25, 0.25, 4.0])]
     polys.append(RealPolynomial([2.0, -math.sqrt(2.0), 0.25]))
-    tol = SolverConfig().cluster_tol
+    tol = roots._CLUSTER_TOL
     for x in (1.0, 3.0, 0.2):
         for f in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 10.0):
             delta = f * tol * max(1.0, x)
@@ -492,7 +507,6 @@ def test_stacked_finish_matches_the_per_polynomial_loop():
 
 
 def test_stacked_inclusion_radii_match_the_per_polynomial_loop():
-    cfg = SolverConfig()
     by_degree = {}
     for p in _batch_corpus() + _finish_corpus():
         q = deflate_origin(p)[0].coeffs.astype(complex)
@@ -501,7 +515,7 @@ def test_stacked_inclusion_radii_match_the_per_polynomial_loop():
     for qs in list(by_degree.values()) + [[q] for q in by_degree[1]]:
         Q = np.stack(qs)
         Z = np.array([[_polish_loop(q, complex(v)) for v in row]
-                      for q, row in zip(qs, roots._aberth(Q, cfg))])
+                      for q, row in zip(qs, roots._aberth(Q))])
         z, incl = roots._inclusion_radii(Q, Z)
         for q, zs, zr, ir in zip(qs, Z, z, incl):
             want_z, want_incl = _inclusion_loop(q, zs)
@@ -553,7 +567,7 @@ def test_near_pairs_hold_every_pair_the_exact_test_merges():
     # inclusion radii setting the limit and once with cluster_tol setting it
     rng = np.random.default_rng(3)
     eps = np.finfo(float).eps
-    tol = SolverConfig().cluster_tol
+    tol = roots._CLUSTER_TOL
     rows, radii = [], []
     for k in range(-4, 5):
         for phi in rng.uniform(0.0, 2.0 * math.pi, 40):
