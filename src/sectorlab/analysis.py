@@ -393,7 +393,7 @@ def _trial_jsd(gen, params, rng):
     Margin units: signed disc slack (r - |z - c|), normalized by max(1, |z|);
     in sharpness mode, -| |z-c| - r | / r.
     """
-    quadratic = params["quadratic"]
+    quadratic = params.get("quadratic", False)
     if quadratic:
         theta_t = rng.uniform(0.05, 1.4)
         mag = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
@@ -528,11 +528,7 @@ def _trial_search(gen, params, rng):
     ms = params["sequence"]
     spec = draw_sector_spec(gen, rng)
     p = from_sector_roots(spec)
-    try:
-        q = apply_sequence(p, ms)
-        zeros = yield q
-    except SectorLabError:
-        return None, None
+    zeros = yield apply_sequence(p, ms)
     after = max(abs(math.atan2(e.location.imag, e.location.real))
                 for e in zeros.zeros)
     before = spec.max_angle()
@@ -547,8 +543,9 @@ class Campaign:
     in), and returns (margin, info), margin None when nothing was tested.  A
     margin below -``tolerance`` is a violation, and info = (polynomial,
     operator, offending zero or None, certificate detail or None) describes
-    it.  ``params`` names the params the trial reads; ``theta`` and
-    ``deg_hi`` are the command line's generator defaults."""
+    it.  ``params`` names the params the trial reads, and so the flags
+    ``sectorlab verify`` takes for it; ``theta`` and ``deg_hi`` are the
+    command line's generator defaults."""
 
     trial: Callable
     tolerance: float
@@ -657,24 +654,23 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
     if unread:
         raise InputError(f"{theorem_id} reads no param {', '.join(unread)}; "
                          f"it reads {', '.join(campaign.params)}")
-    quadratic = bool(params.pop("quadratic", False))
     tol = params.pop("tolerance_override", None)
     if tol is None:
         tol = campaign.tolerance
-    ms = params.pop("sequence", None)
-    report_params = dict(params)
-    if quadratic:
-        report_params["quadratic"] = True
-    if theorem_id == "roms":
-        ms = ms or GaussSequence(params.get("alpha", 0.5))
-        report_params["sequence"] = ms.spec_string()
+    elif not math.isfinite(tol):
+        raise InputError(f"tolerance must be finite, got {tol!r}")
+    if params.pop("quadratic", False):
+        params["quadratic"] = True
+    if "sequence" in campaign.params and params.get("sequence") is None:
+        params["sequence"] = GaussSequence(params.get("alpha", 0.5))
+    report_params = {k: v.spec_string() if k == "sequence" else v
+                     for k, v in params.items()}
     report_params["tolerance"] = tol
     report_params["generator"] = {k: v for k, v in asdict(gen).items()
                                   if k != "seed"}
 
-    worst, cex, skipped, elapsed = _run_trials(
-        campaign, gen, dict(params, quadratic=quadratic, sequence=ms), trials,
-        tol, config)
+    worst, cex, skipped, elapsed = _run_trials(campaign, gen, params, trials,
+                                               tol, config)
     return VerificationReport(theorem_id, trials, gen.seed, worst, cex,
                               report_params, skipped, elapsed)
 
@@ -686,8 +682,9 @@ def search_counterexample(ms: MultiplierSequence, gen: PolyGenSpec,
     """Hunt for sector growth under a diagonal family with no proven bound.
 
     Margin per random trial = theta_before - theta_after; a negative value
-    means the enclosing sector strictly grew.  Any SectorLabError in a
-    trial's operator or solve skips the trial.  For exp-power families with
+    means the enclosing sector strictly grew.  A solve that does not
+    converge skips its trial; any other SectorLabError, such as a sequence
+    too short for a drawn degree, is raised.  For exp-power families with
     p < 2 the report also carries the r_n tail trend and a ladder of
     three-term probes showing the transformed pair angle climbing back
     toward the original as n grows.

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .analysis import (CAMPAIGNS, SEARCH_CAMPAIGN, PolyGenSpec,
                        double_sector_demo, search_counterexample,
-                       verify_theorem, THEOREM_IDS)
+                       verify_theorem)
 from .errors import (HypothesisViolationError, InputError,
                      NonConvergenceError, NotInRightHalfPlaneError,
                      SectorLabError)
@@ -28,8 +27,6 @@ from .roots import SolverConfig, find_roots
 from .svgplot import render_scene
 
 __all__ = ["main", "cli_entry", "build_parser"]
-
-_ENV_SEED = "SECTORLAB_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,18 +125,6 @@ def _solver_config(args) -> SolverConfig:
         raise InputError(f"--tol-residual {tol!r}: {exc}")
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(_ENV_SEED)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{_ENV_SEED}={raw!r} is not an integer")
-
-
 def _conjugate_pairs(zs):
     """(a, b) for each distinct upper-half-plane zero of a real polynomial."""
     return [(e.location.real, e.location.imag)
@@ -224,12 +209,6 @@ def cmd_sector(args) -> int:
     return 0
 
 
-_THEOREM_ALIASES = {
-    "periodstrip": "period-strip",
-    "cos-ak": "cosak",
-}
-
-
 def _emit_report(label: str, report, output) -> int:
     """Write a campaign report, summarize it on stderr; exit 4 on a
     counterexample."""
@@ -242,31 +221,17 @@ def _emit_report(label: str, report, output) -> int:
     return 4 if report.found_counterexample() else 0
 
 
-def _generator(args, campaign, seed: int) -> PolyGenSpec:
+def _generator(args, campaign) -> PolyGenSpec:
     """The flags' generator settings, defaulting to the campaign's."""
     theta = args.theta if args.theta is not None else campaign.theta
     deg_hi = (args.degree_max if args.degree_max is not None
               else campaign.deg_hi)
-    return PolyGenSpec(deg_lo=1, deg_hi=deg_hi, theta=theta, seed=seed)
-
-
-# verify flags that only the seeded campaigns read
-_CAMPAIGN_FLAGS = ("seed", "trials", "theta", "degree_max", "alpha", "lam",
-                   "N", "quadratic", "tol_angle")
+    return PolyGenSpec(deg_lo=1, deg_hi=deg_hi, theta=theta, seed=args.seed)
 
 
 def cmd_verify(args) -> int:
-    theorem = _THEOREM_ALIASES.get(args.theorem, args.theorem)
-
-    if theorem == "double-sector":
-        given = [f"--{name.replace('_', '-')}" for name in _CAMPAIGN_FLAGS
-                 if getattr(args, name) is not None
-                 and getattr(args, name) is not False]
-        if given:
-            raise InputError(f"double-sector reads no flag {', '.join(given)}"
-                             f"; it reads --op and --tol-residual")
-        spec = args.op or "explicit:1,1,1,1,1"
-        ms = parse_sequence_spec(spec)
+    if args.theorem == "double-sector":
+        ms = parse_sequence_spec(args.op)
         before, after = double_sector_demo(ms, _solver_config(args))
         reduced = after < before - 1e-9
         verdict = ("reduction observed (unexpected)" if reduced
@@ -278,35 +243,22 @@ def cmd_verify(args) -> int:
               f"-> {verdict}", file=sys.stderr)
         return 4 if reduced else 0
 
-    if theorem not in CAMPAIGNS:
-        raise InputError(f"unknown theorem id {args.theorem!r}; expected one "
-                         f"of {', '.join(THEOREM_IDS + ('double-sector',))}")
-    gen = _generator(args, CAMPAIGNS[theorem], _resolve_seed(args))
-
-    params: dict = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.lam is not None:
-        params["lam"] = args.lam
-    if args.N is not None:
-        params["N"] = args.N
-    if args.quadratic:
-        params["quadratic"] = True
-    if args.op:
-        params["sequence"] = parse_sequence_spec(args.op)
+    campaign = CAMPAIGNS[args.theorem]
+    gen = _generator(args, campaign)
+    # each flag's dest is its param's name; a param without a flag is unset
+    params = {name: parse_sequence_spec(v) if name == "sequence" else v
+              for name in campaign.params
+              if (v := getattr(args, name, None)) is not None}
     if args.tol_angle is not None:
         params["tolerance_override"] = args.tol_angle
-
-    trials = 200 if args.trials is None else args.trials
-    report = verify_theorem(theorem, gen, params, trials=trials,
+    report = verify_theorem(args.theorem, gen, params, trials=args.trials,
                             config=_solver_config(args))
-    return _emit_report(theorem, report, args.output)
+    return _emit_report(args.theorem, report, args.output)
 
 
 def cmd_search(args) -> int:
-    seed = _resolve_seed(args)
     ms = parse_sequence_spec(args.op)
-    gen = _generator(args, SEARCH_CAMPAIGN, seed)
+    gen = _generator(args, SEARCH_CAMPAIGN)
     report = search_counterexample(ms, gen, trials=args.trials,
                                    config=_solver_config(args))
     return _emit_report(f"search {ms.spec_string()}", report, args.output)
@@ -386,6 +338,21 @@ def _add_common(sub, formats: tuple, with_input=True):
                      help="solver residual acceptance override")
 
 
+# the verify flag of each campaign param that has one; beta and mult_theta
+# are set from Python only
+_PARAM_FLAGS = {
+    "alpha": ("--alpha", {"type": float,
+                          "help": "pin the operator angle parameter"}),
+    "lam": ("--lam", {"type": float, "help": "pin the blend phase parameter"}),
+    "N": ("--N", {"type": int, "help": "pin the cosine-step denominator"}),
+    "quadratic": ("--quadratic", {"action": "store_true",
+                                  "help": "single-quadratic boundary "
+                                          "sharpness mode"}),
+    "sequence": ("--op", {"help": "sequence spec (default gauss at "
+                                  "--alpha, or at 0.5)"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sectorlab",
                      description="Zero-sector reduction toolkit: polynomial "
@@ -407,36 +374,35 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--double", action="store_true",
                     help="fold through the origin (double sector)")
 
-    sp = subs.add_parser("verify", help="run a randomized theorem campaign")
-    sp.add_argument("theorem", help="one of %s, double-sector"
-                                    % ", ".join(THEOREM_IDS))
-    _add_common(sp, ("json",), with_input=False)
-    sp.add_argument("--tol-angle", type=float, default=None,
-                    help="angle-margin tolerance override")
-    sp.add_argument("--trials", type=int, default=None,
-                    help="campaign trials (default 200)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"campaign seed (default ${_ENV_SEED} or 0)")
-    sp.add_argument("--theta", type=float, default=None,
-                    help="sector half-angle for generated zeros")
-    sp.add_argument("--alpha", type=float, default=None,
-                    help="pin the operator angle parameter")
-    sp.add_argument("--lam", type=float, default=None,
-                    help="pin the blend phase parameter")
-    sp.add_argument("--N", type=int, default=None,
-                    help="pin the cosine-step denominator")
-    sp.add_argument("--degree-max", type=int, default=None)
-    sp.add_argument("--quadratic", action="store_true",
-                    help="jsd only: single-quadratic boundary sharpness mode")
-    sp.add_argument("--op", default=None,
-                    help="sequence spec for roms / double-sector")
+    sp = subs.add_parser("verify", help="run a theorem campaign")
+    theorems = sp.add_subparsers(dest="theorem", required=True,
+                                 parser_class=_Parser)
+    for theorem, campaign in CAMPAIGNS.items():
+        tp = theorems.add_parser(theorem, help="seeded randomized campaign")
+        _add_common(tp, ("json",), with_input=False)
+        tp.add_argument("--tol-angle", type=float, default=None,
+                        help="angle-margin tolerance override")
+        tp.add_argument("--trials", type=int, default=200)
+        tp.add_argument("--seed", type=int, default=0)
+        tp.add_argument("--theta", type=float, default=None,
+                        help="sector half-angle for generated zeros")
+        tp.add_argument("--degree-max", type=int, default=None)
+        for name in campaign.params:
+            if name in _PARAM_FLAGS:
+                flag, kwargs = _PARAM_FLAGS[name]
+                tp.add_argument(flag, dest=name, default=None, **kwargs)
+    tp = theorems.add_parser("double-sector",
+                             help="fold angle of 4 + z^4 under --op")
+    _add_common(tp, ("json",), with_input=False)
+    tp.add_argument("--op", default="explicit:1,1,1,1,1",
+                    help="sequence spec")
 
     sp = subs.add_parser("search", help="hunt for sector-growth counterexamples")
     _add_common(sp, ("json",), with_input=False)
     sp.add_argument("--op", required=True,
                     help="exppower or explicit sequence spec")
     sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--theta", type=float, default=None)
     sp.add_argument("--degree-max", type=int, default=None)
 

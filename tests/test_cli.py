@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from sectorlab import PolyGenSpec, verify_theorem
+from sectorlab.analysis import CAMPAIGNS
 
 _CLI = [sys.executable, "-m", "sectorlab.cli"]
 
@@ -142,20 +144,6 @@ def test_verify_report_runs_are_byte_identical(tmp_path):
     assert doc["counterexample"] is None
 
 
-def test_verify_env_seed(tmp_path):
-    out = tmp_path / "r.json"
-    r = run("verify", "zsro", "--trials", "5", "-o", str(out),
-            env_extra={"SECTORLAB_SEED": "99"})
-    assert r.returncode == 0
-    assert json.loads(out.read_text())["seed"] == 99
-    # explicit flag beats the environment
-    r = run("verify", "zsro", "--trials", "5", "--seed", "7", "-o", str(out),
-            env_extra={"SECTORLAB_SEED": "99"})
-    assert json.loads(out.read_text())["seed"] == 7
-    assert run("verify", "zsro", "--trials", "5",
-               env_extra={"SECTORLAB_SEED": "abc"}).returncode == 1
-
-
 def test_verify_jsd_quadratic_sharpness():
     r = run("verify", "jsd", "--quadratic", "--trials", "30", "--seed", "42")
     assert r.returncode == 0
@@ -188,7 +176,8 @@ def test_verify_rejects_flags_the_campaign_never_reads(flags):
     r = run("verify", "zsro", "--trials", "20", "--seed", "42", *flags)
     assert r.returncode == 1
     assert r.stdout == ""
-    assert "zsro reads no param" in r.stderr
+    assert r.stderr.startswith("usage: sectorlab")
+    assert f"unrecognized arguments: {flags[0]}" in r.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,9 +187,11 @@ def test_verify_rejects_flags_the_campaign_never_reads(flags):
     ["verify", "zsro", "--trials", "5", "--tol-residual", "nan"],
     ["verify", "zsro", "--trials", "0"],
     ["verify", "zsro", "--trials", "-5"],
-    ["search", "--op", "exppower:alpha=0.3,p=1.5", "--trials", "0"]],
+    ["search", "--op", "exppower:alpha=0.3,p=1.5", "--trials", "0"],
+    ["verify", "zsro", "--trials", "20", "--seed", "42", "--tol-angle", "nan"],
+    ["verify", "zsro", "--trials", "20", "--seed", "42", "--tol-angle", "inf"]],
     ids=["tol0", "tol-1", "tolnan", "verify-tolnan", "trials0", "trials-5",
-         "search-trials0"])
+         "search-trials0", "tol-angle-nan", "tol-angle-inf"])
 def test_bad_tolerances_and_trial_counts_are_input_errors(argv):
     r = run(*argv)
     assert r.returncode == 1
@@ -259,7 +250,8 @@ def test_verify_double_sector_rejects_campaign_flags(flags):
     r = run("verify", "double-sector", *flags)
     assert r.returncode == 1
     assert r.stdout == ""
-    assert f"double-sector reads no flag {flags[0]};" in r.stderr
+    assert r.stderr.startswith("usage: sectorlab")
+    assert f"unrecognized arguments: {flags[0]}" in r.stderr
 
 
 def test_verify_double_sector_tol_residual_reaches_its_solves():
@@ -274,6 +266,31 @@ def test_verify_double_sector_tol_residual_reaches_its_solves():
 
 def test_verify_unknown_theorem():
     assert run("verify", "nonsense", "--trials", "1").returncode == 1
+    assert run("verify", "periodstrip", "--trials", "1").returncode == 1
+
+
+# the flags of each verify parser beyond --help, --format, -o/--output and
+# --tol-residual: the seeded campaigns' generator flags, then one per param
+_SEEDED_FLAGS = {"--tol-angle", "--trials", "--seed", "--theta",
+                 "--degree-max"}
+_VERIFY_FLAGS = {
+    "jsd": _SEEDED_FLAGS | {"--quadratic", "--alpha", "--lam"},
+    "zsro": _SEEDED_FLAGS | {"--alpha"},
+    "cosak": _SEEDED_FLAGS | {"--alpha", "--N"},
+    "lms2": _SEEDED_FLAGS | {"--lam"},
+    "period-strip": _SEEDED_FLAGS | {"--alpha"},
+    "roms": _SEEDED_FLAGS | {"--op", "--alpha"},
+    "double-sector": {"--op"},
+}
+
+
+@pytest.mark.parametrize("theorem", [*CAMPAIGNS, "double-sector"])
+def test_verify_parser_has_exactly_its_campaign_flags(theorem):
+    r = run("verify", theorem, "--help")
+    assert r.returncode == 0
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", r.stdout))
+    assert flags == _VERIFY_FLAGS[theorem] | {
+        "--help", "--format", "--output", "--tol-residual"}
 
 
 def test_search_reports_diagnostics():
@@ -287,6 +304,15 @@ def test_search_reports_diagnostics():
     assert len(doc["params"]["three_term_probe"]["ladder"]) == 13
     assert run("search", "--op", "gauss:alpha=0.5",
                "--trials", "1").returncode == 1
+
+
+def test_search_raises_hypothesis_violations():
+    # three terms cannot act on the drawn degrees above 2
+    r = run("search", "--op", "explicit:1,0.5,0.25", "--trials", "20",
+            "--seed", "1")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr.startswith("hypothesis violation: explicit sequence")
 
 
 def test_plot_is_byte_identical(tmp_path):
