@@ -93,5 +93,6 @@ class DegenerateLeadingError(SectorLabError):
     """The transformed leading coefficient vanished; no quadratic remains."""
 
 
-class SignFlipError(SectorLabError):
-    """Endpoint terms of the sequence are zero or of opposite sign."""
+class SignFlipError(HypothesisViolationError):
+    """Endpoint terms of the sequence are zero or of opposite sign: the
+    double-sector theorem's hypothesis fails."""

@@ -7,7 +7,14 @@ batch of one.  The solve pipeline:
    left over,
 2. Aberth-Ehrlich simultaneous iteration from equispaced angles at radii
    ramped around ``|c_0 / c_d|^(1/d)``, turned by a fixed irrational offset
-   so that no start lies on an axis and no two starts are antipodal,
+   so that no start lies on an axis and no two starts are antipodal.  A
+   polynomial stops when every relative step is at most _CONVERGENCE_TOL,
+   or after _STALL_SWEEPS sweeps in a row on its noise floor: every
+   relative step at most _STALL_TOL and every |p(z)| within the
+   backward-error bound 4 d u sum |c_k| |z|^k, u = 2^-53 (Higham, Accuracy
+   and Stability of Numerical Algorithms, 5.1).  The bound alone is not
+   enough: iterates of close simple zeros meet it while they still straddle
+   them, and stage 4 would merge them into one multiple zero,
 3. guarded Newton polishing of each iterate,
 4. cluster merging: iterates are merged when they sit within
    _CLUSTER_TOL * max(1, |z|) of each other or when their Gerschgorin-style
@@ -76,6 +83,9 @@ _START_OFFSET = 0.7071067811865476
 # Aberth sweep budget, and its stopping test on the relative step
 _MAX_ITERATIONS = 200
 _CONVERGENCE_TOL = 1e-13
+# the stall exit of step 2: sweeps in a row on the noise floor, step guard
+_STALL_SWEEPS = 3
+_STALL_TOL = 1e-8
 # merge distance of iterates, relative to max(1, |z|)
 _CLUSTER_TOL = 1e-6
 # |Im z| below this, relative to max(1, |z|), is snapped to the real axis
@@ -158,10 +168,16 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     rows = np.arange(B)
     cols = _columns(Q, d)
+    abscols = np.abs(Q.T)[:, :, None]
+    noise = 4.0 * d * 2.0 ** -53
+    quiet_for = np.zeros(B, dtype=int)
     rad = np.repeat(radius[:, None], d, axis=1)
-    # run to convergence or budget; early "stagnation" exits leave iterates
-    # whose Weierstrass inclusion disks still straddle distinct nearby roots,
-    # which the cluster stage would then wrongly merge
+    # a row stops on its relative step, or on its noise floor (step 2 of the
+    # module docstring), where ill-conditioned simple roots stall with steps
+    # of 1e-12 to 1e-9.  The step guard keeps out early "stagnation" exits:
+    # iterates of four simple roots within 0.01 of 1.152 meet the bound by
+    # sweep 19, while their Weierstrass inclusion disks still straddle the
+    # distinct roots, which the cluster stage would then wrongly merge
     for _ in range(_MAX_ITERATIONS):
         diff = z[:, :, None] - z[:, None, :]
         diff.reshape(rows.size, -1)[:, ::d + 1] = np.inf
@@ -176,13 +192,27 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
             w = np.where(finite, w,
                          np.where(np.isfinite(newton), newton, fallback))
         step = z - w
-        done = (np.abs(w) / np.maximum(1.0, np.abs(step))).max(axis=1) \
-            <= _CONVERGENCE_TOL
+        rel = (np.abs(w) / np.maximum(1.0, np.abs(step))).max(axis=1)
+        done = rel <= _CONVERGENCE_TOL
+        quiet = rel <= _STALL_TOL
         if stuck is not None:
             # coincident iterates break the repulsion term; such a row is
-            # separated instead, and skips this sweep's stopping test
+            # separated instead, skips this sweep's stopping tests and
+            # starts its count of quiet sweeps again
             step[stuck] = z[stuck] + rad[stuck] * 1e-9 * nudge
             done &= ~stuck
+            quiet &= ~stuck
+        if quiet.any():
+            at = np.flatnonzero(quiet)
+            az = np.abs(z[at])
+            bound = abscols[-1][at]
+            for ck in abscols[-2::-1]:
+                bound = bound * az + ck[at]
+            bound = noise * bound
+            quiet[at] = (np.isfinite(bound)
+                         & (np.abs(pv[at]) <= bound)).all(axis=1)
+        quiet_for = np.where(quiet, quiet_for + 1, 0)
+        done |= quiet_for >= _STALL_SWEEPS
         z = step
         if done.any():
             out[rows[done]] = z[done]
@@ -191,6 +221,8 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
             if not rows.size:
                 return out
             cols = [ck[keep] for ck in cols]
+            abscols = abscols[:, keep]
+            quiet_for = quiet_for[keep]
     out[rows] = z
     return out
 

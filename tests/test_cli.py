@@ -264,6 +264,14 @@ def test_verify_double_sector_tol_residual_reaches_its_solves():
     assert "acceptance threshold 1.000e-30" in r.stderr
 
 
+def test_verify_double_sector_sign_flip_is_a_hypothesis_violation():
+    r = run("verify", "double-sector", "--op", "explicit:1,1,1,1,-3")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == ("hypothesis violation: endpoint terms differ in sign: "
+                        "gamma_0=1.0, gamma_4=-3.0\n")
+
+
 def test_verify_unknown_theorem():
     assert run("verify", "nonsense", "--trials", "1").returncode == 1
     assert run("verify", "periodstrip", "--trials", "1").returncode == 1

@@ -13,8 +13,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from sectorlab import (PolyGenSpec, parse_sequence_spec, search_counterexample,
-                       verify_theorem)
+from sectorlab import (PolyGenSpec, deflate_origin, draw_sector_spec,
+                       from_sector_roots, parse_sequence_spec, roots,
+                       search_counterexample, verify_theorem)
 
 pytestmark = pytest.mark.skipif(
     np.finfo(np.longdouble).nmant != 63,
@@ -51,7 +52,7 @@ VERIFY_CASES = [
 SEARCH_CASES = [
     (42, "5e0a15d15894282ce70dadbc64051c284726e20aa0bc4778649f8409d2e33eec",
      None),
-    (1, "e71e13dd484b25ca15801e4c5cf1f82021de1e6b9e84002cc00080ec9a752ada",
+    (1, "e5dfd62900fe4390420c786cd0fb53fbce4f2a00336310fa10d872ad6f0007de",
      181),
 ]
 
@@ -79,3 +80,24 @@ def test_search_report_bytes(seed, digest, cex_trial):
     cex = report.counterexample
     assert (None if cex is None else cex.trial_index) == cex_trial
     assert _digest(report) == digest
+
+
+def test_few_solves_of_the_benchmark_pool_use_the_whole_budget(monkeypatch):
+    # the 400 polynomials of the benchmark's solve workload; on the step
+    # test alone 167 of them ran all _MAX_ITERATIONS Aberth sweeps
+    sweeps = []
+    real = roots._eval_many
+
+    def counted(c, z):
+        sweeps[-1] += 1
+        return real(c, z)
+
+    monkeypatch.setattr(roots, "_eval_many", counted)
+    gen = PolyGenSpec(seed=42, deg_hi=16, theta=1.4)
+    for i in range(400):
+        p = from_sector_roots(draw_sector_spec(
+            gen, np.random.default_rng([42, i])))
+        q, _ = deflate_origin(p)
+        sweeps.append(0)
+        roots._aberth(q.coeffs.astype(np.complex128)[None, :])
+    assert sum(n == roots._MAX_ITERATIONS for n in sweeps) <= 15

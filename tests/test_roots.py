@@ -220,11 +220,13 @@ def _aberth_loop(q):
     ramp = 0.9 + 0.2 * np.arange(d) / max(1, d - 1)
     z = radius * ramp * np.exp(1j * ang)
     fallback_phase = np.exp(1j * (0.7 + np.arange(d)))
+    quiet_for = 0
     for _ in range(roots._MAX_ITERATIONS):
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         if np.any(diff == 0):
             z = z + radius * 1e-9 * (np.arange(d) + 1.0)
+            quiet_for = 0
             continue
         pv = np.full_like(z, q[-1])
         dv = np.zeros_like(z)
@@ -237,11 +239,66 @@ def _aberth_loop(q):
         fallback = 0.01 * (np.abs(z) + radius) * fallback_phase
         w = np.where(np.isfinite(w), w,
                      np.where(np.isfinite(newton), newton, fallback))
+        rel = float((np.abs(w) / np.maximum(1.0, np.abs(z - w))).max())
+        # the backward-error bound 4 d u sum |c_k| |z|^k, at z before the step
+        bound = np.full(d, abs(q[-1]))
+        for k in range(q.size - 2, -1, -1):
+            bound = bound * np.abs(z) + abs(q[k])
+        bound = 4.0 * d * 2.0 ** -53 * bound
+        quiet = rel <= roots._STALL_TOL and bool(
+            (np.isfinite(bound) & (np.abs(pv) <= bound)).all())
+        quiet_for = quiet_for + 1 if quiet else 0
         z = z - w
-        if float((np.abs(w) / np.maximum(1.0, np.abs(z))).max()) \
-                <= roots._CONVERGENCE_TOL:
+        if rel <= roots._CONVERGENCE_TOL or quiet_for >= roots._STALL_SWEEPS:
             break
     return z
+
+
+# two polynomials of the benchmark's solve pool (published generator, seed 42)
+# #316: simple zeros 3.48+-5.64i, 8.36, 8.40 and 8.91, too ill-conditioned
+# for the Aberth step to reach _CONVERGENCE_TOL
+_POOL_316 = [-27502.5527305989, 14000.812274977567, -3280.6818050395773,
+             442.022846588222, -32.62474523313958, 1.0]
+# #360: 16 simple zeros, four of them within 0.01 of 1.152
+_POOL_360 = [31677.170318196942, -329505.32222228387, 1572883.855339971,
+             -4570059.566068915, 9037946.362300403, -12885564.681466438,
+             13681284.806547271, -11016363.983018946, 6784768.668138929,
+             -3198736.0875064693, 1147147.5433519783, -308543.54781501193,
+             60763.16367059848, -8431.3972096827, 773.8330245879635,
+             -41.81410658775698, 1.0]
+
+
+def _sweeps(monkeypatch, coeffs):
+    """The Aberth sweeps of one lone solve of ``coeffs``."""
+    calls = []
+    real = roots._eval_many
+
+    def counted(c, z):
+        calls.append(1)
+        return real(c, z)
+
+    monkeypatch.setattr(roots, "_eval_many", counted)
+    roots._aberth(np.array([coeffs], dtype=complex))
+    return len(calls)
+
+
+def test_a_stalled_row_leaves_at_its_noise_floor(monkeypatch):
+    # its relative step settles between 1e-12 and 1e-9; on the step test
+    # alone it ran all _MAX_ITERATIONS sweeps
+    assert _sweeps(monkeypatch, _POOL_316) <= 30
+    zs = find_roots(RealPolynomial(_POOL_316))
+    assert [e.multiplicity for e in zs.zeros] == [1] * 5
+    assert max(e.residual for e in zs.zeros) <= 1e-12
+
+
+def test_close_simple_zeros_are_not_merged_by_the_stall_exit():
+    # their iterates meet the backward-error bound well before the steps
+    # settle; were that enough to stop, the cluster stage would merge the
+    # four zeros near 1.152 into one of multiplicity 4
+    zs = find_roots(RealPolynomial(_POOL_360))
+    assert [e.multiplicity for e in zs.zeros] == [1] * 16
+    near = [e.location for e in zs.zeros if abs(e.location - 1.152) < 0.02]
+    assert len(near) == 4
 
 
 def _batch_corpus():
@@ -265,6 +322,8 @@ def _batch_corpus():
     polys += polys[::5]
     polys.append(RealPolynomial([0.0, 0.0, 2.0]))
     polys.append(RealPolynomial([-1.0, 3.0, -3.0, 1.0]))
+    # a row that stops on its noise floor and one that runs the budget
+    polys += [RealPolynomial(_POOL_316), RealPolynomial(_POOL_360)]
     return polys
 
 
