@@ -643,7 +643,7 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
     """Run a seeded campaign; negative worst margins below the campaign
     tolerance yield a counterexample certificate.  ``config`` is the solver
     configuration of every trial's solves.  A param the campaign's trial
-    does not read raises InputError."""
+    does not read, or a float param that is not finite, raises InputError."""
     if theorem_id not in CAMPAIGNS:
         raise SectorLabError(f"unknown theorem id {theorem_id!r}; "
                              f"expected one of {THEOREM_IDS}")
@@ -654,11 +654,12 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
     if unread:
         raise InputError(f"{theorem_id} reads no param {', '.join(unread)}; "
                          f"it reads {', '.join(campaign.params)}")
+    for name, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value!r}")
     tol = params.pop("tolerance_override", None)
     if tol is None:
         tol = campaign.tolerance
-    elif not math.isfinite(tol):
-        raise InputError(f"tolerance must be finite, got {tol!r}")
     if params.pop("quadratic", False):
         params["quadratic"] = True
     if "sequence" in campaign.params and params.get("sequence") is None:

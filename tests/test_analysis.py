@@ -417,3 +417,15 @@ def test_verify_rejects_params_the_campaign_never_reads():
     report = verify_theorem("jsd", gen, {"quadratic": True, "alpha": 0.4,
                                          "tolerance_override": 0.1}, trials=2)
     assert report.params["quadratic"] is True
+
+
+def test_verify_rejects_non_finite_params():
+    gen = PolyGenSpec(seed=1)
+    for theorem, params in (("lms2", {"lam": math.nan}),
+                            ("lms2", {"mult_theta": math.inf}),
+                            ("jsd", {"beta": -math.inf}),
+                            ("cosak", {"alpha": np.float64(math.nan)}),
+                            ("roms", {"alpha": math.inf}),
+                            ("zsro", {"tolerance_override": math.nan})):
+        with pytest.raises(InputError, match="must be finite"):
+            verify_theorem(theorem, gen, params, trials=1)

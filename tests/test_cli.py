@@ -200,6 +200,20 @@ def test_bad_tolerances_and_trial_counts_are_input_errors(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["lms2", "--lam", "nan"], ["lms2", "--lam", "inf"],
+    ["jsd", "--lam", "nan"], ["jsd", "--alpha", "inf"],
+    ["cosak", "--alpha", "nan"], ["zsro", "--alpha", "inf"]],
+    ids=["lms2-lam-nan", "lms2-lam-inf", "jsd-lam-nan", "jsd-alpha-inf",
+         "cosak-alpha-nan", "zsro-alpha-inf"])
+def test_non_finite_campaign_params_are_input_errors(argv):
+    r = run("verify", *argv, "--trials", "5", "--seed", "42")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error:")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["roots", "--coeffs", "2,-2,1", "--tol-angle", "0.1"],
     ["apply", "--coeffs", "2,-2,1", "--op", "gauss:alpha=0.5",
      "--tol-angle", "0.1"],

@@ -84,7 +84,9 @@ def test_search_report_bytes(seed, digest, cex_trial):
 
 def test_few_solves_of_the_benchmark_pool_use_the_whole_budget(monkeypatch):
     # the 400 polynomials of the benchmark's solve workload; on the step
-    # test alone 167 of them ran all _MAX_ITERATIONS Aberth sweeps
+    # test alone 167 of them ran all _MAX_ITERATIONS Aberth sweeps, and 10
+    # with the step-guarded stall exit.  Only #360 is left, whose inclusion
+    # discs never come apart
     sweeps = []
     real = roots._eval_many
 
@@ -100,4 +102,4 @@ def test_few_solves_of_the_benchmark_pool_use_the_whole_budget(monkeypatch):
         q, _ = deflate_origin(p)
         sweeps.append(0)
         roots._aberth(q.coeffs.astype(np.complex128)[None, :])
-    assert sum(n == roots._MAX_ITERATIONS for n in sweeps) <= 15
+    assert sum(n == roots._MAX_ITERATIONS for n in sweeps) <= 1

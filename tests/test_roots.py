@@ -221,7 +221,7 @@ def _aberth_loop(q):
     z = radius * ramp * np.exp(1j * ang)
     fallback_phase = np.exp(1j * (0.7 + np.arange(d)))
     quiet_for = 0
-    for _ in range(roots._MAX_ITERATIONS):
+    for sweep in range(roots._MAX_ITERATIONS):
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         if np.any(diff == 0):
@@ -241,12 +241,21 @@ def _aberth_loop(q):
                      np.where(np.isfinite(newton), newton, fallback))
         rel = float((np.abs(w) / np.maximum(1.0, np.abs(z - w))).max())
         # the backward-error bound 4 d u sum |c_k| |z|^k, at z before the step
-        bound = np.full(d, abs(q[-1]))
+        mag = np.full(d, abs(q[-1]))
         for k in range(q.size - 2, -1, -1):
-            bound = bound * np.abs(z) + abs(q[k])
-        bound = 4.0 * d * 2.0 ** -53 * bound
-        quiet = rel <= roots._STALL_TOL and bool(
-            (np.isfinite(bound) & (np.abs(pv) <= bound)).all())
+            mag = mag * np.abs(z) + abs(q[k])
+        floor = bool((np.isfinite(mag)
+                      & (np.abs(pv) <= 4.0 * d * 2.0 ** -53 * mag)).all())
+        quiet = floor and rel <= roots._STALL_TOL
+        if floor and not quiet and sweep >= roots._ISOLATION_SWEEP:
+            # pairwise disjoint inclusion discs stand in for the step guard;
+            # |p(z)| is taken as at least u sum |c_k| |z|^k
+            gap = np.abs(diff)
+            near = gap.copy()
+            np.fill_diagonal(near, 1.0)
+            radius = d * np.maximum(np.abs(pv), 2.0 ** -53 * mag) / \
+                abs(q[-1]) / near.prod(axis=1)
+            quiet = bool((gap > radius[:, None] + radius[None, :]).all())
         quiet_for = quiet_for + 1 if quiet else 0
         z = z - w
         if rel <= roots._CONVERGENCE_TOL or quiet_for >= roots._STALL_SWEEPS:
@@ -259,6 +268,13 @@ def _aberth_loop(q):
 # for the Aberth step to reach _CONVERGENCE_TOL
 _POOL_316 = [-27502.5527305989, 14000.812274977567, -3280.6818050395773,
              442.022846588222, -32.62474523313958, 1.0]
+# #132: 12 simple zeros, 2.12+-0.33i to 7.06; its iterates stall on the
+# noise floor with relative steps above _STALL_TOL
+_POOL_132 = [11932243.706975004, -38636853.33611559, 56795794.41221308,
+             -50128820.514329225, 29595828.656724546, -12317368.943053385,
+             3706570.0600216603, -812809.215255907, 128937.34024552106,
+             -14431.614757315137, 1081.9129717441213, -48.77702078108254,
+             1.0]
 # #360: 16 simple zeros, four of them within 0.01 of 1.152
 _POOL_360 = [31677.170318196942, -329505.32222228387, 1572883.855339971,
              -4570059.566068915, 9037946.362300403, -12885564.681466438,
@@ -291,10 +307,44 @@ def test_a_stalled_row_leaves_at_its_noise_floor(monkeypatch):
     assert max(e.residual for e in zs.zeros) <= 1e-12
 
 
+def test_isolated_zeros_leave_at_their_noise_floor(monkeypatch):
+    # the step guard alone holds this row for the whole budget; its
+    # inclusion discs come apart as soon as the isolation test may run
+    assert _sweeps(monkeypatch, _POOL_132) <= \
+        roots._ISOLATION_SWEEP + roots._STALL_SWEEPS
+    zs = find_roots(RealPolynomial(_POOL_132))
+    assert [e.multiplicity for e in zs.zeros] == [1] * 12
+    monkeypatch.setattr(roots, "_ISOLATION_SWEEP", roots._MAX_ITERATIONS)
+    assert _sweeps(monkeypatch, _POOL_132) == roots._MAX_ITERATIONS
+
+
+def test_multiple_zeros_never_pass_the_isolation_test(monkeypatch):
+    # even with the test open from the first sweep, the discs of a triple
+    # zero and of a double conjugate pair never come apart; a |p(z)| that
+    # rounds to 0 must not shrink a disc to a point
+    passed = []
+    real = roots._isolated
+
+    def recorded(*args):
+        out = real(*args)
+        passed.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(roots, "_isolated", recorded)
+    monkeypatch.setattr(roots, "_ISOLATION_SWEEP", 0)
+    for coeffs, mults in (([-1.0, 3.0, -3.0, 1.0], [3]),
+                          ([4.0, -8.0, 8.0, -4.0, 1.0], [2, 2])):
+        passed.clear()
+        zs = find_roots(RealPolynomial(coeffs))
+        assert len(passed) > 100 and not any(passed)
+        assert [e.multiplicity for e in zs.zeros] == mults
+
+
 def test_close_simple_zeros_are_not_merged_by_the_stall_exit():
     # their iterates meet the backward-error bound well before the steps
     # settle; were that enough to stop, the cluster stage would merge the
-    # four zeros near 1.152 into one of multiplicity 4
+    # four zeros near 1.152 into one of multiplicity 4.  Their inclusion
+    # discs overlap at the noise floor, so the isolation exit holds them too
     zs = find_roots(RealPolynomial(_POOL_360))
     assert [e.multiplicity for e in zs.zeros] == [1] * 16
     near = [e.location for e in zs.zeros if abs(e.location - 1.152) < 0.02]
@@ -322,8 +372,9 @@ def _batch_corpus():
     polys += polys[::5]
     polys.append(RealPolynomial([0.0, 0.0, 2.0]))
     polys.append(RealPolynomial([-1.0, 3.0, -3.0, 1.0]))
-    # a row that stops on its noise floor and one that runs the budget
-    polys += [RealPolynomial(_POOL_316), RealPolynomial(_POOL_360)]
+    # rows that stop on their noise floor, on the step guard or on disjoint
+    # inclusion discs, and one that runs the budget
+    polys += [RealPolynomial(c) for c in (_POOL_316, _POOL_132, _POOL_360)]
     return polys
 
 
@@ -350,6 +401,30 @@ def test_find_roots_many_bitwise_equals_lone_solves():
     assert len(batch) == len(polys)
     assert [_bits(r) for r in batch] == \
         [_bits(_solve_alone(p)) for p in polys]
+
+
+def test_repeated_polynomials_are_solved_once(monkeypatch):
+    # its residual overflows, as in test_a_failing_finish_is_its_own_entry
+    hard = [0.0] * 39 + [-1e10, 1.0]
+    polys = [RealPolynomial(_POOL_316), RealPolynomial([2.0, -2.0, 1.0]),
+             RealPolynomial(_POOL_316), ComplexPolynomial([2.0, -2.0, 1.0]),
+             RealPolynomial(hard), RealPolynomial([0.0, 2.0, -2.0, 1.0]),
+             RealPolynomial(hard), RealPolynomial([3.0]),
+             RealPolynomial([3.0]), RealPolynomial([2.0, -2.0, 1.0])]
+    rows = []
+    aberth = roots._aberth
+
+    def counted(Q):
+        rows.append(Q.shape[0])
+        return aberth(Q)
+
+    lone = [_bits(_solve_alone(p)) for p in polys]
+    monkeypatch.setattr(roots, "_aberth", counted)
+    batch = find_roots_many(polys)
+    assert [_bits(r) for r in batch] == lone
+    assert isinstance(batch[4], OverflowError) and batch[6] is batch[4]
+    # the real and the complex 2 - 2z + z^2 have the same coefficients
+    assert sum(rows) == 4
 
 
 def test_residual_accept_moves_no_zero():
