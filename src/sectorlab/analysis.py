@@ -43,11 +43,11 @@ from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      SectorLabError, SignFlipError, ZeroInteriorTermError)
 from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
                        min_enclosing_sector)
-from .operators import (BlendParams, CosineStepSequence, ExplicitSequence,
+from .operators import (CosineStepSequence, ExplicitSequence,
                         ExpPowerSequence, GaussSequence, MultiplierSequence,
                         apply_sequence, cosine_affine_transform,
                         predicted_sector_after_cosine_step,
-                        predicted_sector_after_gauss, rotation_blend)
+                        predicted_sector_after_gauss)
 from .poly import RealPolynomial, SectorRootSpec, from_sector_roots
 from .roots import SolverConfig, find_roots, find_roots_many
 
@@ -327,68 +327,12 @@ def _uniform(rng, lo: float, hi: float, fixed) -> float:
     return float(fixed) if fixed is not None else float(rng.uniform(lo, hi))
 
 
-# computed zeros within this relative band of the axis are adjudicated real
-_REAL_BAND = 1e-9
-
-
-def _blend_coeffs_longdouble(p, alpha: float, lam: float, beta: float,
-                             template: np.ndarray) -> np.ndarray:
-    """Blend coefficients in extended precision, shaped like ``template``.
-
-    Entries the double-precision blend snapped to exact zero stay zero here,
-    and the array is truncated to the degree actually solved.
-    """
-    k = np.arange(p.coeffs.size, dtype=np.longdouble)
-    i1 = np.clongdouble(1j)
-    w = (np.exp(i1 * (np.longdouble(lam) + k * np.longdouble(alpha)))
-         + np.exp(i1 * (np.longdouble(beta) - k * np.longdouble(alpha))))
-    out = np.asarray(p.coeffs, dtype=np.clongdouble) * w
-    out = out[: template.size]
-    out[template == 0] = 0
-    return out
-
-
-def _newton_longdouble(coeffs: np.ndarray, zs, steps: int = 4) -> np.ndarray:
-    """A few Newton steps on simple zeros against clongdouble coefficients."""
-    c = np.asarray(coeffs, dtype=np.clongdouble)
-    d = c[1:] * np.arange(1, c.size, dtype=np.clongdouble)
-    w = np.asarray(zs, dtype=np.clongdouble)
-    for _ in range(steps):
-        pv = np.zeros_like(w)
-        for ck in c[::-1]:
-            pv = pv * w + ck
-        dv = np.zeros_like(w)
-        for ck in d[::-1]:
-            dv = dv * w + ck
-        stuck = dv == 0
-        dv[stuck] = 1.0
-        w = np.where(stuck, w, w - pv / dv)
-    return w
-
-
-def _adjudicated_blend_zeros(p, f, zeros, alpha: float, lam: float,
-                             beta: float):
-    """Zero locations of the blend ``f``, solved as ``zeros``, with realness
-    resolved.
-
-    Double rounding of the blend coefficients can displace a crowded real
-    zero off the axis by more than the containment inflation, so simple
-    zeros are re-polished against extended-precision coefficients before
-    their imaginary parts are trusted.
-    """
-    locs = [e.location for e in zeros.zeros]
-    simple = [i for i, e in enumerate(zeros.zeros)
-              if e.multiplicity == 1 and e.location.imag != 0.0]
-    if simple:
-        cl = _blend_coeffs_longdouble(p, alpha, lam, beta, f.coeffs)
-        polished = _newton_longdouble(cl, [locs[i] for i in simple])
-        for i, w in zip(simple, polished):
-            locs[i] = complex(w)
-    return locs
-
-
 def _trial_jsd(gen, params, rng):
     """Containment (or boundary sharpness) of blend zeros in sector discs.
+
+    The blend is e^{i (lam + beta) / 2} times twice the real polynomial
+    ``cosine_affine_transform(p, (lam - beta) / 2, alpha)``, solved here:
+    the solver returns its zeros exactly real or in exact conjugate pairs.
 
     Margin units: signed disc slack (r - |z - c|), normalized by max(1, |z|);
     in sharpness mode, -| |z-c| - r | / r.
@@ -416,17 +360,19 @@ def _trial_jsd(gen, params, rng):
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     beta = _uniform(rng, -math.pi, math.pi, params.get("beta"))
     p = from_sector_roots(spec)
-    f = rotation_blend(p, BlendParams(alpha, lam, beta))
+    try:
+        f = cosine_affine_transform(p, 0.5 * (lam - beta), alpha)
+    except DegenerateSequenceError:
+        return None, None
     if f.degree == 0:
         return None, None
     zeros = yield f
-    locs = _adjudicated_blend_zeros(p, f, zeros, alpha, lam, beta)
     discs = [jensen_sector_disc(a, b, alpha) for a, b in spec.pairs]
     live = [d for d in discs if not d.empty]
     worst = None
     worst_zero = None
-    for z in locs:
-        if abs(z.imag) <= _REAL_BAND * max(1.0, abs(z)):
+    for z in zeros.locations():
+        if z.imag == 0.0:
             continue
         if quadratic:
             d = live[0]

@@ -27,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import (EmptyDiscError, NonpositiveRootPartError,
+from .errors import (DomainError, EmptyDiscError, NonpositiveRootPartError,
                      NotInRightHalfPlaneError, OffAxisError, SectorLabError)
 from .roots import ZeroSet
 
@@ -83,7 +83,9 @@ class TangencyData:
 
 
 def reference_angle(alpha: float) -> float:
-    """Reduce any real angle to [0, pi]: take mod 2 pi, reflect above pi."""
+    """Reduce any finite angle to [0, pi]: take mod 2 pi, reflect above pi."""
+    if not math.isfinite(alpha):
+        raise DomainError(f"angle must be finite, got {alpha!r}")
     a = math.fmod(alpha, _TWO_PI)
     if a < 0.0:
         a += _TWO_PI

@@ -345,7 +345,8 @@ _FAMILY_KEYS = {
 
 
 def parse_sequence_spec(spec: str) -> MultiplierSequence:
-    """Parse operator strings like ``gauss:alpha=0.5`` or ``explicit:1,0.5``."""
+    """Parse operator strings like ``gauss:alpha=0.5`` or ``explicit:1,0.5``.
+    Every number must be finite."""
     if ":" not in spec:
         raise InputError(f"operator spec {spec!r} needs the form family:args")
     family, _, body = spec.partition(":")
@@ -357,6 +358,9 @@ def parse_sequence_spec(spec: str) -> MultiplierSequence:
             raise InputError(f"bad explicit values in {spec!r}") from exc
         if not values:
             raise InputError(f"explicit spec {spec!r} lists no values")
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"bad explicit values in {spec!r}: "
+                             f"non-finite number")
         return ExplicitSequence(values)
     if family not in _FAMILY_KEYS:
         raise InputError(f"unknown operator family {family!r}")
@@ -373,15 +377,17 @@ def parse_sequence_spec(spec: str) -> MultiplierSequence:
         raise InputError(
             f"{family} takes exactly {', '.join(expected)}; got {sorted(kv)}")
     try:
+        num = {k: float(v) for k, v in kv.items()}
+        if not all(map(math.isfinite, num.values())):
+            raise ValueError("non-finite number")
         if family == "gauss":
-            return GaussSequence(alpha=float(kv["alpha"]))
+            return GaussSequence(alpha=num["alpha"])
         if family == "cosstep":
-            return CosineStepSequence(alpha=float(kv["alpha"]), N=int(kv["N"]))
+            return CosineStepSequence(alpha=num["alpha"], N=int(kv["N"]))
         if family == "cosaffine":
-            return CosineAffineSequence(lam=float(kv["lambda"]),
-                                        theta=float(kv["theta"]))
+            return CosineAffineSequence(lam=num["lambda"], theta=num["theta"])
         if family == "laguerre":
-            return LaguerreQSequence(q=float(kv["q"]))
-        return ExpPowerSequence(alpha=float(kv["alpha"]), p=float(kv["p"]))
+            return LaguerreQSequence(q=num["q"])
+        return ExpPowerSequence(alpha=num["alpha"], p=num["p"])
     except (ValueError, SectorLabError) as exc:
         raise InputError(f"bad parameters in {spec!r}: {exc}") from exc

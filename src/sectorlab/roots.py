@@ -298,7 +298,7 @@ def _mean(members: list) -> complex:
 
 def _cluster_many(Q: np.ndarray, Z: np.ndarray) -> list:
     """Merge each row of Z, the polished iterates (B, d) of the rows of Q,
-    into (center, multiplicity, span) clusters; one list per row."""
+    into (center, multiplicity, span, radius) clusters; one list per row."""
     z, incl = _inclusion_radii(Q, Z)
     pairs = {}
     for r, i, j in zip(*(ix.tolist() for ix in
@@ -347,7 +347,8 @@ def _close(zi: complex, zj: complex, ri: float, rj: float, tol: float) -> bool:
 
 def _merge(z: list, incl: list, pairs, tol: float) -> list:
     """Clusters of the sorted iterates z, merging the pairs (i, j) of
-    ``pairs`` that pass ``_close``."""
+    ``pairs`` that pass ``_close``.  A cluster's radius is the largest
+    inclusion radius of its members."""
     parent = list(range(len(z)))
 
     def find(i):
@@ -363,16 +364,17 @@ def _merge(z: list, incl: list, pairs, tol: float) -> list:
                 parent[max(ri, rj)] = min(ri, rj)
 
     groups = {}
-    for i, zi in enumerate(z):
-        groups.setdefault(find(i), []).append(zi)
+    for i in range(len(z)):
+        groups.setdefault(find(i), []).append(i)
     clusters = []
     for key in sorted(groups):
-        members = groups[key]
+        members = [z[i] for i in groups[key]]
         span = 0.0
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 span = max(span, abs(members[i] - members[j]))
-        clusters.append((_mean(members), len(members), span))
+        clusters.append((_mean(members), len(members), span,
+                         max(incl[i] for i in groups[key])))
     clusters.sort(key=lambda t: (t[0].real, t[0].imag))
     return clusters
 
@@ -418,12 +420,14 @@ def _snapped(z: complex, tol: float) -> complex:
     return z
 
 
-def _pair_conjugates(entries: list) -> list:
+def _pair_conjugates(entries: list, radii: list) -> list:
     """Average nearby conjugate partners so the multiset conjugates exactly.
 
-    Runs after real snapping, so real roots carrying opposite-signed noise
-    never enter the candidate pools and cannot be married across a genuine
-    root gap.
+    A mate is accepted within _PAIR_RADIUS * max(1, |z|), or within the sum
+    of the two entries' inclusion radii ``radii``, where the mates of close
+    zeros can sit.  Runs after real snapping, so real roots carrying
+    opposite-signed noise never enter the candidate pools and cannot be
+    married across a genuine root gap.
     """
     out = list(entries)
     pos = [i for i, (z, _) in enumerate(out) if z.imag > 0.0]
@@ -439,7 +443,8 @@ def _pair_conjugates(entries: list) -> list:
             dist = abs(zi - out[j][0].conjugate())
             if dist < bestdist:
                 bestdist, bestj = dist, j
-        if bestj >= 0 and bestdist <= _PAIR_RADIUS * max(1.0, abs(zi)):
+        if bestj >= 0 and bestdist <= max(_PAIR_RADIUS * max(1.0, abs(zi)),
+                                          radii[i] + radii[bestj]):
             used.add(bestj)
             paired.update((i, bestj))
             mu = 0.5 * (zi + out[bestj][0].conjugate())
@@ -473,12 +478,12 @@ def _finish(c: np.ndarray, q: np.ndarray, k0: int, clusters: list,
     """Refine, snap and pair one polynomial's clusters, then certify every
     entry against the full coefficients ``c``."""
     degree = c.size - 1
-    raw = [(_refine_cluster(q, ctr, m, span), m) for ctr, m, span in clusters]
     # snap before pairing: real roots carrying opposite-signed imaginary
     # noise must not be mistaken for a wide conjugate pair
-    entries = [(_snapped(z, _REAL_SNAP_TOL), m) for z, m in raw]
+    entries = [(_snapped(_refine_cluster(q, ctr, m, span), _REAL_SNAP_TOL), m)
+               for ctr, m, span, _ in clusters]
     if bool(np.all(c.imag == 0.0)):
-        entries = _pair_conjugates(entries)
+        entries = _pair_conjugates(entries, [r for *_, r in clusters])
         _assert_conjugate_closed(entries)
     if k0 > 0:
         entries.append((0.0 + 0.0j, k0))

@@ -214,6 +214,27 @@ def test_non_finite_campaign_params_are_input_errors(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["apply", "--coeffs", "2,-2,1", "--op", "exppower:alpha=inf,p=1"],
+    ["apply", "--coeffs", "2,-2,1", "--op", "exppower:alpha=1,p=inf"],
+    ["apply", "--coeffs", "2,-2,1", "--op", "explicit:nan,1,1"],
+    ["apply", "--coeffs", "2,-2,1", "--op", "cosaffine:lambda=nan,theta=1"],
+    ["search", "--op", "exppower:alpha=inf,p=1.5", "--trials", "5"],
+    ["verify", "roms", "--op", "cosaffine:lambda=0,theta=nan", "--trials",
+     "5"],
+    ["plot", "--coeffs", "2,-2,1", "--op", "explicit:1,nan,1"],
+    ["verify", "double-sector", "--op", "explicit:1,1,1,1,nan"]],
+    ids=["apply-alpha-inf", "apply-p-inf", "apply-explicit-nan",
+         "apply-lambda-nan", "search-alpha-inf", "roms-theta-nan",
+         "plot-explicit-nan", "double-sector-nan"])
+def test_non_finite_operator_params_are_input_errors(argv):
+    r = run(*argv)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("input error:")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ["roots", "--coeffs", "2,-2,1", "--tol-angle", "0.1"],
     ["apply", "--coeffs", "2,-2,1", "--op", "gauss:alpha=0.5",
      "--tol-angle", "0.1"],
@@ -359,6 +380,17 @@ def test_plot_alpha_requires_show_discs():
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr.startswith("input error: --alpha")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_plot_non_finite_disc_angle_is_an_error(tmp_path, alpha):
+    out = tmp_path / "p.svg"
+    r = run("plot", "--coeffs", "2,-2,1", f"--alpha={alpha}", "--show-discs",
+            "-o", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: angle must be finite")
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_plot_left_half_plane_annotates_instead_of_failing():

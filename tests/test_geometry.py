@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sectorlab import (
+    DomainError,
     EmptyDiscError,
     NonpositiveRootPartError,
     NotInRightHalfPlaneError,
@@ -41,6 +42,14 @@ def test_reference_angle_reduction():
     assert math.isclose(reference_angle(-0.3), 0.3, abs_tol=1e-15)
     assert math.isclose(reference_angle(math.pi + 0.5), math.pi - 0.5, abs_tol=1e-15)
     assert 0.0 <= reference_angle(123.456) <= math.pi
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_raise_domain_error(alpha):
+    with pytest.raises(DomainError):
+        reference_angle(alpha)
+    with pytest.raises(DomainError):
+        jensen_sector_disc(1.0, 1.0, alpha)
 
 
 def test_principal_arg_negative_axis_maps_up():

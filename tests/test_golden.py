@@ -3,9 +3,9 @@
 A refactor of the campaign code must leave every report byte as it was.
 The ``-forced`` cases set ``tolerance_override=-1.0`` so that every tested
 trial crosses the tolerance and the report carries a certificate; the
-search at seed 1 finds one on its own.  Generated polynomials are expanded,
-and ``jsd`` blend zeros re-polished, in ``long double``, so the digests hold
-only where it is the 80-bit x87 format.
+search at seed 1 finds one on its own.  Generated polynomials are expanded
+in ``long double`` (``from_sector_roots``), so the digests hold only where
+it is the 80-bit x87 format.
 """
 
 import hashlib
@@ -27,9 +27,9 @@ _FORCED = {"tolerance_override": -1.0}
 # (case, theorem id, generator settings, params, trials, sha256)
 VERIFY_CASES = [
     ("jsd", "jsd", _WIDE, None, 100,
-     "afe327d484b159cf91d357b4bfbb412067b85bbdb3073c0d394b156c7c803126"),
+     "100c04fc9cf41d8dc598589fc957969806dd56ab8793c983ebbfe3e7a4231faa"),
     ("jsd-quadratic", "jsd", {}, {"quadratic": True}, 50,
-     "9954f61070ac6c782842da30662c65253299b6424e8c08cabcc7d563dfbfbf91"),
+     "0517e205ecd8c05956144ec2b9ffdc1c51efad9f4ed9bf1377f643fb0609e49c"),
     ("zsro", "zsro", _WIDE, None, 100,
      "46926d72e691c96d3c7a1898dc92f2aa712bf2a8c508909314a33b1d48f6161b"),
     ("cosak", "cosak", _WIDE, None, 50,
@@ -43,7 +43,7 @@ VERIFY_CASES = [
     ("zsro-forced", "zsro", _WIDE, _FORCED, 20,
      "dbfe42bf08b08c51429db93969eabc8009b2467a22ad6c8971fc047bec427034"),
     ("jsd-forced", "jsd", _WIDE, _FORCED, 20,
-     "dbc00e64d18f10cde71c73c206158f3d0964ac52a62e338891848ff07838b6a3"),
+     "83883f475913fdda1b4a341fe4ac1836fe588c542b9345b51f2f7bf08a97d011"),
     ("roms-forced", "roms", dict(deg_hi=16, theta=0.785398), _FORCED, 10,
      "9e1883939f16df63367c9524130ef2901a32e54cf44b0eae8eebc0f5778c886d"),
 ]

@@ -10,11 +10,13 @@ from sectorlab import (
     ComplexPolynomial,
     DegreeZeroError,
     NonConvergenceError,
+    PolyGenSpec,
     RealPolynomial,
     SectorRootSpec,
     SolverConfig,
     ZeroPolynomialError,
     deflate_origin,
+    draw_sector_spec,
     find_roots,
     find_roots_many,
     from_sector_roots,
@@ -351,6 +353,37 @@ def test_close_simple_zeros_are_not_merged_by_the_stall_exit():
     assert len(near) == 4
 
 
+# the benchmark's solve pool at seed 13, #273: 14 simple zeros, with close
+# pairs near 7.56 and 7.72 whose conjugate mates land 0.017 apart
+_POOL13_273 = [51467034690.06947, -131759441681.6749, 154899333748.29935,
+               -110871058982.10817, 53994974114.23815, -18933457212.42188,
+               4931382651.736729, -969546279.6476618, 144645147.2931967,
+               -16301045.621424282, 1366518.8189697037, -82658.296484452,
+               3411.482303527202, -86.01865462607809, 1.0]
+
+
+def test_conjugate_mates_pair_within_their_inclusion_discs():
+    # the mates are farther apart than _PAIR_RADIUS * max(1, |z|), ~0.0077,
+    # but closer than the sum of their inclusion radii
+    zs = find_roots(RealPolynomial(_POOL13_273))
+    assert [e.multiplicity for e in zs.zeros] == [1] * 14
+    bag = {e.location for e in zs.zeros}
+    assert {z.conjugate() for z in bag} == bag
+    assert max(e.residual for e in zs.zeros) <= 1e-20
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_every_solve_of_the_benchmark_pool_counts_its_degree(seed):
+    # the 400 polynomials of the benchmark's solve workload, with its check
+    gen = PolyGenSpec(seed=seed, deg_hi=16, theta=1.4)
+    for i in range(400):
+        p = from_sector_roots(draw_sector_spec(
+            gen, np.random.default_rng([seed, i])))
+        zs = find_roots(p)
+        assert sum(e.multiplicity for e in zs.zeros) == p.degree
+        assert zs.source_degree == p.degree
+
+
 def _batch_corpus():
     """Degrees 1-24, real and complex coefficients, origin zeros, repeats."""
     rng = np.random.default_rng(7)
@@ -558,7 +591,8 @@ def _cluster_loop(q, zs):
         for i in range(members.size):
             for j in range(i + 1, members.size):
                 span = max(span, abs(members[i] - members[j]))
-        clusters.append((complex(members.mean()), members.size, span))
+        clusters.append((complex(members.mean()), members.size, span,
+                         float(incl[groups[key]].max())))
     clusters.sort(key=lambda t: (t[0].real, t[0].imag))
     return clusters
 
@@ -570,11 +604,12 @@ def _finish_loop(c, q, k0, iterates, cfg):
     entries = []
     if iterates is not None:
         iterates = np.array([_polish_loop(q, complex(v)) for v in iterates])
+        clusters = _cluster_loop(q, iterates)
         raw = [(roots._refine_cluster(q, ctr, m, span), m)
-               for ctr, m, span in _cluster_loop(q, iterates)]
+               for ctr, m, span, _ in clusters]
         raw = [(roots._snapped(z, roots._REAL_SNAP_TOL), m) for z, m in raw]
         if bool(np.all(c.imag == 0.0)):
-            raw = roots._pair_conjugates(raw)
+            raw = roots._pair_conjugates(raw, [r for *_, r in clusters])
             roots._assert_conjugate_closed(raw)
         entries.extend(raw)
     if k0 > 0:
