@@ -20,7 +20,8 @@ from .errors import (HypothesisViolationError, InputError,
                      NonConvergenceError, NotInRightHalfPlaneError,
                      SectorLabError)
 from .geometry import (disc_tangency_data, jensen_sector_disc,
-                       min_enclosing_double_sector, min_enclosing_sector)
+                       min_enclosing_double_sector, min_enclosing_sector,
+                       reference_angle)
 from .operators import apply_sequence, parse_sequence_spec, predicted_sector
 from .poly import RealPolynomial, from_document
 from .roots import SolverConfig, find_roots
@@ -267,6 +268,14 @@ def cmd_search(args) -> int:
 def cmd_plot(args) -> int:
     p = _load_polynomial(args)
     cfg = _solver_config(args)
+    if args.show_discs and args.alpha is None:
+        raise InputError("--show-discs needs --alpha to fix the disc angle")
+    if args.alpha is not None:
+        if not args.show_discs:
+            raise InputError("--alpha sets the disc angle, so it needs "
+                             "--show-discs")
+        # checked here: a disc, which checks it too, is drawn only for a pair
+        reference_angle(args.alpha)
     zs_before = find_roots(p, cfg)
     annotations = [f"degree {p.degree}"]
 
@@ -291,8 +300,6 @@ def cmd_plot(args) -> int:
 
     discs = []
     if args.show_discs:
-        if args.alpha is None:
-            raise InputError("--show-discs needs --alpha to fix the disc angle")
         gamma = None
         for a, b in _conjugate_pairs(zs_before):
             if a <= 0.0:
@@ -308,9 +315,6 @@ def cmd_plot(args) -> int:
         if gamma is not None:
             predicted = gamma if predicted is None else max(predicted, gamma)
             annotations.append(f"gamma {gamma:.6g}")
-    elif args.alpha is not None:
-        raise InputError("--alpha sets the disc angle, so it needs "
-                         "--show-discs")
 
     if predicted is not None and f"gamma {predicted:.6g}" not in annotations:
         annotations.append(f"predicted {predicted:.6g}")

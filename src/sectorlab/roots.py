@@ -14,34 +14,38 @@ batch of one.  The solve pipeline:
    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), and every
    relative step at most _STALL_TOL.  The bound alone is not enough:
    iterates of close simple zeros meet it while they still straddle them,
-   and stage 4 would merge them into one multiple zero.  From sweep
+   and stage 3 would merge them into one multiple zero.  From sweep
    _ISOLATION_SWEEP on, pairwise disjoint inclusion discs of radius
    ``d |p(z)/c_d| / prod |z - z_j|``, with |p(z)| at least u sum |c_k| |z|^k,
    may stand in for the step test: they hold d simple zeros (Braess &
    Hadeler 1973; Carstensen 1991),
-3. guarded Newton polishing of each iterate,
-4. cluster merging: iterates are merged when they sit within
+3. cluster merging: iterates are merged when they sit within
    _CLUSTER_TOL * max(1, |z|) of each other or when their Gerschgorin-style
    inclusion discs of radius ``d |p(z)/c_d| / prod |z - z_j|`` overlap, which
    is what certifies a multiple root whose iterates stall on the evaluation
-   noise floor,
-5. clusters of multiplicity m are re-centered on the nearby simple root of
+   noise floor.  A polynomial whose discs may merge is polished before the
+   merge test: guarded Newton steps on each iterate shrink |p(z)| and so the
+   discs, which keeps close simple zeros apart.  One whose Aberth discs are
+   all apart has nothing to merge, and each iterate is its own cluster,
+4. clusters of multiplicity m are re-centered on the nearby simple root of
    the (m-1)-th derivative, recovering full accuracy for multiple roots,
-6. near-real locations are snapped: |Im z| <= _REAL_SNAP_TOL * max(1, |z|)
+5. near-real locations are snapped: |Im z| <= _REAL_SNAP_TOL * max(1, |z|)
    becomes exactly real,
-7. for real coefficient input, remaining conjugate iterates are averaged in
+6. for real coefficient input, remaining conjugate iterates are averaged in
    pairs and the returned multiset is exactly conjugation invariant,
-8. every entry gets the normalized residual |p(z)| / (scale * max(1,|z|)^d)
+7. every entry gets the normalized residual |p(z)| / (scale * max(1,|z|)^d)
    with scale = max_k |c_k|; if any entry exceeds ``residual_accept`` the
    polynomial's solve fails instead of returning a bad certificate.
 
 Stacked on (B, d) arrays, once per degree group: Aberth (a row leaves the
-stack after the sweep in which its own stopping test passes), and stage 4's
-sort, inclusion radii and mask of candidate pairs.  Scalar, per polynomial,
-on Python lists made once: polishing, each candidate pair's merge test,
-refinement, snapping, pairing and the residual.  The merge test decides, so
-it runs on Python complex numbers, whose |.| is libm's hypot, as on numpy
-scalars; numpy's SIMD abs may differ in the last bit: the mask has a margin.
+stack after the sweep in which its own stopping test passes), and stage 3's
+sort, inclusion radii and mask of candidate pairs, on the Aberth iterates
+and again on the polished ones.  Scalar, per polynomial, on Python lists
+made once: polishing and each candidate pair's merge test, for the rows
+with a candidate pair, then refinement, snapping, pairing and the residual.
+The merge test decides, so it runs on Python complex numbers, whose |.| is
+libm's hypot, as on numpy scalars; numpy's SIMD abs may differ in the last
+bit: the mask has a margin.
 
 Iteration order, start configuration and merge order are fixed, so the
 same input and configuration give bitwise identical output, whatever else
@@ -510,16 +514,25 @@ def _finish(c: np.ndarray, q: np.ndarray, k0: int, clusters: list,
 @np.errstate(all="ignore")
 def _finish_many(Q: np.ndarray, members: list, iterates, cfg: SolverConfig
                  ) -> list:
-    """Polish, cluster and finish one group: ``members`` holds the (c, k0)
-    whose deflated coefficients are the rows of Q, and ``iterates`` their
-    (B, d) Aberth iterates, None for d = 0.  Returns each member's ZeroSet
-    or the exception it raised; one member's failure fails no other."""
+    """Cluster and finish one group: ``members`` holds the (c, k0) whose
+    deflated coefficients are the rows of Q, and ``iterates`` their (B, d)
+    Aberth iterates, None for d = 0.  Only a row with a candidate merge pair
+    is polished and merged (stage 3).  Returns each member's ZeroSet or the
+    exception it raised; one member's failure fails no other."""
     out = [[] for _ in members]
     if iterates is not None:
+        z, incl = _inclusion_radii(Q, iterates)
+        near = _near_pairs(z, incl, _CLUSTER_TOL).any(axis=(1, 2))
+        # a row with no candidate pair has nothing to merge: its clusters are
+        # its sorted iterates, each alone, as _merge would return them
+        for r, zs, radii in zip(np.flatnonzero(~near).tolist(),
+                                z[~near].tolist(), incl[~near].tolist()):
+            out[r] = [(_mean([v]), 1, 0.0, i) for v, i in zip(zs, radii)]
         polished, ok = [], []
-        for r, (q, zs) in enumerate(zip(Q.tolist(), iterates.tolist())):
+        for r in np.flatnonzero(near).tolist():
+            q = Q[r].tolist()
             try:
-                polished.append([_polish(q, v) for v in zs])
+                polished.append([_polish(q, v) for v in iterates[r].tolist()])
                 ok.append(r)
             except Exception as exc:
                 out[r] = exc

@@ -344,7 +344,7 @@ def _chunked_report(monkeypatch, chunk, run):
     (lambda: search_counterexample(ExpPowerSequence(alpha=0.3, p=1.5),
                                    PolyGenSpec(seed=1, deg_hi=12, theta=0.6),
                                    trials=200),
-     "e5dfd62900fe4390420c786cd0fb53fbce4f2a00336310fa10d872ad6f0007de"),
+     "a144a56e517022e173df34dbf5d6ac25956462459433269313eeebb475a4ddf5"),
 ], ids=["zsro-forced", "search-seed1"])
 def test_report_bytes_do_not_depend_on_the_chunk(monkeypatch, run, digest):
     small = _chunked_report(monkeypatch, 7, run)

@@ -393,6 +393,17 @@ def test_plot_non_finite_disc_angle_is_an_error(tmp_path, alpha):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_plot_checks_the_disc_angle_without_a_conjugate_pair(tmp_path, alpha):
+    # 2 - 3z + z^2 has the real zeros 1 and 2, so no disc is ever drawn
+    out = tmp_path / "p.svg"
+    r = run("plot", "--coeffs", "2,-3,1", f"--alpha={alpha}", "--show-discs",
+            "--output", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: angle must be finite")
+    assert not out.exists()
+
+
 def test_plot_left_half_plane_annotates_instead_of_failing():
     r = run("plot", "--coeffs", "1,0,1")
     assert r.returncode == 0

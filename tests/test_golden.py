@@ -43,7 +43,7 @@ VERIFY_CASES = [
     ("zsro-forced", "zsro", _WIDE, _FORCED, 20,
      "dbfe42bf08b08c51429db93969eabc8009b2467a22ad6c8971fc047bec427034"),
     ("jsd-forced", "jsd", _WIDE, _FORCED, 20,
-     "83883f475913fdda1b4a341fe4ac1836fe588c542b9345b51f2f7bf08a97d011"),
+     "c6435bec4b45ad5b882a84e8b9c7177b5c8d38c4bd6ac05fc9181359317a6088"),
     ("roms-forced", "roms", dict(deg_hi=16, theta=0.785398), _FORCED, 10,
      "9e1883939f16df63367c9524130ef2901a32e54cf44b0eae8eebc0f5778c886d"),
 ]
@@ -52,7 +52,7 @@ VERIFY_CASES = [
 SEARCH_CASES = [
     (42, "5e0a15d15894282ce70dadbc64051c284726e20aa0bc4778649f8409d2e33eec",
      None),
-    (1, "e5dfd62900fe4390420c786cd0fb53fbce4f2a00336310fa10d872ad6f0007de",
+    (1, "a144a56e517022e173df34dbf5d6ac25956462459433269313eeebb475a4ddf5",
      181),
 ]
 

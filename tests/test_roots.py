@@ -20,6 +20,7 @@ from sectorlab import (
     find_roots,
     find_roots_many,
     from_sector_roots,
+    verify_theorem,
 )
 from sectorlab import roots
 from sectorlab.poly import _horner
@@ -372,16 +373,56 @@ def test_conjugate_mates_pair_within_their_inclusion_discs():
     assert max(e.residual for e in zs.zeros) <= 1e-20
 
 
-@pytest.mark.parametrize("seed", [42, 7])
-def test_every_solve_of_the_benchmark_pool_counts_its_degree(seed):
-    # the 400 polynomials of the benchmark's solve workload, with its check
+# the benchmark's solve pool at seed 4, #129: 14 simple zeros, two of them
+# real and 0.027 apart near 4.5, which unpolished iterates would merge
+_POOL4_129 = [397173.051924186, -6013806.587524837, 27024556.667115305,
+              -59301698.15581249, 76194670.08275896, -63337199.922410235,
+              36151796.12947847, -14678942.934083814, 4319751.759680142,
+              -926078.0835563181, 143435.12035124964, -15652.600805188666,
+              1142.7213551472994, -50.132574837506375, 1.0]
+
+
+def test_close_real_zeros_whose_discs_may_merge_are_polished_apart():
+    zs = find_roots(RealPolynomial(_POOL4_129))
+    assert [e.multiplicity for e in zs.zeros] == [1] * 14
+    real = [e.location.real for e in zs.zeros if e.location.imag == 0.0]
+    assert [x for x in real if abs(x - 4.5) < 0.05] == \
+        [pytest.approx(4.4885, abs=1e-4), pytest.approx(4.5151, abs=1e-4)]
+
+
+def _pool(seed):
+    """The 400 polynomials of the benchmark's solve workload."""
     gen = PolyGenSpec(seed=seed, deg_hi=16, theta=1.4)
-    for i in range(400):
-        p = from_sector_roots(draw_sector_spec(
-            gen, np.random.default_rng([seed, i])))
+    return [from_sector_roots(draw_sector_spec(
+        gen, np.random.default_rng([seed, i]))) for i in range(400)]
+
+
+# without polishing, seed 13's #273 loses conjugate symmetry and seed 4's
+# #129 merges two simple zeros (which keeps the count; see above)
+@pytest.mark.parametrize("seed", [42, 7, 4, 13])
+def test_every_solve_of_the_benchmark_pool_counts_its_degree(seed):
+    # with the benchmark's check
+    for p in _pool(seed):
         zs = find_roots(p)
         assert sum(e.multiplicity for e in zs.zeros) == p.degree
         assert zs.source_degree == p.degree
+
+
+def test_only_rows_whose_discs_may_merge_are_polished(monkeypatch):
+    calls = []
+    polish = roots._polish
+
+    def counted(q, z):
+        calls.append(z)
+        return polish(q, z)
+
+    monkeypatch.setattr(roots, "_polish", counted)
+    find_roots_many(_pool(42))
+    verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=16, theta=1.4),
+                   trials=100)
+    assert calls == []
+    find_roots(RealPolynomial(_POOL4_129))
+    assert len(calls) == 14
 
 
 def _batch_corpus():
@@ -597,13 +638,28 @@ def _cluster_loop(q, zs):
     return clusters
 
 
+def _may_merge(q, zs):
+    """Reference: whether any pair of the iterates zs is a candidate merge
+    pair, with the margin of ``_near_pairs`` and a NaN comparison as near."""
+    z, incl = _inclusion_loop(q, zs)
+    for i in range(z.size):
+        for j in range(i + 1, z.size):
+            lim = max(roots._CLUSTER_TOL * max(1.0, abs(z[i]), abs(z[j])),
+                      incl[i] + incl[j])
+            if not abs(z[i] - z[j]) > lim * (1.0 + 1e-9):
+                return True
+    return False
+
+
 def _finish_loop(c, q, k0, iterates, cfg):
-    """Reference: polish, cluster, refine, snap, pair and certify one
-    polynomial's iterates, as the finish stage ran before it was stacked."""
+    """Reference: polish the iterates of a polynomial with a candidate merge
+    pair, then cluster, refine, snap, pair and certify them, one polynomial
+    at a time."""
     degree = c.size - 1
     entries = []
     if iterates is not None:
-        iterates = np.array([_polish_loop(q, complex(v)) for v in iterates])
+        if _may_merge(q, iterates):
+            iterates = np.array([_polish_loop(q, complex(v)) for v in iterates])
         clusters = _cluster_loop(q, iterates)
         raw = [(roots._refine_cluster(q, ctr, m, span), m)
                for ctr, m, span, _ in clusters]
@@ -694,8 +750,8 @@ def test_stacked_inclusion_radii_match_the_per_polynomial_loop():
 
 
 def test_stacked_finish_keeps_signed_zeros_of_singletons():
-    # iterates on exact roots survive polishing unchanged, so the centres of
-    # these singleton clusters are the means of signed zeros
+    # iterates on exact roots have discs of radius 0, so these rows have no
+    # candidate pair, and their clusters' centres are means of signed zeros
     cfg = SolverConfig()
     cases = [
         (RealPolynomial([1.0, 0.0, 1.0]), [complex(-0.0, 1.0), complex(-0.0, -1.0)]),
@@ -767,17 +823,21 @@ def test_a_failing_finish_is_its_own_entry(monkeypatch):
     assert isinstance(out[1], OverflowError)
     assert [_bits(out[0]), _bits(out[2])] == [_bits(find_roots(p)) for p in good]
 
-    # polish: a stand-in that overflows near the root 7 of one polynomial
+    # polish: a stand-in that overflows near the double root 7 of
+    # (z - 7)^2, the one row of the batch whose iterates may merge
     polish = roots._polish
+    hits = []
 
     def overflowing(q, z):
         if abs(z - 7.0) < 1e-6:
+            hits.append(z)
             raise OverflowError("absolute value too large")
         return polish(q, z)
 
+    good = [RealPolynomial([-3.0, 2.0, 1.0]), RealPolynomial([1.0, 0.5, 2.0])]
     lone = [_bits(find_roots(p)) for p in good]
     monkeypatch.setattr(roots, "_polish", overflowing)
-    bad = RealPolynomial([-7.0, 1.0])
+    bad = RealPolynomial([49.0, -14.0, 1.0])
     out = find_roots_many([good[0], bad, good[1]])
-    assert isinstance(out[1], OverflowError)
+    assert isinstance(out[1], OverflowError) and len(hits) == 1
     assert [_bits(out[0]), _bits(out[2])] == lone
