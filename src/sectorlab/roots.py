@@ -3,8 +3,12 @@
 ``find_roots_many`` solves a batch of polynomials; ``find_roots`` is the
 batch of one.  The solve pipeline:
 
-1. deflate exact zeros at the origin, and group the batch by the degree
-   left over,
+1. deflate exact zeros at the origin, group the batch by the degree left
+   over, and scale each polynomial by the power of two that brings its
+   largest coefficient part into [1/2, 1).  Scaling by a power of two is
+   exact, so no zero moves, and Horner's scheme no longer overflows on
+   coefficients near 1e308; a polynomial whose scaled coefficients would
+   lose bits to underflow is left as it is,
 2. Aberth-Ehrlich simultaneous iteration from equispaced angles at radii
    ramped around ``|c_0 / c_d|^(1/d)``, turned by a fixed irrational offset
    so that no start lies on an axis and no two starts are antipodal.  A
@@ -40,23 +44,34 @@ batch of one.  The solve pipeline:
 Stacked on (B, d) arrays, once per degree group: Aberth (a row leaves the
 stack after the sweep in which its own stopping test passes), and stage 3's
 sort, inclusion radii and mask of candidate pairs, on the Aberth iterates
-and again on the polished ones.  Scalar, per polynomial, on Python lists
-made once: polishing and each candidate pair's merge test, for the rows
-with a candidate pair, then refinement, snapping, pairing and the residual.
+and again on the polished ones.  In a group of two or more rows, a row with
+no candidate pair and finite iterates is finished stacked too: its
+singleton clusters are snapped, paired, checked for conjugate closure and
+certified by the residual on (B, d) arrays, in the order of the scalar
+finish and with its bits and exceptions; a row whose pairing the greedy
+order could decide is paired by the scalar code.  Scalar, per polynomial, on
+Python lists made once: a group of one row, which is every ``find_roots``
+call and where numpy's per-call cost outweighs a short loop, and a row with
+a candidate pair or a non-finite iterate: polishing and each candidate
+pair's merge test, then refinement, snapping, pairing and the residual.
 The merge test decides, so it runs on Python complex numbers, whose |.| is
 libm's hypot, as on numpy scalars; numpy's SIMD abs may differ in the last
-bit: the mask has a margin.
+bit: the mask has a margin.  The stacked finish takes |z| as np.hypot,
+which is libm's hypot too.
 
 Iteration order, start configuration and merge order are fixed, so the
 same input and configuration give bitwise identical output, whatever else
-shares the batch: each row does exactly the floating-point operations of a
-lone solve, while every complex product runs through the same numpy loop.
-numpy's SIMD complex multiply fuses multiplies and adds (FMA; numpy 2.4 on
-an AVX-512 x86-64 CPU) where its scalar loop does not, and an in-place
-``pv *= z`` on a one-element array takes the scalar loop.  So complex
-arrays are multiplied out of place, on contiguous operands of one shape,
-and per-row constants are broadcast only into additions and real factors,
-which round the same in either loop.
+shares the batch: each row's result is bitwise that of a lone solve.  Its
+Aberth sweeps do exactly the floating-point operations of a lone solve,
+while every complex product runs through the same numpy loop, and the
+stacked finish writes the residual's complex products out in real
+arithmetic, as Python's complex multiply computes them.  numpy's SIMD
+complex multiply fuses multiplies and adds (FMA; numpy 2.4 on an AVX-512
+x86-64 CPU) where its scalar loop does not, and an in-place ``pv *= z`` on
+a one-element array takes the scalar loop.  So complex arrays are
+multiplied out of place, on contiguous operands of one shape, and per-row
+constants are broadcast only into additions and real factors, which round
+the same in either loop.
 
 The solver emits no floating-point warnings: ``_aberth`` and
 ``_finish_many`` (polishing, clustering and finishing) run under
@@ -477,23 +492,30 @@ def deflate_origin(p):
     return type(p)(p.coeffs[k:]), k
 
 
-def _finish(c: np.ndarray, q: np.ndarray, k0: int, clusters: list,
+def _residual_error(res: float, z: complex, cfg: SolverConfig
+                    ) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"zero at {z} carries residual {res:.3e} above the acceptance "
+        f"threshold {cfg.residual_accept:.3e}", location=z, residual=res)
+
+
+def _finish(q: np.ndarray, k0: int, clusters: list,
             cfg: SolverConfig) -> ZeroSet:
-    """Refine, snap and pair one polynomial's clusters, then certify every
-    entry against the full coefficients ``c``."""
-    degree = c.size - 1
+    """Refine, snap and pair the clusters of the polynomial q(z) z^k0, then
+    certify every entry against its full coefficients."""
+    degree = q.size - 1 + k0
     # snap before pairing: real roots carrying opposite-signed imaginary
     # noise must not be mistaken for a wide conjugate pair
     entries = [(_snapped(_refine_cluster(q, ctr, m, span), _REAL_SNAP_TOL), m)
                for ctr, m, span, _ in clusters]
-    if bool(np.all(c.imag == 0.0)):
+    if bool(np.all(q.imag == 0.0)):
         entries = _pair_conjugates(entries, [r for *_, r in clusters])
         _assert_conjugate_closed(entries)
     if k0 > 0:
         entries.append((0.0 + 0.0j, k0))
 
-    cl = c.tolist()
-    scale = float(np.max(np.abs(c)))
+    cl = [0j] * k0 + q.tolist()
+    scale = float(np.max(np.abs(q)))
     finished = []
     worst = (-1.0, 0.0 + 0.0j)
     for z, m in entries:
@@ -502,51 +524,205 @@ def _finish(c: np.ndarray, q: np.ndarray, k0: int, clusters: list,
         if res > worst[0]:
             worst = (res, z)
     if worst[0] > cfg.residual_accept:
-        raise NonConvergenceError(
-            f"zero at {worst[1]} carries residual {worst[0]:.3e} above the "
-            f"acceptance threshold {cfg.residual_accept:.3e}",
-            location=worst[1], residual=worst[0])
+        raise _residual_error(*worst, cfg)
 
     finished.sort(key=lambda e: (e.location.real, e.location.imag))
     return ZeroSet(tuple(finished), degree)
 
 
-@np.errstate(all="ignore")
-def _finish_many(Q: np.ndarray, members: list, iterates, cfg: SolverConfig
-                 ) -> list:
-    """Cluster and finish one group: ``members`` holds the (c, k0) whose
-    deflated coefficients are the rows of Q, and ``iterates`` their (B, d)
-    Aberth iterates, None for d = 0.  Only a row with a candidate merge pair
-    is polished and merged (stage 3).  Returns each member's ZeroSet or the
-    exception it raised; one member's failure fails no other."""
-    out = [[] for _ in members]
-    if iterates is not None:
-        z, incl = _inclusion_radii(Q, iterates)
-        near = _near_pairs(z, incl, _CLUSTER_TOL).any(axis=(1, 2))
-        # a row with no candidate pair has nothing to merge: its clusters are
-        # its sorted iterates, each alone, as _merge would return them
-        for r, zs, radii in zip(np.flatnonzero(~near).tolist(),
-                                z[~near].tolist(), incl[~near].tolist()):
-            out[r] = [(_mean([v]), 1, 0.0, i) for v, i in zip(zs, radii)]
-        polished, ok = [], []
-        for r in np.flatnonzero(near).tolist():
-            q = Q[r].tolist()
+def _pair_stacked(w: np.ndarray, absz: np.ndarray, radii: np.ndarray
+                  ) -> np.ndarray:
+    """``_pair_conjugates`` on rows of singletons, in place on w (B, n), with
+    ``absz`` holding |w| and ``radii`` the inclusion radii.  Each upper-half
+    entry takes its nearest lower-half mate, the first on a tie, when no
+    other upper-half entry of its row has the same nearest mate: then no
+    mate is taken before its turn, and the greedy order of _pair_conjugates
+    gives the same pairs.  Returns the mask of the rows _pair_conjugates
+    must redo: those with a shared nearest mate, a distance where Python's
+    abs raises (hypot overflows; finite entries give no NaN), or an
+    unpaired nonreal entry, which is not conjugate closed."""
+    B, n = w.shape
+    x, y = w.real, w.imag
+    upper, lower = y > 0.0, y < 0.0
+    # |z_i - conj z_j|
+    dist = np.hypot(x[:, :, None] - x[:, None, :],
+                    y[:, :, None] + y[:, None, :])
+    mates = upper[:, :, None] & lower[:, None, :]
+    redo = (np.isinf(dist) & mates).any(axis=(1, 2))
+    dist[~mates] = np.inf
+    j = dist.argmin(axis=2)
+    best = np.take_along_axis(dist, j[:, :, None], axis=2)[:, :, 0]
+    some = np.isfinite(best)
+    key = np.sort(np.where(some, j, -1 - np.arange(n)), axis=1)
+    redo |= (key[:, 1:] == key[:, :-1]).any(axis=1)
+    r, i = np.nonzero(some & (best <= np.maximum(
+        _PAIR_RADIUS * np.maximum(1.0, absz),
+        radii + np.take_along_axis(radii, j, axis=1))))
+    j = j[r, i]
+    # 0.5 * (z_i + conj z_j) in Python's complex arithmetic
+    sx, sy = x[r, i] + x[r, j], y[r, i] - y[r, j]
+    x[r, i] = x[r, j] = 0.5 * sx - 0.0 * sy
+    y[r, i] = 0.5 * sy + 0.0 * sx
+    y[r, j] = -y[r, i]
+    orphan = y != 0.0
+    orphan[r, i] = orphan[r, j] = False
+    y[orphan & (np.abs(y) <= _ORPHAN_SNAP * np.maximum(1.0, absz))] = 0.0
+    # an exact mate of an unpaired nonreal entry would have paired with it
+    # at distance 0, so such an entry is what breaks conjugate closure
+    return redo | (orphan & (y != 0.0)).any(axis=1)
+
+
+def _finish_stacked(Q: np.ndarray, k0: np.ndarray, z: np.ndarray,
+                    incl: np.ndarray, cfg: SolverConfig) -> list:
+    """``_finish`` for rows whose clusters are singletons: the sorted finite
+    iterates z (B, n) of the rows of Q, with inclusion radii ``incl``, of
+    the polynomials Q[r] z^k0[r].  Every step of _finish runs on (B, n)
+    arrays in its order, with its bits and its exceptions: |z| is
+    np.hypot, which is Python's abs(complex) bitwise on finite parts
+    (numpy's complex abs is not), and the products of the residual's Horner
+    are Python's complex products written out in real arithmetic, which
+    numpy's complex multiply is not (it fuses multiplies and adds in its
+    SIMD loop).  Returns each row's ZeroSet or the exception _finish raises
+    for it."""
+    B, n = z.shape
+    fail = [None] * B
+    w = z + 0.0
+    x, y = w.real, w.imag
+    absz = np.hypot(x, y)
+    y[(y != 0.0) & (np.abs(y) <= _REAL_SNAP_TOL * np.maximum(1.0, absz))] = 0.0
+    real = np.flatnonzero((Q.imag == 0.0).all(axis=1))
+    if n and real.size:
+        wr = w[real]
+        snapped = wr.copy()
+        redo = _pair_stacked(wr, absz[real], incl[real])
+        w[real] = wr
+        for r, entries, radii in zip(real[redo].tolist(),
+                                     snapped[redo].tolist(),
+                                     incl[real[redo]].tolist()):
             try:
-                polished.append([_polish(q, v) for v in iterates[r].tolist()])
-                ok.append(r)
-            except Exception as exc:
-                out[r] = exc
-        if ok:
-            for r, clusters in zip(ok, _cluster_many(Q[ok],
-                                                     np.array(polished))):
-                out[r] = clusters
-    for r, ((c, k0), q) in enumerate(zip(members, Q)):
-        if not isinstance(out[r], Exception):
+                entries = _pair_conjugates([(v, 1) for v in entries], radii)
+                _assert_conjugate_closed(entries)
+                w[r] = [v for v, _ in entries]
+            except (NonConvergenceError, OverflowError) as exc:
+                fail[r] = exc
+
+    # the residual over the full coefficients: Horner on the row of Q, then
+    # k0 steps of p * z + 0
+    pre = np.repeat(Q[:, -1:].real, n, axis=1)
+    pim = np.repeat(Q[:, -1:].imag, n, axis=1)
+    for ck in Q.T[-2::-1]:
+        pre, pim = (pre * x - pim * y + ck.real[:, None],
+                    pre * y + pim * x + ck.imag[:, None])
+    for s in range(k0.max(initial=0)):
+        on = (k0 > s)[:, None]
+        pre, pim = (np.where(on, pre * x - pim * y, pre),
+                    np.where(on, pre * y + pim * x, pim))
+    # Python's abs(complex) gives its own NaN for a NaN part, and raises
+    # OverflowError where hypot overflows on finite parts, before the power
+    # of that entry is taken
+    apv = np.hypot(pre, pim)
+    apv[np.isnan(apv)] = math.nan
+    loud = np.isinf(apv) & np.isfinite(pre) & np.isfinite(pim)
+    # the count of entries before the first loud one
+    stop = (~loud).cumprod(axis=1).sum(axis=1).tolist()
+    mags = np.maximum(1.0, np.hypot(x, y)).tolist()
+    degree = (n + k0).tolist()
+    pw = np.ones((B, n))
+    for r, e in enumerate(stop):
+        if fail[r] is None:
             try:
-                out[r] = _finish(c, q, k0, out[r], cfg)
-            except Exception as exc:
-                out[r] = exc
+                pw[r, :e] = [m ** degree[r] for m in mags[r][:e]]
+            except OverflowError as exc:
+                fail[r] = exc
+                continue
+            if e < n:
+                fail[r] = OverflowError("absolute value too large")
+    res = apv / (np.abs(Q).max(axis=1)[:, None] * pw)
+    if n:
+        # the first largest residual, never a NaN one
+        worst = np.where(np.isnan(res), -1.0, res).argmax(axis=1)
+        for r in np.flatnonzero(res[np.arange(B), worst] >
+                                cfg.residual_accept).tolist():
+            if fail[r] is None:
+                fail[r] = _residual_error(float(res[r, worst[r]]),
+                                          complex(w[r, worst[r]]), cfg)
+
+    # the origin entry (0, k0, 0.0) sorts after every entry up to (0, 0)
+    before = ((x < 0.0) | ((x == 0.0) & (y <= 0.0))).sum(axis=1).tolist()
+    order = np.lexsort((y, x), axis=-1)
+    out = []
+    for r, (zs, rs) in enumerate(zip(np.take_along_axis(w, order, -1).tolist(),
+                                     np.take_along_axis(res, order,
+                                                        -1).tolist())):
+        if fail[r] is not None:
+            out.append(fail[r])
+            continue
+        ms = [1] * n
+        if k0[r]:
+            at = before[r]
+            zs.insert(at, 0.0 + 0.0j)
+            ms.insert(at, int(k0[r]))
+            rs.insert(at, 0.0)
+        out.append(ZeroSet(tuple(map(ZeroEntry, zs, ms, rs)), degree[r]))
     return out
+
+
+@np.errstate(all="ignore")
+def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
+                 cfg: SolverConfig) -> list:
+    """Cluster and finish one group, the polynomials Q[r](z) z^k0[r], from
+    the (B, d) Aberth iterates of the rows of Q.  Only a row with a candidate
+    merge pair is polished and merged (stage 3).  In a group of two or more
+    rows, a row with no candidate pair and finite iterates is finished on
+    stacked arrays.  Returns each row's ZeroSet or the exception it raised;
+    one row's failure fails no other."""
+    B = len(k0)
+    out = [None] * B
+    z, incl = _inclusion_radii(Q, iterates)
+    near = _near_pairs(z, incl, _CLUSTER_TOL).any(axis=(1, 2))
+    single = ~near
+    if B > 1:
+        stack = single & np.isfinite(np.hypot(z.real, z.imag)).all(axis=1)
+        rows = np.flatnonzero(stack).tolist()
+        if rows:
+            for r, result in zip(rows, _finish_stacked(
+                    Q[rows], np.array(k0)[rows], z[rows], incl[rows], cfg)):
+                out[r] = result
+        single &= ~stack
+    clusters = {}
+    # a row with no candidate pair has nothing to merge: its clusters are
+    # its sorted iterates, each alone, as _merge would return them
+    for r, zs, radii in zip(np.flatnonzero(single).tolist(),
+                            z[single].tolist(), incl[single].tolist()):
+        clusters[r] = [(_mean([v]), 1, 0.0, i) for v, i in zip(zs, radii)]
+    polished, ok = [], []
+    for r in np.flatnonzero(near).tolist():
+        q = Q[r].tolist()
+        try:
+            polished.append([_polish(q, v) for v in iterates[r].tolist()])
+            ok.append(r)
+        except Exception as exc:
+            out[r] = exc
+    if ok:
+        clusters.update(zip(ok, _cluster_many(Q[ok], np.array(polished))))
+    for r, rc in clusters.items():
+        try:
+            out[r] = _finish(Q[r], k0[r], rc, cfg)
+        except Exception as exc:
+            out[r] = exc
+    return out
+
+
+def _scaled(Q: np.ndarray) -> np.ndarray:
+    """Each row of Q times the power of two that brings its largest real or
+    imaginary part into [1/2, 1).  That moves no zero, and Horner's scheme
+    cannot overflow on huge coefficients.  A row that would lose bits to
+    underflow is left as it is."""
+    parts = Q.view(np.float64)
+    e = np.frexp(np.abs(parts).max(axis=1))[1][:, None]
+    scaled = np.ldexp(parts, -e)
+    exact = (np.ldexp(scaled, e) == parts).all(axis=1)[:, None]
+    return np.where(exact, scaled, parts).view(np.complex128)
 
 
 def _solve_many(polys, config: SolverConfig | None) -> list:
@@ -575,9 +751,9 @@ def _solve_many(polys, config: SolverConfig | None) -> list:
         k0 = int(np.flatnonzero(c)[0])
         groups.setdefault(c.size - 1 - k0, []).append((i, c, k0))
     for d, members in groups.items():
-        Q = np.stack([c[k0:] for _, c, k0 in members])
-        results = _finish_many(Q, [(c, k0) for _, c, k0 in members],
-                               _aberth(Q) if d else None, cfg)
+        Q = _scaled(np.stack([c[k0:] for _, c, k0 in members]))
+        iterates = _aberth(Q) if d else np.empty((len(members), 0), complex)
+        results = _finish_many(Q, [k0 for *_, k0 in members], iterates, cfg)
         for (i, _, _), result in zip(members, results):
             out[i] = result
     for i, j in copies:

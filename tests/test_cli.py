@@ -31,6 +31,12 @@ def test_roots_text_output():
     assert "max normalized residual" in r.stderr
 
 
+def test_roots_of_huge_coefficients():
+    r = run("roots", "--coeffs", "1e308,-1e308,1e308")
+    assert r.returncode == 0
+    assert r.stdout == "0.5+0.866025403784i (×1), 0.5-0.866025403784i (×1)\n"
+
+
 def test_roots_csv_output():
     r = run("roots", "--coeffs", "2,-2,1", "--format", "csv")
     assert r.returncode == 0

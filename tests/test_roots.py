@@ -425,6 +425,26 @@ def test_only_rows_whose_discs_may_merge_are_polished(monkeypatch):
     assert len(calls) == 14
 
 
+def test_batched_rows_without_merge_pairs_skip_the_scalar_finish(monkeypatch):
+    calls = []
+    finish = roots._finish
+
+    def counted(*args):
+        calls.append(args)
+        return finish(*args)
+
+    monkeypatch.setattr(roots, "_finish", counted)
+    pool = _pool(42)
+    find_roots_many(pool)
+    verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=16, theta=1.4),
+                   trials=100)
+    assert calls == []
+    # a lone solve takes the scalar finish
+    for p in pool[:3]:
+        find_roots(p)
+    assert len(calls) == 3
+
+
 def _batch_corpus():
     """Degrees 1-24, real and complex coefficients, origin zeros, repeats."""
     rng = np.random.default_rng(7)
@@ -444,7 +464,9 @@ def _batch_corpus():
     # alone, the case where numpy's loops part ways
     polys += [RealPolynomial(c) for c in rng.normal(size=(30, 2))]
     polys += polys[::5]
-    polys.append(RealPolynomial([0.0, 0.0, 2.0]))
+    # monomials: a batch of them has no zero left to solve
+    polys += [RealPolynomial([0.0, 0.0, 2.0]),
+              RealPolynomial([0.0] * 4 + [-1.5]), ComplexPolynomial([0.0, 1j])]
     polys.append(RealPolynomial([-1.0, 3.0, -3.0, 1.0]))
     # rows that stop on their noise floor, on the step guard or on disjoint
     # inclusion discs, and one that runs the budget
@@ -769,7 +791,7 @@ def test_stacked_finish_keeps_signed_zeros_of_singletons():
         k0 = int(np.flatnonzero(c)[0])
         q = c[k0:]
         iterates = np.array([zs])
-        got = roots._finish_many(q[None, :], [(c, k0)], iterates, cfg)[0]
+        got = roots._finish_many(q[None, :], [k0], iterates, cfg)[0]
         assert _bits(got) == _bits(_finish_loop(c, q, k0, iterates[0], cfg))
 
 
@@ -841,3 +863,78 @@ def test_a_failing_finish_is_its_own_entry(monkeypatch):
     out = find_roots_many([good[0], bad, good[1]])
     assert isinstance(out[1], OverflowError) and len(hits) == 1
     assert [_bits(out[0]), _bits(out[2])] == lone
+
+
+@pytest.mark.parametrize("k", [100, -100, 1000, -1000])
+def test_scaling_by_a_power_of_two_moves_no_bit(k):
+    # the solver brings the largest coefficient part into [1/2, 1), so c and
+    # c 2^k are the same input to it
+    for p in (RealPolynomial([2.0, -2.0, 1.0]),
+              RealPolynomial([-1.0, 3.0, -3.0, 1.0]),
+              RealPolynomial(_POOL_316),
+              RealPolynomial([0.0, 0.0, 1.5, -0.25, 3.0]),
+              ComplexPolynomial([1 + 2j, -0.5j, 3.0, 1 - 1j])):
+        assert _bits(_solve_alone(type(p)(p.coeffs * 2.0 ** k))) == \
+            _bits(_solve_alone(p))
+
+
+def _stacked_group():
+    """One degree-4 group for the stacked finish, as (Q, k0, iterates).
+
+    Crafted iterates, far enough apart that no pair may merge, and Aberth
+    iterates of real and complex quartics, with origin zeros of several
+    orders and a residual that overflows."""
+    q = np.poly([1j, -1j, 2j, -2j])[::-1]
+    crafted = [
+        # 0.18 - 3i is the nearest lower mate of both upper entries: the
+        # first takes it, and the second takes 0.6 - 3i
+        (q, [3j, 0.315 + 3j, 0.18 - 3j, 0.6 - 3j]),
+        # ... and here the second has no mate left: not conjugate closed
+        (q, [3j, 0.315 + 3j, 0.18 - 3j, -2.0]),
+        # a lone entry 5e-7 off the real axis snaps at _ORPHAN_SNAP
+        (q, [2 + 5e-7j, -2.0, 5j, -5j]),
+        # 1 + i has no lower mate in reach: not conjugate closed
+        (q, [1 + 1j, -1 - 3j, 3.0, -3.0]),
+        # |p(z)| = 1.8e308 at |z| = 0.5 has finite parts: Python's abs raises
+        ([1.3e308 * (1 + 1j), 0, 0, 0, 1], [0.5, -0.5, 0.5j, -0.5j]),
+        # Horner's scheme meets inf - inf: NaN residuals, which pass
+        ([1, 0, 0, 0, 1e300], [1e5 + 1e5j, 1e5 - 1e5j, -1e5 + 1e5j,
+                               -1e5 - 1e5j]),
+    ]
+    real = np.poly([0.5, 3.0, 1 + 2j, 1 - 2j])[::-1].real
+    natural = [real, np.poly([1j, -2.0, 0.5 + 3j, 1.5])[::-1], real, real,
+               # |z|^40 overflows at the zero 1e10
+               np.poly([1e10, 1j, -1j, 2.0])[::-1].real]
+    Q = np.array([c for c, _ in crafted] + natural, dtype=complex)
+    k0 = [0] * len(crafted) + [0, 0, 2, 5, 36]
+    iterates = np.concatenate((np.array([z for _, z in crafted]),
+                               roots._aberth(Q[len(crafted):])))
+    return Q, k0, iterates
+
+
+@pytest.mark.parametrize("accept", [1e-9, 1e300])
+def test_stacked_finish_branches_match_lone_rows(monkeypatch, accept):
+    cfg = SolverConfig(residual_accept=accept)
+    Q, k0, iterates = _stacked_group()
+    lone = [_bits(roots._finish_many(Q[r:r + 1], k0[r:r + 1],
+                                     iterates[r:r + 1], cfg)[0])
+            for r in range(len(k0))]
+    calls = []
+    monkeypatch.setattr(roots, "_finish", lambda *a: calls.append(a))
+    group = roots._finish_many(Q, k0, iterates, cfg)
+    assert calls == []
+    assert [_bits(r) for r in group] == lone
+    assert "could not be restored" in str(group[1])
+    assert "could not be restored" in str(group[3])
+    assert str(group[4]) == "absolute value too large"
+    assert all(math.isnan(e.residual) for e in group[5].zeros)
+    assert isinstance(group[10], OverflowError)
+    if accept == 1e300:
+        assert [e.location for e in group[0].zeros] == \
+            [0.09 - 3j, 0.09 + 3j, 0.4575 - 3j, 0.4575 + 3j]
+        assert group[2].zeros[-1].location == 2 + 0j
+    else:
+        # the crafted rows sit off the zeros
+        assert "above the acceptance threshold" in str(group[0])
+        assert "above the acceptance threshold" in str(group[2])
+        assert all(isinstance(r, roots.ZeroSet) for r in group[6:10])
