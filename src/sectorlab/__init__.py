@@ -29,14 +29,15 @@ from .geometry import (Sector, SectorDisc, TangencyData,
 from .operators import (BlendParams, CosineAffineSequence, CosineStepSequence,
                         ExplicitSequence, ExpPowerSequence, GaussSequence,
                         LaguerreQSequence, MultiplierSequence, apply_sequence,
-                        bc_strip_bound, cosine_affine_transform,
+                        apply_sequence_many, bc_strip_bound, cosine_affine_transform,
                         cosine_power_limit, exp_poly_principal_zeros,
                         parse_sequence_spec, predicted_sector,
                         predicted_sector_after_cosine_step,
                         predicted_sector_after_gauss,
                         predicted_strip_after_gauss, rotation_blend)
 from .poly import (ComplexPolynomial, RealPolynomial, SectorRootSpec,
-                   from_document, from_sector_roots, to_document)
+                   from_document, from_sector_roots, from_sector_roots_many,
+                   to_document)
 from .roots import (SolverConfig, ZeroEntry, ZeroSet, deflate_origin,
                     find_roots, find_roots_many)
 
@@ -55,12 +56,12 @@ __all__ = [
     "TangencyData", "THEOREM_IDS", "VerificationReport", "ZeroEntry",
     "ZeroInteriorTermError", "ZeroPolynomialError",
     "ZeroPolynomialResultError", "ZeroSet",
-    "apply_sequence", "bc_strip_bound",
+    "apply_sequence", "apply_sequence_many", "bc_strip_bound",
     "cosine_affine_transform", "cosine_power_limit", "deflate_origin",
     "disc_tangency_data", "double_sector_demo", "draw_sector_spec",
     "exp_poly_principal_zeros", "find_roots", "find_roots_many",
     "from_document",
-    "from_sector_roots", "in_disc", "in_double_sector", "in_sector",
+    "from_sector_roots", "from_sector_roots_many", "in_disc", "in_double_sector", "in_sector",
     "jensen_sector_disc", "jsd_bracket", "jsd_modulus_identity_check",
     "min_enclosing_double_sector", "min_enclosing_sector",
     "min_enclosing_strip", "parse_sequence_spec",

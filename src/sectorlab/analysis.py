@@ -18,11 +18,17 @@ the same for ``search_counterexample``.  One trial loop runs them all.  Each
 trial derives its RNG stream from (seed, trial index), so reports are
 byte-identical across reruns.
 
-A trial is a generator that yields the polynomial it needs solved and
-receives its zeros.  The loop advances a chunk of trials together and
-solves their pending polynomials as one ``find_roots_many`` batch, whose
-results are bitwise those of solving each alone, so a report does not
-depend on how trials are batched.  Each chunk runs once, and an exception
+A trial is a generator.  It draws its spec and parameters from its own
+stream, yields a request (the spec, or for ``roms`` a polynomial, and the
+multiplier sequence) and receives the polynomial p with its image T[p];
+then it yields each polynomial it needs solved and receives its zeros.  A
+failed expansion, application or solve is thrown in at the yield.  The
+loop advances a chunk of trials together: each round expands the pending
+specs with one ``from_sector_roots_many`` call, applies their sequences
+with one ``apply_sequence_many`` call, and solves the pending polynomials
+as one ``find_roots_many`` batch.  Each of these returns bitwise what the
+lone call returns, so a report does not depend on how trials are
+batched.  Each chunk runs once, and an exception
 a trial does not handle is raised after its chunk, from the earliest such
 trial: trials share no state and the solver emits no warnings, so the
 later trials of that chunk leave no trace.
@@ -43,12 +49,12 @@ from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      SectorLabError, SignFlipError, ZeroInteriorTermError)
 from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
                        min_enclosing_sector)
-from .operators import (CosineStepSequence, ExplicitSequence,
-                        ExpPowerSequence, GaussSequence, MultiplierSequence,
-                        apply_sequence, cosine_affine_transform,
+from .operators import (CosineAffineSequence, CosineStepSequence,
+                        ExplicitSequence, ExpPowerSequence, GaussSequence,
+                        MultiplierSequence, apply_sequence_many,
                         predicted_sector_after_cosine_step,
                         predicted_sector_after_gauss)
-from .poly import RealPolynomial, SectorRootSpec, from_sector_roots
+from .poly import RealPolynomial, SectorRootSpec, from_sector_roots_many
 from .roots import SolverConfig, find_roots, find_roots_many
 
 __all__ = [
@@ -359,9 +365,8 @@ def _trial_jsd(gen, params, rng):
             return None, None
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     beta = _uniform(rng, -math.pi, math.pi, params.get("beta"))
-    p = from_sector_roots(spec)
     try:
-        f = cosine_affine_transform(p, 0.5 * (lam - beta), alpha)
+        p, f = yield spec, CosineAffineSequence(0.5 * (lam - beta), alpha)
     except DegenerateSequenceError:
         return None, None
     if f.degree == 0:
@@ -405,8 +410,7 @@ def _trial_zsro(gen, params, rng):
     """Sector growth check for the gauss family; margin = predicted - measured."""
     spec = draw_sector_spec(gen, rng)
     alpha = _uniform(rng, 0.1, 1.0, params.get("alpha"))
-    p = from_sector_roots(spec)
-    q = apply_sequence(p, GaussSequence(alpha))
+    p, q = yield spec, GaussSequence(alpha)
     predicted = predicted_sector_after_gauss(spec.max_angle(), alpha)
     return (yield from _sector_margin(p, q, predicted,
                                       f"gauss:alpha={alpha!r}"))
@@ -415,13 +419,13 @@ def _trial_zsro(gen, params, rng):
 def _trial_cosak(gen, params, rng):
     """Single cosine-step application; margin = predicted - measured."""
     spec = draw_sector_spec(gen, rng)
-    p = from_sector_roots(spec)
     alpha = _uniform(rng, 0.05, math.pi / 2.0 - 0.05, params.get("alpha"))
     big_n = params.get("N")
     if big_n is None:
-        big_n = int(math.floor(alpha * max(p.degree, 1) / (0.98 * math.pi / 2.0))) + 1
+        big_n = int(math.floor(alpha * max(spec.degree, 1)
+                               / (0.98 * math.pi / 2.0))) + 1
     ms = CosineStepSequence(alpha, int(big_n))
-    q = apply_sequence(p, ms)
+    p, q = yield spec, ms
     predicted = predicted_sector_after_cosine_step(spec.max_angle(), alpha,
                                                    int(big_n))
     return (yield from _sector_margin(p, q, predicted, ms.spec_string()))
@@ -430,11 +434,10 @@ def _trial_cosak(gen, params, rng):
 def _trial_lms2(gen, params, rng):
     """All-real preservation by cos(lambda + k theta); margin = -|Im z|/max(1,|z|)."""
     spec = draw_sector_spec(gen, rng)
-    p = from_sector_roots(spec)
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     theta = _uniform(rng, -math.pi, math.pi, params.get("mult_theta"))
     try:
-        q = cosine_affine_transform(p, lam, theta)
+        p, q = yield spec, CosineAffineSequence(lam, theta)
     except DegenerateSequenceError:
         return None, None
     zeros = yield q
@@ -453,8 +456,7 @@ def _trial_roms(gen, params, rng):
     ms = params["sequence"]
     n = int(rng.integers(max(gen.deg_lo, 2), gen.deg_hi + 1))
     coeffs = [math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]
-    p = RealPolynomial(coeffs)
-    q = apply_sequence(p, ms)
+    p, q = yield RealPolynomial(coeffs), ms
     zeros = yield q
     worst = math.inf
     worst_zero = None
@@ -473,8 +475,8 @@ def _trial_search(gen, params, rng):
     theta_after."""
     ms = params["sequence"]
     spec = draw_sector_spec(gen, rng)
-    p = from_sector_roots(spec)
-    zeros = yield apply_sequence(p, ms)
+    p, q = yield spec, ms
+    zeros = yield q
     after = max(abs(math.atan2(e.location.imag, e.location.real))
                 for e in zeros.zeros)
     before = spec.max_angle()
@@ -484,9 +486,12 @@ def _trial_search(gen, params, rng):
 
 @dataclass(frozen=True)
 class Campaign:
-    """``trial(gen, params, rng)`` is a generator: it yields each polynomial
-    to solve, receives its ``ZeroSet`` (or has the solve's exception thrown
-    in), and returns (margin, info), margin None when nothing was tested.  A
+    """``trial(gen, params, rng)`` is a generator.  It first yields its
+    request (a ``SectorRootSpec`` or a ``RealPolynomial`` p, and the
+    ``MultiplierSequence`` T) and receives (p, T[p]); then it yields each
+    polynomial to solve and receives its ``ZeroSet``.  The exception of a
+    failed expansion, application or solve is thrown in at the yield.  It
+    returns (margin, info), margin None when nothing was tested.  A
     margin below -``tolerance`` is a violation, and info = (polynomial,
     operator, offending zero or None, certificate detail or None) describes
     it.  ``params`` names the params the trial reads, and so the flags
@@ -521,10 +526,28 @@ SEARCH_CAMPAIGN = Campaign(_trial_search, 1e-7, ("sequence",), theta=0.6,
 _CHUNK = 1000
 
 
+def _transform_many(requests: list) -> list:
+    """Per trial request (spec or polynomial p, sequence T): (p, T[p]), or
+    the exception of expanding p or of applying T.  Specs are expanded by
+    one from_sector_roots_many call and the sequences applied by one
+    apply_sequence_many call."""
+    out = [p for p, _ in requests]
+    specs = [i for i, p in enumerate(out) if isinstance(p, SectorRootSpec)]
+    for i, p in zip(specs, from_sector_roots_many([out[i] for i in specs])):
+        out[i] = p
+    live = [i for i, p in enumerate(out) if not isinstance(p, Exception)]
+    for i, q in zip(live, apply_sequence_many([out[i] for i in live],
+                                              [requests[i][1] for i in live])):
+        out[i] = q if isinstance(q, Exception) else (out[i], q)
+    return out
+
+
 def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
                trials: range, config: SolverConfig | None) -> list:
     """Run ``trials`` to completion; per trial, what it returned or the
-    exception it did not handle."""
+    exception it did not handle.  Each round answers every pending request
+    with one _transform_many call and solves every pending polynomial with
+    one find_roots_many call."""
     steps = {t: campaign.trial(gen, params, _trial_rng(gen.seed, t))
              for t in trials}
     outcomes = {}
@@ -543,8 +566,15 @@ def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
                 outcomes[t] = exc
         if not pending:
             return [outcomes[t] for t in trials]
-        replies = dict(zip(pending,
-                           find_roots_many(list(pending.values()), config)))
+        requests = {t: r for t, r in pending.items() if isinstance(r, tuple)}
+        solves = {t: p for t, p in pending.items() if t not in requests}
+        replies = {}
+        if requests:
+            replies.update(zip(requests,
+                               _transform_many(list(requests.values()))))
+        if solves:
+            replies.update(zip(solves,
+                               find_roots_many(list(solves.values()), config)))
 
 
 def _run_trials(campaign: Campaign, gen: PolyGenSpec, params: dict,

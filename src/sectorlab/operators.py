@@ -22,6 +22,11 @@ polynomials are blends in disguise:
         = (1/2) [e^{i lambda} p(e^{i theta} z) + e^{-i lambda} p(e^{-i theta} z)],
 
 an identity this module asserts coefficientwise on every transform.
+``apply_sequence_many`` applies a batch of sequences: per degree group,
+each row's terms come from its own sequence and one multiply makes the
+images; the blend assertion of the group's cosaffine rows runs on one
+stack, with the weights of ``rotation_blend``.  ``apply_sequence`` and
+``cosine_affine_transform`` are its batch of one.
 
 Trigonometric factors that vanish mathematically come out of the arithmetic
 as values around 1e-16, so blend factors and cosine multipliers below a tiny
@@ -55,6 +60,7 @@ __all__ = [
     "BlendParams",
     "rotation_blend",
     "apply_sequence",
+    "apply_sequence_many",
     "cosine_affine_transform",
     "predicted_sector_after_gauss",
     "predicted_sector_after_cosine_step",
@@ -207,16 +213,21 @@ class BlendParams:
     beta: float
 
 
+def _blend_weights(k, lam, alpha, beta):
+    """e^{i(lam + k alpha)} + e^{i(beta - k alpha)}, with moduli <= 1e-13
+    taken as exact zeros; numpy broadcasting stacks the rows."""
+    w = np.exp(1j * (lam + k * alpha)) + np.exp(1j * (beta - k * alpha))
+    w[np.abs(w) <= 2.0 * _TRIG_SNAP] = 0.0
+    return w
+
+
 def rotation_blend(p: RealPolynomial, bp: BlendParams) -> ComplexPolynomial:
     """e^{i lam} p(e^{i alpha} z) + e^{i beta} p(e^{-i alpha} z).
 
     Blend factors of modulus <= 1e-13 are taken as exact zeros, so the result
     degree drops when the leading factor vanishes; an all-zero result raises.
     """
-    k = np.arange(p.coeffs.size)
-    w = (np.exp(1j * (bp.lam + k * bp.alpha))
-         + np.exp(1j * (bp.beta - k * bp.alpha)))
-    w[np.abs(w) <= 2.0 * _TRIG_SNAP] = 0.0
+    w = _blend_weights(np.arange(p.coeffs.size), bp.lam, bp.alpha, bp.beta)
     out = p.coeffs.astype(np.complex128) * w
     if not np.any(out):
         raise ZeroPolynomialResultError(
@@ -225,35 +236,115 @@ def rotation_blend(p: RealPolynomial, bp: BlendParams) -> ComplexPolynomial:
     return ComplexPolynomial(out)
 
 
+def _blend_check(ps: list, Q: np.ndarray, seqs: list) -> list:
+    """Assert the rows of Q, cos(lam + k theta) c_k for the polynomials
+    ``ps`` of one degree and the cosaffine ``seqs``, against their defining
+    blends (1/2) [e^{i lam} p(e^{i theta} z) + e^{-i lam} p(e^{-i theta} z)],
+    coefficientwise within 1e-12 max(1, max |c_k|).  The max runs over full
+    rows, where the entries a stripped row lacks are zeros.  Returns each
+    row's exception or None: rotation_blend's own (an all-zero or a
+    non-finite blend), else the disagreement."""
+    P = np.stack([p.coeffs for p in ps])
+    lam = np.array([ms.lam for ms in seqs])[:, None]
+    theta = np.array([ms.theta for ms in seqs])[:, None]
+    blend = P * _blend_weights(np.arange(P.shape[1]), lam, theta, -lam)
+    tol = 1e-12 * np.maximum(1.0, np.abs(P).max(axis=1))
+    bad = ~blend.any(axis=1) | (np.abs(Q - 0.5 * blend).max(axis=1) > tol)
+    out = [None] * len(ps)
+    for r in np.flatnonzero(bad).tolist():
+        ms = seqs[r]
+        try:
+            rotation_blend(ps[r], BlendParams(ms.theta, ms.lam, -ms.lam))
+            out[r] = SectorLabError(
+                "cosine transform disagrees with its defining rotation blend")
+        except Exception as exc:
+            out[r] = exc
+    return out
+
+
+def _apply_many(polys, seqs) -> list:
+    """apply_sequence_many, which apply_sequence and cosine_affine_transform
+    call under this private name: a traced run wraps every public
+    function, and a nested public call would count each application
+    twice."""
+    out = [None] * len(polys)
+    groups = {}
+    for i, p in enumerate(polys):
+        groups.setdefault(p.degree, []).append(i)
+    for d, rows in groups.items():
+        live, gamma = [], []
+        for i in rows:
+            ms = seqs[i]
+            try:
+                if isinstance(ms, CosineStepSequence):
+                    ms.check_degree(d)
+                g = ms.terms(d)
+            except Exception as exc:
+                out[i] = exc
+                continue
+            live.append(i)
+            gamma.append(g)
+        if not live:
+            continue
+        G = np.stack(gamma)
+        trig = np.array([seqs[i].trig for i in live])[:, None]
+        G[trig & (np.abs(G) <= _TRIG_SNAP)] = 0.0
+        Q = np.stack([polys[i].coeffs for i in live]) * G
+        checked = []
+        for r, (i, q, nonzero) in enumerate(zip(live, Q,
+                                                 Q.any(axis=1).tolist())):
+            if not nonzero:
+                out[i] = DegenerateSequenceError(
+                    f"{seqs[i].spec_string()} annihilated every coefficient")
+                continue
+            try:
+                out[i] = RealPolynomial(q)
+            except Exception as exc:
+                out[i] = exc
+                continue
+            if isinstance(seqs[i], CosineAffineSequence):
+                checked.append(r)
+        if checked:
+            idx = [live[r] for r in checked]
+            for i, exc in zip(idx, _blend_check([polys[i] for i in idx],
+                                                Q[checked],
+                                                [seqs[i] for i in idx])):
+                if exc is not None:
+                    out[i] = exc
+    return out
+
+
+def _one(results: list):
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def apply_sequence_many(polys, seqs) -> list:
+    """``apply_sequence(p, ms)`` for each pair of ``polys`` and ``seqs``.
+
+    Returns one entry per pair, in order: the image, or the exception the
+    lone call would have raised.  Per degree group, each row's terms come
+    from its own ``ms.terms`` (libm, term by term) and one multiply makes
+    the images; the blend assertion of every cosaffine row runs on the
+    group's stack.
+    """
+    return _apply_many(polys, seqs)
+
+
 def apply_sequence(p: RealPolynomial, ms: MultiplierSequence) -> RealPolynomial:
-    """Diagonal action c_k -> gamma_k c_k; checks family hypotheses first."""
-    if isinstance(ms, CosineStepSequence):
-        ms.check_degree(p.degree)
-    gamma = ms.terms(p.degree)
-    if ms.trig:
-        gamma[np.abs(gamma) <= _TRIG_SNAP] = 0.0
-    out = p.coeffs * gamma
-    if not np.any(out):
-        raise DegenerateSequenceError(
-            f"{ms.spec_string()} annihilated every coefficient")
-    return RealPolynomial(out)
+    """Diagonal action c_k -> gamma_k c_k; checks family hypotheses first.
+
+    A ``CosineAffineSequence`` image is asserted against its rotation blend,
+    as in ``cosine_affine_transform``.
+    """
+    return _one(_apply_many([p], [ms]))
 
 
 def cosine_affine_transform(p: RealPolynomial, lam: float,
                             theta: float) -> RealPolynomial:
     """c_k -> cos(lam + k theta) c_k, asserted against the equivalent blend."""
-    q = apply_sequence(p, CosineAffineSequence(lam, theta))
-    blend = rotation_blend(p, BlendParams(alpha=theta, lam=lam, beta=-lam))
-    half = 0.5 * blend.coeffs
-    tol = 1e-12 * max(1.0, p.scale())
-    n = min(q.coeffs.size, half.size)
-    diff = np.abs(q.coeffs[:n] - half[:n])
-    extra = max(np.max(np.abs(q.coeffs[n:])) if q.coeffs.size > n else 0.0,
-                np.max(np.abs(half[n:])) if half.size > n else 0.0)
-    if np.max(diff) > tol or extra > tol:
-        raise SectorLabError(
-            "cosine transform disagrees with its defining rotation blend")
-    return q
+    return _one(_apply_many([p], [CosineAffineSequence(lam, theta)]))
 
 
 def predicted_sector_after_gauss(theta: float, alpha: float) -> float:

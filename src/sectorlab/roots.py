@@ -38,8 +38,9 @@ batch of one.  The solve pipeline:
 6. for real coefficient input, remaining conjugate iterates are averaged in
    pairs and the returned multiset is exactly conjugation invariant,
 7. every entry gets the normalized residual |p(z)| / (scale * max(1,|z|)^d)
-   with scale = max_k |c_k|; if any entry exceeds ``residual_accept`` the
-   polynomial's solve fails instead of returning a bad certificate.
+   with scale = max_k |c_k|; unless every entry is at most
+   ``residual_accept`` (a NaN is not) the polynomial's solve fails instead
+   of returning a bad certificate.
 
 Stacked on (B, d) arrays, once per degree group: Aberth (a row leaves the
 stack after the sweep in which its own stopping test passes), and stage 3's
@@ -517,13 +518,19 @@ def _finish(q: np.ndarray, k0: int, clusters: list,
     cl = [0j] * k0 + q.tolist()
     scale = float(np.max(np.abs(q)))
     finished = []
-    worst = (-1.0, 0.0 + 0.0j)
+    worst, nan = (-1.0, 0.0 + 0.0j), None
     for z, m in entries:
         res = abs(_horner(cl, z)[0]) / (scale * max(1.0, abs(z)) ** degree)
         finished.append(ZeroEntry(z, m, res))
         if res > worst[0]:
             worst = (res, z)
-    if worst[0] > cfg.residual_accept:
+        elif nan is None and res != res:
+            nan = (res, z)
+    # only res <= residual_accept passes; a failure names the first
+    # largest residual, or the first NaN when every number passes
+    if nan is not None and worst[0] <= cfg.residual_accept:
+        worst = nan
+    if not worst[0] <= cfg.residual_accept:
         raise _residual_error(*worst, cfg)
 
     finished.sort(key=lambda e: (e.location.real, e.location.imag))
@@ -639,10 +646,15 @@ def _finish_stacked(Q: np.ndarray, k0: np.ndarray, z: np.ndarray,
                 fail[r] = OverflowError("absolute value too large")
     res = apv / (np.abs(Q).max(axis=1)[:, None] * pw)
     if n:
-        # the first largest residual, never a NaN one
-        worst = np.where(np.isnan(res), -1.0, res).argmax(axis=1)
-        for r in np.flatnonzero(res[np.arange(B), worst] >
-                                cfg.residual_accept).tolist():
+        # only res <= residual_accept passes; a failure names the first
+        # largest residual, or the first NaN when every number passes
+        nan = np.isnan(res)
+        worst = np.where(nan, -1.0, res).argmax(axis=1)
+        rows = np.arange(B)
+        worst = np.where((res[rows, worst] <= cfg.residual_accept)
+                         & nan.any(axis=1), nan.argmax(axis=1), worst)
+        for r in np.flatnonzero(~(res[rows, worst] <=
+                                  cfg.residual_accept)).tolist():
             if fail[r] is None:
                 fail[r] = _residual_error(float(res[r, worst[r]]),
                                           complex(w[r, worst[r]]), cfg)

@@ -354,6 +354,43 @@ def test_report_bytes_do_not_depend_on_the_chunk(monkeypatch, run, digest):
         assert hashlib.sha256(small.encode("utf-8")).hexdigest() == digest
 
 
+def test_trials_expand_and_apply_on_stacks(monkeypatch):
+    # the 100-trial golden zsro campaign: a spec reaches the lone expansion
+    # only as the one spec of its degree in a from_sector_roots_many call,
+    # and no trial applies its sequence alone
+    from sectorlab import operators, poly
+    lone, singles, applied = [], [], []
+    expand, many = poly._expand, poly.from_sector_roots_many
+    apply_one = operators.apply_sequence
+
+    def counted_many(specs, lead=1.0):
+        degrees = [s.degree for s in specs]
+        singles.extend(d for d in degrees if degrees.count(d) == 1)
+        return many(specs, lead)
+
+    monkeypatch.setattr(poly, "_expand", lambda spec, lead: (
+        lone.append(spec.degree) or expand(spec, lead)))
+    monkeypatch.setattr(analysis, "from_sector_roots_many", counted_many)
+    monkeypatch.setattr(operators, "apply_sequence", lambda p, ms: (
+        applied.append(ms) or apply_one(p, ms)))
+    report = verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=16, theta=1.4),
+                            trials=100)
+    assert report.trials == 100 and report.skipped == 0
+    assert sorted(lone) == sorted(singles)
+    assert applied == []
+
+
+def test_the_blend_check_fires_on_the_stacked_path(monkeypatch):
+    # multipliers off by 1e-9 relative disagree with the defining blend
+    from sectorlab import CosineAffineSequence
+    cos_term = CosineAffineSequence.term
+    monkeypatch.setattr(CosineAffineSequence, "term",
+                        lambda self, k: cos_term(self, k) * (1.0 + 1e-9))
+    with pytest.raises(SectorLabError, match="disagrees with its defining"):
+        verify_theorem("lms2", PolyGenSpec(seed=42, deg_hi=12, theta=0.0),
+                       trials=20)
+
+
 def test_unhandled_trial_error_comes_from_the_earliest_trial():
     # a degree-40 Gauss image overflows the residual of one trial; the
     # trials batched after it run too, and add no warning.  Roms trial 3 at

@@ -37,6 +37,16 @@ def test_roots_of_huge_coefficients():
     assert r.stdout == "0.5+0.866025403784i (×1), 0.5-0.866025403784i (×1)\n"
 
 
+def test_a_nan_residual_is_a_solver_failure():
+    # Horner overflows at every zero, so each residual is NaN
+    r = run("roots", "--coeffs=3.484956985489555e-36,-8.555198771167007e-291,"
+            "-3.688332268644477e+122,1.3893518646189592e+30,"
+            "-4.10662246874106e+292,-6.611093837414355e-36,"
+            "-2.920670313815601e-166")
+    assert r.returncode == 2
+    assert "carries residual nan" in r.stderr
+
+
 def test_roots_csv_output():
     r = run("roots", "--coeffs", "2,-2,1", "--format", "csv")
     assert r.returncode == 0

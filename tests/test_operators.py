@@ -23,6 +23,7 @@ from sectorlab import (
     SectorLabError,
     ZeroPolynomialResultError,
     apply_sequence,
+    apply_sequence_many,
     bc_strip_bound,
     cosine_affine_transform,
     cosine_power_limit,
@@ -212,6 +213,98 @@ def test_cosine_step_image_oracle():
     locs = sorted(e.location.real for e in find_roots(q).zeros)
     assert abs(locs[0] - (math.sqrt(3.0) - 1.0)) <= 1e-12
     assert abs(locs[1] - (math.sqrt(3.0) + 1.0)) <= 1e-12
+
+
+def _apply_alone(p, ms):
+    """Reference: the diagonal action as one polynomial at a time."""
+    if isinstance(ms, CosineStepSequence):
+        ms.check_degree(p.degree)
+    gamma = ms.terms(p.degree)
+    if ms.trig:
+        gamma[np.abs(gamma) <= 5e-14] = 0.0
+    out = p.coeffs * gamma
+    if not np.any(out):
+        raise DegenerateSequenceError(
+            f"{ms.spec_string()} annihilated every coefficient")
+    q = RealPolynomial(out)
+    if isinstance(ms, CosineAffineSequence):
+        # the coefficientwise assertion against the defining blend
+        blend = rotation_blend(p, BlendParams(alpha=ms.theta, lam=ms.lam,
+                                              beta=-ms.lam))
+        half = 0.5 * blend.coeffs
+        tol = 1e-12 * max(1.0, p.scale())
+        n = min(q.coeffs.size, half.size)
+        diff = np.abs(q.coeffs[:n] - half[:n])
+        extra = max(np.max(np.abs(q.coeffs[n:])) if q.coeffs.size > n else 0.0,
+                    np.max(np.abs(half[n:])) if half.size > n else 0.0)
+        if np.max(diff) > tol or extra > tol:
+            raise SectorLabError(
+                "cosine transform disagrees with its defining rotation blend")
+    return q
+
+
+def _bits(result):
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return result.coeffs.view(np.int64).tolist()
+
+
+def _outcome(f, *args):
+    try:
+        return _bits(f(*args))
+    except Exception as exc:
+        return _bits(exc)
+
+
+def _application_corpus():
+    """Pairs (p, ms) of mixed degrees and families: cosstep past its degree,
+    explicit too short, annihilated rows and cosaffine rows whose leading
+    multiplier vanishes."""
+    rng = np.random.default_rng(11)
+    polys = [RealPolynomial(rng.normal(size=d + 1)) for d in
+             (0, 1, 1, 2, 3, 3, 3, 5, 8, 8, 12, 12, 12, 16)]
+    seqs = [GaussSequence(0.7), CosineStepSequence(1.2, 2),
+            CosineAffineSequence(0.3, -2.1), ExplicitSequence([1.0, 0.5, 0.25]),
+            LaguerreQSequence(0.5), ExpPowerSequence(0.3, 1.5),
+            CosineAffineSequence(math.pi / 2.0, 0.0),
+            CosineAffineSequence(0.0, math.pi / 4.0)]
+    pairs = [(p, ms) for p in polys for ms in seqs]
+    # annihilated: gamma_0 = 0 on a constant, and cos(pi/2) snapped
+    pairs += [(RealPolynomial([2.0]), ExplicitSequence([0.0, 1.0])),
+              (RealPolynomial([2.0]), CosineAffineSequence(math.pi / 2.0, 0.3))]
+    return [p for p, _ in pairs], [ms for _, ms in pairs]
+
+
+def test_apply_sequence_many_matches_lone_applications():
+    polys, seqs = _application_corpus()
+    want = [_outcome(_apply_alone, p, ms) for p, ms in zip(polys, seqs)]
+    assert [_bits(q) for q in apply_sequence_many(polys, seqs)] == want
+    assert [_outcome(apply_sequence, p, ms)
+            for p, ms in zip(polys, seqs)] == want
+    kinds = {w[0] for w in want if isinstance(w, tuple)}
+    assert kinds == {HypothesisViolationError, DegenerateSequenceError}
+    affine = [i for i, ms in enumerate(seqs)
+              if isinstance(ms, CosineAffineSequence)]
+    assert [_outcome(cosine_affine_transform, polys[i], seqs[i].lam,
+                     seqs[i].theta) for i in affine] == [want[i] for i in affine]
+
+
+def test_stacked_blend_check_raises_like_the_lone_one(monkeypatch):
+    # a multiplier that is not the cosine: the check disagrees, or meets a
+    # blend with every coefficient snapped to zero
+    monkeypatch.setattr(CosineAffineSequence, "term", lambda self, k: 1.0)
+    polys = [RealPolynomial([1.0]), RealPolynomial([2.0]),
+             RealPolynomial([3.0]), RealPolynomial([1.0, 2.0]),
+             RealPolynomial([1.0, 2.0])]
+    seqs = [CosineAffineSequence(math.pi / 2.0, 0.0),
+            CosineAffineSequence(0.0, 0.0), CosineAffineSequence(1.0, 0.0),
+            CosineAffineSequence(0.0, 0.0), CosineAffineSequence(0.0, 1.0)]
+    want = [_outcome(_apply_alone, p, ms) for p, ms in zip(polys, seqs)]
+    got = apply_sequence_many(polys, seqs)
+    assert [_bits(q) for q in got] == want
+    assert [type(q) for q in got] == [
+        ZeroPolynomialResultError, RealPolynomial, SectorLabError,
+        RealPolynomial, SectorLabError]
 
 
 def test_predicted_sector_after_gauss():

@@ -14,8 +14,10 @@ from sectorlab import (
     ZeroPolynomialError,
     from_document,
     from_sector_roots,
+    from_sector_roots_many,
     to_document,
 )
+from sectorlab.analysis import PolyGenSpec, draw_sector_spec
 
 
 def test_trailing_zeros_stripped_and_degree():
@@ -134,6 +136,75 @@ def test_document_round_trip():
     p = RealPolynomial([2.0, -2.0, 1.0])
     assert to_document(p) == {"coeffs": [2.0, -2.0, 1.0]}
     assert from_document(to_document(p)) == p
+
+
+def _expansion_corpus():
+    """Generated specs of mixed degrees, with edge specs: empty, roots at 0
+    (also -0.0), repeated roots, 1e-3/1e3 mixes, and ones whose expansion
+    overflows a float or a long double."""
+    specs = []
+    for seed in (42, 7):
+        for kw in (dict(deg_hi=16, theta=1.4),
+                   dict(deg_hi=12, theta=0.0, real_fraction=1.0),
+                   dict(deg_lo=20, deg_hi=64, theta=1.2),
+                   dict(deg_hi=24, theta=1.2, mag_lo=1e-3, mag_hi=1e3,
+                        real_fraction=0.1)):
+            gen = PolyGenSpec(seed=seed, **kw)
+            specs += [draw_sector_spec(gen, np.random.default_rng([seed, t]))
+                      for t in range(60)]
+    edge = [SectorRootSpec(), SectorRootSpec((0.0,)), SectorRootSpec((-0.0, 2.0)),
+            SectorRootSpec((0.0, 0.0, 1.0)), SectorRootSpec((1.0, 1.0, 1.0)),
+            SectorRootSpec((), ((1.0, 1.0), (1.0, 1.0))),
+            SectorRootSpec((1e-3, 1e3, 1e-3), ((1e-3, 1e3),)),
+            SectorRootSpec((1e3,), ((1e-3, 1e-3), (1e3, 1e-3))),
+            SectorRootSpec((5.0, 0.0), ((2.0, 1.0),)),
+            SectorRootSpec((1e300,) * 3), SectorRootSpec((), ((1e300, 1e300),) * 2),
+            # overflows long double too, on the way
+            SectorRootSpec((), ((1e300, 1e300),) * 20)]
+    # twice, so that each edge spec also shares a stack with its copy
+    return specs + edge + edge
+
+
+def _expand_alone(spec, lead):
+    try:
+        return from_sector_roots(spec, lead)
+    except Exception as exc:
+        return exc
+
+
+def _coeff_bits(result):
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return result.coeffs.view(np.int64).tolist()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("lead", [1.0, -3.0, 1e-5])
+def test_from_sector_roots_many_bitwise_equals_lone_expansions(lead):
+    specs = _expansion_corpus()
+    batch = from_sector_roots_many(specs, lead)
+    assert len(batch) == len(specs)
+    assert [_coeff_bits(r) for r in batch] == \
+        [_coeff_bits(_expand_alone(s, lead)) for s in specs]
+    # the 1e300 edge specs overflow a float: their rows fail in place
+    assert sum(isinstance(r, ValueError) for r in batch) == 6
+
+
+def test_from_sector_roots_many_groups_of_one_take_the_lone_expansion(monkeypatch):
+    from sectorlab import poly
+    calls = []
+    expand = poly._expand
+    monkeypatch.setattr(poly, "_expand",
+                        lambda spec, lead: calls.append(spec) or expand(spec, lead))
+    specs = [SectorRootSpec((1.0, 2.0)), SectorRootSpec((), ((1.0, 1.0),)),
+             SectorRootSpec((3.0,))]
+    out = from_sector_roots_many(specs)
+    assert calls == [specs[2]]
+    assert [_coeff_bits(p) for p in out] == \
+        [_coeff_bits(from_sector_roots(s)) for s in specs]
+    with pytest.raises(InvalidRootSpecError):
+        from_sector_roots_many(specs, lead=0.0)
+    assert from_sector_roots_many([]) == []
 
 
 def test_document_accepts_root_form():

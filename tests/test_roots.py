@@ -695,15 +695,11 @@ def _finish_loop(c, q, k0, iterates, cfg):
     cl = c.tolist()
     scale = float(np.max(np.abs(c)))
     finished = []
-    worst = (-1.0, 0.0 + 0.0j)
     for z, m in entries:
         res = abs(_horner(cl, z)[0]) / (scale * max(1.0, abs(z)) ** degree)
         finished.append(roots.ZeroEntry(z, m, res))
-        if res > worst[0]:
-            worst = (res, z)
-    if worst[0] > cfg.residual_accept:
-        raise NonConvergenceError("residual above the acceptance threshold",
-                                  location=worst[1], residual=worst[0])
+    if not all(e.residual <= cfg.residual_accept for e in finished):
+        raise NonConvergenceError("residual above the acceptance threshold")
     finished.sort(key=lambda e: (e.location.real, e.location.imag))
     return roots.ZeroSet(tuple(finished), degree)
 
@@ -897,7 +893,7 @@ def _stacked_group():
         (q, [1 + 1j, -1 - 3j, 3.0, -3.0]),
         # |p(z)| = 1.8e308 at |z| = 0.5 has finite parts: Python's abs raises
         ([1.3e308 * (1 + 1j), 0, 0, 0, 1], [0.5, -0.5, 0.5j, -0.5j]),
-        # Horner's scheme meets inf - inf: NaN residuals, which pass
+        # Horner's scheme meets inf - inf: NaN residuals, which fail
         ([1, 0, 0, 0, 1e300], [1e5 + 1e5j, 1e5 - 1e5j, -1e5 + 1e5j,
                                -1e5 - 1e5j]),
     ]
@@ -927,7 +923,8 @@ def test_stacked_finish_branches_match_lone_rows(monkeypatch, accept):
     assert "could not be restored" in str(group[1])
     assert "could not be restored" in str(group[3])
     assert str(group[4]) == "absolute value too large"
-    assert all(math.isnan(e.residual) for e in group[5].zeros)
+    assert isinstance(group[5], NonConvergenceError)
+    assert "carries residual nan above" in str(group[5])
     assert isinstance(group[10], OverflowError)
     if accept == 1e300:
         assert [e.location for e in group[0].zeros] == \
@@ -938,3 +935,27 @@ def test_stacked_finish_branches_match_lone_rows(monkeypatch, accept):
         assert "above the acceptance threshold" in str(group[0])
         assert "above the acceptance threshold" in str(group[2])
         assert all(isinstance(r, roots.ZeroSet) for r in group[6:10])
+
+
+# Horner overflows at every zero of this polynomial: each residual is NaN
+_NAN_RESIDUAL = [3.484956985489555e-36, -8.555198771167007e-291,
+                 -3.688332268644477e+122, 1.3893518646189592e+30,
+                 -4.10662246874106e+292, -6.611093837414355e-36,
+                 -2.920670313815601e-166]
+
+
+def test_a_nan_residual_fails_the_gate_stacked_and_alone(monkeypatch):
+    p = RealPolynomial(_NAN_RESIDUAL)
+    with pytest.raises(NonConvergenceError, match="carries residual nan"):
+        find_roots(p)
+    lone = _bits(_solve_alone(p))
+    other = RealPolynomial([1.0, -2.0, 3.0, -1.0, 2.0, 5.0, 1.0])
+    stacked = []
+    finish = roots._finish_stacked
+    monkeypatch.setattr(roots, "_finish_stacked", lambda *a: stacked.append(
+        a[0].shape[0]) or finish(*a))
+    batch = find_roots_many([other, p])
+    # both rows of the degree-6 group took the stacked finish
+    assert stacked == [2]
+    assert _bits(batch[1]) == lone
+    assert _bits(batch[0]) == _bits(find_roots(other))
