@@ -142,6 +142,12 @@ class CosineAffineSequence(MultiplierSequence):
     theta: float
     trig = True
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.theta)):
+            raise SectorLabError(
+                f"cosaffine needs finite lambda and theta, got "
+                f"({self.lam!r}, {self.theta!r})")
+
     def term(self, k: int) -> float:
         return math.cos(self.lam + k * self.theta)
 
@@ -174,6 +180,10 @@ class ExpPowerSequence(MultiplierSequence):
             raise SectorLabError(
                 f"exppower needs alpha > 0 and p > 0, got "
                 f"({self.alpha!r}, {self.p!r})")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.p)):
+            raise SectorLabError(
+                f"exppower needs finite alpha and p, got "
+                f"({self.alpha!r}, {self.p!r})")
 
     def term(self, k: int) -> float:
         return math.exp(-self.alpha * float(k) ** self.p)
@@ -189,6 +199,9 @@ class ExplicitSequence(MultiplierSequence):
         self.values = tuple(float(v) for v in values)
         if not self.values:
             raise SectorLabError("explicit sequence needs at least one value")
+        if not all(map(math.isfinite, self.values)):
+            raise SectorLabError(
+                f"explicit sequence needs finite values, got {self.values!r}")
 
     def term(self, k: int) -> float:
         if k >= len(self.values):

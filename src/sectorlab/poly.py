@@ -182,9 +182,9 @@ def _expand(spec: SectorRootSpec, lead: float) -> RealPolynomial:
     return RealPolynomial((acc * ld(lead)).astype(np.float64))
 
 
-def _expand_stacked(specs: list, lead: float) -> list:
-    """``_expand`` for specs of one degree d on one (B, d+3) long double
-    stack: two zero columns, then the coefficients, ascending.  Row r's
+def _expand_stacked(specs: list) -> list:
+    """``_expand`` at lead 1 for specs of one degree d on one (B, d+3) long
+    double stack: two zero columns, then the coefficients, ascending.  Row r's
     factors (c0, c1, c2) are a real root's (-x, 1, 0) and a pair's
     (a^2+b^2, -2a, 1), in the order of _expand's sort, then (1, 0, 0) up to
     the longest row.  A step sets acc[j] = ((0 + acc[j-2] c2) + acc[j-1] c1)
@@ -226,7 +226,7 @@ def _expand_stacked(specs: list, lead: float) -> list:
             acc[:, 2:] = (((0.0 + acc[:, :-2] * f2) + acc[:, 1:-1] * f1)
                           + acc[:, 2:] * f0)
     out = []
-    for row in (acc[:, 2:] * ld(lead)).astype(np.float64):
+    for row in acc[:, 2:].astype(np.float64):
         try:
             out.append(RealPolynomial(row))
         except ValueError as exc:
@@ -243,8 +243,8 @@ def from_sector_roots(spec: SectorRootSpec, lead: float = 1.0) -> RealPolynomial
     return _expand(spec, _checked_lead(lead))
 
 
-def from_sector_roots_many(specs, lead: float = 1.0) -> list:
-    """``from_sector_roots`` of every spec of ``specs`` with one ``lead``.
+def from_sector_roots_many(specs) -> list:
+    """``from_sector_roots`` of every spec of ``specs``, with lead 1.
 
     Returns one entry per spec, in order: its polynomial, or the exception
     expanding it alone would have raised; each polynomial is bitwise the
@@ -252,7 +252,6 @@ def from_sector_roots_many(specs, lead: float = 1.0) -> list:
     one stacked array; a degree with a single spec takes the lone
     expansion, whose short loop costs less than setting up a stack.
     """
-    lead = _checked_lead(lead)
     out = [None] * len(specs)
     groups = {}
     for i, spec in enumerate(specs):
@@ -260,12 +259,11 @@ def from_sector_roots_many(specs, lead: float = 1.0) -> list:
     for rows in groups.values():
         if len(rows) == 1:
             try:
-                out[rows[0]] = _expand(specs[rows[0]], lead)
+                out[rows[0]] = _expand(specs[rows[0]], 1.0)
             except ValueError as exc:
                 out[rows[0]] = exc
             continue
-        for i, result in zip(rows, _expand_stacked([specs[i] for i in rows],
-                                                   lead)):
+        for i, result in zip(rows, _expand_stacked([specs[i] for i in rows])):
             out[i] = result
     return out
 

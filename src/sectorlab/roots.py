@@ -46,19 +46,22 @@ Stacked on (B, d) arrays, once per degree group: Aberth (a row leaves the
 stack after the sweep in which its own stopping test passes), and stage 3's
 sort, inclusion radii and mask of candidate pairs, on the Aberth iterates
 and again on the polished ones.  In a group of two or more rows, a row with
-no candidate pair and finite iterates is finished stacked too: its
-singleton clusters are snapped, paired, checked for conjugate closure and
+real coefficients, no zero at the origin, no candidate pair and finite
+iterates is finished stacked: its singleton clusters are snapped, paired and
 certified by the residual on (B, d) arrays, in the order of the scalar
-finish and with its bits and exceptions; a row whose pairing the greedy
-order could decide is paired by the scalar code.  Scalar, per polynomial, on
-Python lists made once: a group of one row, which is every ``find_roots``
-call and where numpy's per-call cost outweighs a short loop, and a row with
-a candidate pair or a non-finite iterate: polishing and each candidate
-pair's merge test, then refinement, snapping, pairing and the residual.
-The merge test decides, so it runs on Python complex numbers, whose |.| is
-libm's hypot, as on numpy scalars; numpy's SIMD abs may differ in the last
-bit: the mask has a margin.  The stacked finish takes |z| as np.hypot,
-which is libm's hypot too.
+finish and with its bits.  The stacked finish keeps only the rows it can
+certify so: every nonreal entry pairs with its own nearest mate, and every
+residual is finite and passes the gate.  It leaves every other row to the
+scalar finish, which decides it, exceptions included.  Scalar, per
+polynomial, on Python lists made once: a group of one row, which is every
+``find_roots`` call and where numpy's per-call cost outweighs a short loop,
+a row the stacked finish leaves, and a row with a candidate pair or a
+non-finite iterate: polishing and each candidate pair's merge test, then
+refinement, snapping, pairing and the residual.  The merge test decides, so
+it runs on Python complex numbers, whose |.| is libm's hypot, as on numpy
+scalars; numpy's SIMD abs may differ in the last bit: the mask has a
+margin.  The stacked finish takes |z| as np.hypot, which is libm's hypot
+too.
 
 Iteration order, start configuration and merge order are fixed, so the
 same input and configuration give bitwise identical output, whatever else
@@ -87,6 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +137,9 @@ class SolverConfig:
             raise ValueError("residual_accept must be positive")
 
 
-@dataclass(frozen=True)
-class ZeroEntry:
+# a NamedTuple has a frozen dataclass's fields, repr, equality and
+# immutability, and builds in half the time: a solve makes one per zero
+class ZeroEntry(NamedTuple):
     location: complex
     multiplicity: int
     residual: float
@@ -493,13 +498,6 @@ def deflate_origin(p):
     return type(p)(p.coeffs[k:]), k
 
 
-def _residual_error(res: float, z: complex, cfg: SolverConfig
-                    ) -> NonConvergenceError:
-    return NonConvergenceError(
-        f"zero at {z} carries residual {res:.3e} above the acceptance "
-        f"threshold {cfg.residual_accept:.3e}", location=z, residual=res)
-
-
 def _finish(q: np.ndarray, k0: int, clusters: list,
             cfg: SolverConfig) -> ZeroSet:
     """Refine, snap and pair the clusters of the polynomial q(z) z^k0, then
@@ -531,7 +529,10 @@ def _finish(q: np.ndarray, k0: int, clusters: list,
     if nan is not None and worst[0] <= cfg.residual_accept:
         worst = nan
     if not worst[0] <= cfg.residual_accept:
-        raise _residual_error(*worst, cfg)
+        res, z = worst
+        raise NonConvergenceError(
+            f"zero at {z} carries residual {res:.3e} above the acceptance "
+            f"threshold {cfg.residual_accept:.3e}", location=z, residual=res)
 
     finished.sort(key=lambda e: (e.location.real, e.location.imag))
     return ZeroSet(tuple(finished), degree)
@@ -541,13 +542,12 @@ def _pair_stacked(w: np.ndarray, absz: np.ndarray, radii: np.ndarray
                   ) -> np.ndarray:
     """``_pair_conjugates`` on rows of singletons, in place on w (B, n), with
     ``absz`` holding |w| and ``radii`` the inclusion radii.  Each upper-half
-    entry takes its nearest lower-half mate, the first on a tie, when no
-    other upper-half entry of its row has the same nearest mate: then no
-    mate is taken before its turn, and the greedy order of _pair_conjugates
-    gives the same pairs.  Returns the mask of the rows _pair_conjugates
-    must redo: those with a shared nearest mate, a distance where Python's
-    abs raises (hypot overflows; finite entries give no NaN), or an
-    unpaired nonreal entry, which is not conjugate closed."""
+    entry takes its nearest lower-half mate, the first on a tie.  Returns
+    the mask of the rows where that may not be _pair_conjugates' result,
+    which it leaves: a mate nearest to two upper-half entries, where the
+    greedy order decides; a distance where Python's abs raises (hypot
+    overflows; finite entries give no NaN); and a nonreal entry left
+    unpaired, which _pair_conjugates may snap to the axis."""
     B, n = w.shape
     x, y = w.real, w.imag
     upper, lower = y > 0.0, y < 0.0
@@ -555,13 +555,13 @@ def _pair_stacked(w: np.ndarray, absz: np.ndarray, radii: np.ndarray
     dist = np.hypot(x[:, :, None] - x[:, None, :],
                     y[:, :, None] + y[:, None, :])
     mates = upper[:, :, None] & lower[:, None, :]
-    redo = (np.isinf(dist) & mates).any(axis=(1, 2))
+    left = (np.isinf(dist) & mates).any(axis=(1, 2))
     dist[~mates] = np.inf
     j = dist.argmin(axis=2)
     best = np.take_along_axis(dist, j[:, :, None], axis=2)[:, :, 0]
     some = np.isfinite(best)
     key = np.sort(np.where(some, j, -1 - np.arange(n)), axis=1)
-    redo |= (key[:, 1:] == key[:, :-1]).any(axis=1)
+    left |= (key[:, 1:] == key[:, :-1]).any(axis=1)
     r, i = np.nonzero(some & (best <= np.maximum(
         _PAIR_RADIUS * np.maximum(1.0, absz),
         radii + np.take_along_axis(radii, j, axis=1))))
@@ -571,112 +571,55 @@ def _pair_stacked(w: np.ndarray, absz: np.ndarray, radii: np.ndarray
     x[r, i] = x[r, j] = 0.5 * sx - 0.0 * sy
     y[r, i] = 0.5 * sy + 0.0 * sx
     y[r, j] = -y[r, i]
-    orphan = y != 0.0
-    orphan[r, i] = orphan[r, j] = False
-    y[orphan & (np.abs(y) <= _ORPHAN_SNAP * np.maximum(1.0, absz))] = 0.0
-    # an exact mate of an unpaired nonreal entry would have paired with it
-    # at distance 0, so such an entry is what breaks conjugate closure
-    return redo | (orphan & (y != 0.0)).any(axis=1)
+    unpaired = y != 0.0
+    unpaired[r, i] = unpaired[r, j] = False
+    return left | unpaired.any(axis=1)
 
 
-def _finish_stacked(Q: np.ndarray, k0: np.ndarray, z: np.ndarray,
-                    incl: np.ndarray, cfg: SolverConfig) -> list:
-    """``_finish`` for rows whose clusters are singletons: the sorted finite
-    iterates z (B, n) of the rows of Q, with inclusion radii ``incl``, of
-    the polynomials Q[r] z^k0[r].  Every step of _finish runs on (B, n)
-    arrays in its order, with its bits and its exceptions: |z| is
-    np.hypot, which is Python's abs(complex) bitwise on finite parts
-    (numpy's complex abs is not), and the products of the residual's Horner
-    are Python's complex products written out in real arithmetic, which
-    numpy's complex multiply is not (it fuses multiplies and adds in its
-    SIMD loop).  Returns each row's ZeroSet or the exception _finish raises
-    for it."""
+def _finish_stacked(Q: np.ndarray, z: np.ndarray, incl: np.ndarray,
+                    cfg: SolverConfig) -> list:
+    """``_finish`` for rows of real coefficients whose clusters are
+    singletons: the sorted finite iterates z (B, n) of the rows of Q, with
+    inclusion radii ``incl``.  Every step of _finish runs on (B, n) arrays in
+    its order and with its bits: |z| is np.hypot, which is Python's
+    abs(complex) bitwise on finite parts (numpy's complex abs is not), and
+    the products of the residual's Horner are Python's complex products
+    written out in real arithmetic, which numpy's complex multiply is not
+    (it fuses multiplies and adds in its SIMD loop).  Returns each row's
+    ZeroSet, or None for a row left to _finish: one whose pairing
+    _pair_stacked leaves, or with a residual that is not finite, that fails
+    the gate or whose power max(1, |z|)**n overflows."""
     B, n = z.shape
-    fail = [None] * B
     w = z + 0.0
     x, y = w.real, w.imag
     absz = np.hypot(x, y)
     y[(y != 0.0) & (np.abs(y) <= _REAL_SNAP_TOL * np.maximum(1.0, absz))] = 0.0
-    real = np.flatnonzero((Q.imag == 0.0).all(axis=1))
-    if n and real.size:
-        wr = w[real]
-        snapped = wr.copy()
-        redo = _pair_stacked(wr, absz[real], incl[real])
-        w[real] = wr
-        for r, entries, radii in zip(real[redo].tolist(),
-                                     snapped[redo].tolist(),
-                                     incl[real[redo]].tolist()):
-            try:
-                entries = _pair_conjugates([(v, 1) for v in entries], radii)
-                _assert_conjugate_closed(entries)
-                w[r] = [v for v, _ in entries]
-            except (NonConvergenceError, OverflowError) as exc:
-                fail[r] = exc
+    left = _pair_stacked(w, absz, incl)
 
-    # the residual over the full coefficients: Horner on the row of Q, then
-    # k0 steps of p * z + 0
+    # the residual: Horner on the row of Q
     pre = np.repeat(Q[:, -1:].real, n, axis=1)
     pim = np.repeat(Q[:, -1:].imag, n, axis=1)
     for ck in Q.T[-2::-1]:
         pre, pim = (pre * x - pim * y + ck.real[:, None],
                     pre * y + pim * x + ck.imag[:, None])
-    for s in range(k0.max(initial=0)):
-        on = (k0 > s)[:, None]
-        pre, pim = (np.where(on, pre * x - pim * y, pre),
-                    np.where(on, pre * y + pim * x, pim))
-    # Python's abs(complex) gives its own NaN for a NaN part, and raises
-    # OverflowError where hypot overflows on finite parts, before the power
-    # of that entry is taken
     apv = np.hypot(pre, pim)
-    apv[np.isnan(apv)] = math.nan
-    loud = np.isinf(apv) & np.isfinite(pre) & np.isfinite(pim)
-    # the count of entries before the first loud one
-    stop = (~loud).cumprod(axis=1).sum(axis=1).tolist()
+    left |= ~np.isfinite(apv).all(axis=1)
     mags = np.maximum(1.0, np.hypot(x, y)).tolist()
-    degree = (n + k0).tolist()
     pw = np.ones((B, n))
-    for r, e in enumerate(stop):
-        if fail[r] is None:
-            try:
-                pw[r, :e] = [m ** degree[r] for m in mags[r][:e]]
-            except OverflowError as exc:
-                fail[r] = exc
-                continue
-            if e < n:
-                fail[r] = OverflowError("absolute value too large")
+    for r in np.flatnonzero(~left).tolist():
+        try:
+            pw[r] = [m ** n for m in mags[r]]
+        except OverflowError:
+            left[r] = True
     res = apv / (np.abs(Q).max(axis=1)[:, None] * pw)
-    if n:
-        # only res <= residual_accept passes; a failure names the first
-        # largest residual, or the first NaN when every number passes
-        nan = np.isnan(res)
-        worst = np.where(nan, -1.0, res).argmax(axis=1)
-        rows = np.arange(B)
-        worst = np.where((res[rows, worst] <= cfg.residual_accept)
-                         & nan.any(axis=1), nan.argmax(axis=1), worst)
-        for r in np.flatnonzero(~(res[rows, worst] <=
-                                  cfg.residual_accept)).tolist():
-            if fail[r] is None:
-                fail[r] = _residual_error(float(res[r, worst[r]]),
-                                          complex(w[r, worst[r]]), cfg)
+    left |= ~(res <= cfg.residual_accept).all(axis=1)
 
-    # the origin entry (0, k0, 0.0) sorts after every entry up to (0, 0)
-    before = ((x < 0.0) | ((x == 0.0) & (y <= 0.0))).sum(axis=1).tolist()
     order = np.lexsort((y, x), axis=-1)
-    out = []
-    for r, (zs, rs) in enumerate(zip(np.take_along_axis(w, order, -1).tolist(),
-                                     np.take_along_axis(res, order,
-                                                        -1).tolist())):
-        if fail[r] is not None:
-            out.append(fail[r])
-            continue
-        ms = [1] * n
-        if k0[r]:
-            at = before[r]
-            zs.insert(at, 0.0 + 0.0j)
-            ms.insert(at, int(k0[r]))
-            rs.insert(at, 0.0)
-        out.append(ZeroSet(tuple(map(ZeroEntry, zs, ms, rs)), degree[r]))
-    return out
+    ones = [1] * n
+    return [None if lost else ZeroSet(tuple(map(ZeroEntry, zs, ones, rs)), n)
+            for lost, zs, rs in zip(left.tolist(),
+                                    np.take_along_axis(w, order, -1).tolist(),
+                                    np.take_along_axis(res, order, -1).tolist())]
 
 
 @np.errstate(all="ignore")
@@ -685,22 +628,24 @@ def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
     """Cluster and finish one group, the polynomials Q[r](z) z^k0[r], from
     the (B, d) Aberth iterates of the rows of Q.  Only a row with a candidate
     merge pair is polished and merged (stage 3).  In a group of two or more
-    rows, a row with no candidate pair and finite iterates is finished on
-    stacked arrays.  Returns each row's ZeroSet or the exception it raised;
-    one row's failure fails no other."""
+    rows, a row of real coefficients with no origin zero, no candidate pair
+    and finite iterates goes to the stacked finish, and each row it leaves
+    joins the other rows without a candidate pair.  Returns each row's
+    ZeroSet or the exception it raised; one row's failure fails no other."""
     B = len(k0)
     out = [None] * B
     z, incl = _inclusion_radii(Q, iterates)
     near = _near_pairs(z, incl, _CLUSTER_TOL).any(axis=(1, 2))
     single = ~near
     if B > 1:
-        stack = single & np.isfinite(np.hypot(z.real, z.imag)).all(axis=1)
-        rows = np.flatnonzero(stack).tolist()
+        rows = np.flatnonzero(
+            single & (np.array(k0) == 0) & (Q.imag == 0.0).all(axis=1)
+            & np.isfinite(np.hypot(z.real, z.imag)).all(axis=1)).tolist()
         if rows:
             for r, result in zip(rows, _finish_stacked(
-                    Q[rows], np.array(k0)[rows], z[rows], incl[rows], cfg)):
-                out[r] = result
-        single &= ~stack
+                    Q[rows], z[rows], incl[rows], cfg)):
+                if result is not None:
+                    out[r], single[r] = result, False
     clusters = {}
     # a row with no candidate pair has nothing to merge: its clusters are
     # its sorted iterates, each alone, as _merge would return them

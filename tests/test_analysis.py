@@ -363,10 +363,10 @@ def test_trials_expand_and_apply_on_stacks(monkeypatch):
     expand, many = poly._expand, poly.from_sector_roots_many
     apply_one = operators.apply_sequence
 
-    def counted_many(specs, lead=1.0):
+    def counted_many(specs):
         degrees = [s.degree for s in specs]
         singles.extend(d for d in degrees if degrees.count(d) == 1)
-        return many(specs, lead)
+        return many(specs)
 
     monkeypatch.setattr(poly, "_expand", lambda spec, lead: (
         lone.append(spec.degree) or expand(spec, lead)))

@@ -103,3 +103,24 @@ def test_few_solves_of_the_benchmark_pool_use_the_whole_budget(monkeypatch):
         sweeps.append(0)
         roots._aberth(q.coeffs.astype(np.complex128)[None, :])
     assert sum(n == roots._MAX_ITERATIONS for n in sweeps) <= 1
+
+
+def test_the_stacked_finish_certifies_every_golden_campaign_row(monkeypatch):
+    # the 100-trial golden jsd, zsro and lms2 campaigns: all 300 of their
+    # solves reach the stacked finish, which certifies every one of them and
+    # leaves none to the scalar finish
+    finish = roots._finish_stacked
+    sent, left = [], []
+
+    def counted(*args):
+        out = finish(*args)
+        sent.append(len(out))
+        left.append(sum(r is None for r in out))
+        return out
+
+    monkeypatch.setattr(roots, "_finish_stacked", counted)
+    for case, theorem, generator, params, trials, _ in VERIFY_CASES:
+        if case in ("jsd", "zsro", "lms2"):
+            verify_theorem(theorem, PolyGenSpec(seed=42, **generator),
+                           params, trials=trials)
+    assert sum(sent) == 300 and sum(left) == 0

@@ -131,6 +131,21 @@ def test_explicit_sequence_is_finite():
     assert s != ExplicitSequence([1.0, 0.5])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ExpPowerSequence(math.inf, 1.0),
+    lambda: ExpPowerSequence(0.3, math.inf),
+    lambda: CosineAffineSequence(math.nan, 0.5),
+    lambda: CosineAffineSequence(0.5, -math.inf),
+    lambda: ExplicitSequence([1.0, math.nan]),
+    lambda: ExplicitSequence([math.inf]),
+], ids=["exppower-alpha", "exppower-p", "cosaffine-lambda", "cosaffine-theta",
+        "explicit-nan", "explicit-inf"])
+def test_multiplier_constructors_reject_non_finite_numbers(make):
+    # a SectorLabError, not the polynomial's bare ValueError once applied
+    with pytest.raises(SectorLabError, match="finite"):
+        make()
+
+
 def test_apply_sequence_gauss_oracle():
     # alpha^2 = ln 2 turns [2, -2, 1] into 0.25 (z - 2 sqrt(2))^2
     q = apply_sequence(RealPolynomial([2.0, -2.0, 1.0]), GaussSequence(_SQRT_LN2))

@@ -165,9 +165,9 @@ def _expansion_corpus():
     return specs + edge + edge
 
 
-def _expand_alone(spec, lead):
+def _expand_alone(spec):
     try:
-        return from_sector_roots(spec, lead)
+        return from_sector_roots(spec)
     except Exception as exc:
         return exc
 
@@ -179,13 +179,12 @@ def _coeff_bits(result):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
-@pytest.mark.parametrize("lead", [1.0, -3.0, 1e-5])
-def test_from_sector_roots_many_bitwise_equals_lone_expansions(lead):
+def test_from_sector_roots_many_bitwise_equals_lone_expansions():
     specs = _expansion_corpus()
-    batch = from_sector_roots_many(specs, lead)
+    batch = from_sector_roots_many(specs)
     assert len(batch) == len(specs)
     assert [_coeff_bits(r) for r in batch] == \
-        [_coeff_bits(_expand_alone(s, lead)) for s in specs]
+        [_coeff_bits(_expand_alone(s)) for s in specs]
     # the 1e300 edge specs overflow a float: their rows fail in place
     assert sum(isinstance(r, ValueError) for r in batch) == 6
 
@@ -202,8 +201,6 @@ def test_from_sector_roots_many_groups_of_one_take_the_lone_expansion(monkeypatc
     assert calls == [specs[2]]
     assert [_coeff_bits(p) for p in out] == \
         [_coeff_bits(from_sector_roots(s)) for s in specs]
-    with pytest.raises(InvalidRootSpecError):
-        from_sector_roots_many(specs, lead=0.0)
     assert from_sector_roots_many([]) == []
 
 
