@@ -16,7 +16,8 @@ of the ``CAMPAIGNS`` registry: its trial function, its violation tolerance
 and the generator defaults of ``sectorlab verify``; ``SEARCH_CAMPAIGN`` is
 the same for ``search_counterexample``.  One trial loop runs them all.  Each
 trial derives its RNG stream from (seed, trial index), so reports are
-byte-identical across reruns.
+byte-identical across reruns.  A spec takes one block of raw doubles u from
+it, each uniform numpy's lo + (hi - lo) * u: the bits of one call per draw.
 
 A trial is a generator.  It draws its spec and parameters from its own
 stream, yields a request (the spec, or for ``roms`` a polynomial, and the
@@ -246,8 +247,8 @@ class PolyGenSpec:
             raise SectorLabError("need 1 <= deg_lo <= deg_hi")
         if not (0.0 <= self.theta < math.pi / 2.0):
             raise SectorLabError("theta must lie in [0, pi/2)")
-        if not (0.0 < self.mag_lo <= self.mag_hi):
-            raise SectorLabError("need 0 < mag_lo <= mag_hi")
+        if not (0.0 < self.mag_lo <= self.mag_hi < math.inf):
+            raise SectorLabError("need 0 < mag_lo <= mag_hi < inf")
         if not (0.0 <= self.real_fraction <= 1.0):
             raise SectorLabError("real_fraction must lie in [0, 1]")
 
@@ -256,23 +257,33 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
 
 
+def _uniform_at(lo: float, hi: float, u: float) -> float:
+    """``Generator.uniform(lo, hi)`` from its raw double u, as numpy computes it."""
+    return lo + (hi - lo) * u
+
+
 def draw_sector_spec(gen: PolyGenSpec, rng: np.random.Generator) -> SectorRootSpec:
-    """One random root specification under ``gen``."""
+    """One random root specification under ``gen``.  After the degree, one
+    block of raw doubles gives the sector angle (when theta > 0), the real
+    roots and the pairs, each bitwise its own ``rng.uniform`` call."""
     degree = int(rng.integers(gen.deg_lo, gen.deg_hi + 1))
-    theta_t = rng.uniform(0.0, gen.theta) if gen.theta > 0.0 else 0.0
+    u = iter(rng.random(degree + (gen.theta > 0.0)).tolist())
+    theta_t = (_uniform_at(0.0, float(gen.theta), next(u)) if gen.theta > 0.0
+               else 0.0)
     n_real = int(round(gen.real_fraction * degree))
     if theta_t == 0.0:
         n_real = degree
     n_pairs = (degree - n_real) // 2
     n_real = degree - 2 * n_pairs
-    reals = [float(rng.uniform(gen.mag_lo, gen.mag_hi)) for _ in range(n_real)]
+    lo, hi = float(gen.mag_lo), float(gen.mag_hi)
+    reals = [_uniform_at(lo, hi, next(u)) for _ in range(n_real)]
+    log_lo, log_hi = math.log(gen.mag_lo), math.log(gen.mag_hi)
     pairs = []
     for _ in range(n_pairs):
-        phi = float(rng.uniform(0.0, theta_t))
+        phi = _uniform_at(0.0, theta_t, next(u))
         if phi == 0.0:
             phi = 0.5 * theta_t
-        mag = math.exp(float(rng.uniform(math.log(gen.mag_lo),
-                                         math.log(gen.mag_hi))))
+        mag = math.exp(_uniform_at(log_lo, log_hi, next(u)))
         pairs.append((mag * math.cos(phi), mag * math.sin(phi)))
     return SectorRootSpec(tuple(reals), tuple(pairs))
 
@@ -330,7 +341,7 @@ class VerificationReport:
 
 
 def _uniform(rng, lo: float, hi: float, fixed) -> float:
-    return float(fixed) if fixed is not None else float(rng.uniform(lo, hi))
+    return float(fixed) if fixed is not None else _uniform_at(lo, hi, rng.random())
 
 
 def _trial_jsd(gen, params, rng):
@@ -345,9 +356,10 @@ def _trial_jsd(gen, params, rng):
     """
     quadratic = params.get("quadratic", False)
     if quadratic:
-        theta_t = rng.uniform(0.05, 1.4)
-        mag = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-        phi = rng.uniform(0.05, theta_t) if theta_t > 0.05 else theta_t
+        theta_t = _uniform_at(0.05, 1.4, rng.random())
+        mag = math.exp(_uniform_at(math.log(0.3), math.log(3.0), rng.random()))
+        phi = (_uniform_at(0.05, theta_t, rng.random()) if theta_t > 0.05
+               else theta_t)
         spec = SectorRootSpec((), ((mag * math.cos(phi), mag * math.sin(phi)),))
     else:
         spec = draw_sector_spec(gen, rng)
@@ -360,7 +372,7 @@ def _trial_jsd(gen, params, rng):
         for _ in range(256):
             if not jensen_sector_disc(a, b, alpha).empty:
                 break
-            alpha = float(rng.uniform(0.0, math.pi))
+            alpha = _uniform_at(0.0, math.pi, rng.random())
         else:
             return None, None
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))

@@ -46,7 +46,7 @@ from .errors import (DegenerateSequenceError, DomainError,
                      HypothesisViolationError, InputError,
                      NotInRightHalfPlaneError, SectorLabError,
                      ZeroPolynomialResultError)
-from .poly import ComplexPolynomial, RealPolynomial
+from .poly import ComplexPolynomial, RealPolynomial, _real_polynomials
 from .roots import SolverConfig, find_roots
 
 __all__ = [
@@ -304,18 +304,15 @@ def _apply_many(polys, seqs) -> list:
         G[trig & (np.abs(G) <= _TRIG_SNAP)] = 0.0
         Q = np.stack([polys[i].coeffs for i in live]) * G
         checked = []
-        for r, (i, q, nonzero) in enumerate(zip(live, Q,
+        for r, (i, q, nonzero) in enumerate(zip(live, _real_polynomials(Q),
                                                  Q.any(axis=1).tolist())):
             if not nonzero:
                 out[i] = DegenerateSequenceError(
                     f"{seqs[i].spec_string()} annihilated every coefficient")
                 continue
-            try:
-                out[i] = RealPolynomial(q)
-            except Exception as exc:
-                out[i] = exc
-                continue
-            if isinstance(seqs[i], CosineAffineSequence):
+            out[i] = q
+            if (not isinstance(q, Exception)
+                    and isinstance(seqs[i], CosineAffineSequence)):
                 checked.append(r)
         if checked:
             idx = [live[r] for r in checked]

@@ -158,6 +158,28 @@ class SectorRootSpec:
         return out
 
 
+def _real_polynomials(stack: np.ndarray) -> list:
+    """``RealPolynomial(row)`` of each row of the float64 ``stack``, or its
+    exception.  The stack is made read-only and a good row's coefficients
+    are a view of it; a non-finite or all-zero row takes the lone call."""
+    stack.flags.writeable = False
+    nonzero = stack != 0.0
+    ends = (stack.shape[1] - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    good = (np.isfinite(stack).all(axis=1) & nonzero.any(axis=1)).tolist()
+    out = []
+    for r, (end, ok) in enumerate(zip(ends, good)):
+        if ok:
+            p = RealPolynomial.__new__(RealPolynomial)
+            p.coeffs = stack[r, :end]
+            out.append(p)
+            continue
+        try:
+            out.append(RealPolynomial(stack[r]))
+        except (ValueError, ZeroPolynomialError) as exc:
+            out.append(exc)
+    return out
+
+
 def _checked_lead(lead) -> float:
     lead = float(lead)
     if lead == 0.0 or not math.isfinite(lead):
@@ -225,13 +247,7 @@ def _expand_stacked(specs: list) -> list:
         for f0, f1, f2 in zip(c0, c1, c2):
             acc[:, 2:] = (((0.0 + acc[:, :-2] * f2) + acc[:, 1:-1] * f1)
                           + acc[:, 2:] * f0)
-    out = []
-    for row in acc[:, 2:].astype(np.float64):
-        try:
-            out.append(RealPolynomial(row))
-        except ValueError as exc:
-            out.append(exc)
-    return out
+    return _real_polynomials(acc[:, 2:].astype(np.float64))
 
 
 def from_sector_roots(spec: SectorRootSpec, lead: float = 1.0) -> RealPolynomial:

@@ -207,6 +207,11 @@ def test_poly_gen_spec_validation():
         PolyGenSpec(mag_lo=0.0)
     with pytest.raises(SectorLabError):
         PolyGenSpec(real_fraction=1.5)
+    # a draw scales raw doubles by mag_hi - mag_lo: it must be finite
+    for lo, hi in ((0.1, math.inf), (math.inf, math.inf), (0.1, math.nan),
+                   (math.nan, 10.0)):
+        with pytest.raises(SectorLabError):
+            PolyGenSpec(mag_lo=lo, mag_hi=hi)
 
 
 def test_draw_sector_spec_respects_recipe():
@@ -227,6 +232,92 @@ def test_draw_sector_spec_all_real_when_theta_zero():
     rng = np.random.default_rng(9)
     for _ in range(20):
         assert draw_sector_spec(gen, rng).pairs == ()
+
+
+def _scalar_draw_sector_spec(gen, rng):
+    """draw_sector_spec as it was written with one rng.uniform call per
+    draw; the block draw must match it bit for bit."""
+    degree = int(rng.integers(gen.deg_lo, gen.deg_hi + 1))
+    theta_t = rng.uniform(0.0, gen.theta) if gen.theta > 0.0 else 0.0
+    n_real = int(round(gen.real_fraction * degree))
+    if theta_t == 0.0:
+        n_real = degree
+    n_pairs = (degree - n_real) // 2
+    n_real = degree - 2 * n_pairs
+    reals = [float(rng.uniform(gen.mag_lo, gen.mag_hi)) for _ in range(n_real)]
+    pairs = []
+    for _ in range(n_pairs):
+        phi = float(rng.uniform(0.0, theta_t))
+        if phi == 0.0:
+            phi = 0.5 * theta_t
+        mag = math.exp(float(rng.uniform(math.log(gen.mag_lo),
+                                         math.log(gen.mag_hi))))
+        pairs.append((mag * math.cos(phi), mag * math.sin(phi)))
+    return analysis.SectorRootSpec(tuple(reals), tuple(pairs))
+
+
+def _spec_bits(spec):
+    return (np.array(spec.real_roots).view(np.int64).tolist(),
+            np.array(spec.pairs).view(np.int64).tolist())
+
+
+# the campaigns' generator settings, then the edges of the recipe
+_DRAW_SETTINGS = (
+    dict(deg_hi=16, theta=1.4), dict(), dict(deg_hi=16, theta=0.785398),
+    dict(deg_hi=12, theta=0.0, real_fraction=1.0), dict(deg_hi=12, theta=0.6),
+    dict(deg_hi=12, theta=0.6, real_fraction=1.0),
+    dict(theta=0.0), dict(real_fraction=0.0, theta=1.4),
+    dict(deg_lo=7, deg_hi=7, theta=0.3), dict(deg_lo=64, deg_hi=64, theta=1.5),
+    dict(deg_hi=64, theta=1.2, mag_lo=1e-3, mag_hi=1e3, real_fraction=0.1),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**64 + 5])
+def test_block_draws_equal_one_uniform_call_per_draw_bitwise(seed):
+    for kw in _DRAW_SETTINGS:
+        gen = PolyGenSpec(seed=seed, **kw)
+        for t in range(40):
+            rng, ref = analysis._trial_rng(seed, t), analysis._trial_rng(seed, t)
+            assert _spec_bits(draw_sector_spec(gen, rng)) == \
+                _spec_bits(_scalar_draw_sector_spec(gen, ref)), (kw, t)
+            # the same number of doubles consumed
+            assert rng.random() == ref.random()
+    # the trials' parameter draws share the block draw's formula
+    rng, ref = analysis._trial_rng(seed, 0), analysis._trial_rng(seed, 0)
+    for lo, hi in ((0.0, math.pi), (-math.pi, math.pi), (0.1, 1.0),
+                   (0.05, math.pi / 2.0 - 0.05), (math.log(0.3), math.log(3.0))):
+        assert analysis._uniform(rng, lo, hi, None) == float(ref.uniform(lo, hi))
+    assert analysis._uniform(rng, 0.0, 1.0, 0.25) == 0.25
+
+
+class _PresetRng:
+    """A generator stand-in that hands out preset raw doubles: exact zeros
+    reach the phi == 0 branch, which a real stream almost never does."""
+
+    def __init__(self, degree, doubles):
+        self.degree, self.doubles = degree, list(doubles)
+
+    def integers(self, lo, hi):
+        return self.degree
+
+    def random(self, size=None):
+        if size is None:
+            return self.doubles.pop(0)
+        out, self.doubles = self.doubles[:size], self.doubles[size:]
+        return np.array(out)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * self.random()
+
+
+def test_a_zero_argument_draw_takes_half_the_sector_angle():
+    gen = PolyGenSpec(deg_lo=4, deg_hi=4, theta=1.0, real_fraction=0.0)
+    doubles = [0.5, 0.0, 0.25, 0.0, 0.75]
+    spec = draw_sector_spec(gen, _PresetRng(4, doubles))
+    assert _spec_bits(spec) == \
+        _spec_bits(_scalar_draw_sector_spec(gen, _PresetRng(4, doubles)))
+    mag = math.exp(math.log(0.1) + (math.log(10.0) - math.log(0.1)) * 0.25)
+    assert spec.pairs[0] == (mag * math.cos(0.25), mag * math.sin(0.25))
 
 
 def test_verify_theorem_rejects_unknown_id():

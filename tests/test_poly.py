@@ -204,6 +204,32 @@ def test_from_sector_roots_many_groups_of_one_take_the_lone_expansion(monkeypatc
     assert from_sector_roots_many([]) == []
 
 
+def test_the_batch_builder_equals_lone_construction_row_by_row():
+    from sectorlab.poly import _real_polynomials
+    nan, inf = math.nan, math.inf
+    rows = [[2.0, -2.0, 1.0, 0.0], [1.0, 0.0, -0.0, 0.0], [-0.0, 3.0, -0.0, -0.0],
+            [5e-324, 0.0, 0.0, 1e308], [0.0, 0.0, 0.0, 0.0],
+            [-0.0, -0.0, 0.0, -0.0], [1.0, nan, 2.0, 0.0], [inf, 1.0, 0.0, 0.0],
+            [0.0, 0.0, -inf, 0.0], [-1.5, 0.25, 0.0, 7.0]]
+    stack = np.array(rows)
+    built = _real_polynomials(stack.copy())
+    assert len(built) == len(rows)
+    for row, got in zip(stack, built):
+        try:
+            want = RealPolynomial(row)
+        except Exception as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        assert type(got) is RealPolynomial and got.degree == want.degree
+        assert _coeff_bits(got) == _coeff_bits(want)
+        assert not got.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            got.coeffs.flags.writeable = True
+    assert [type(r) for r in built[4:9]] == [ZeroPolynomialError] * 2 + \
+        [ValueError] * 3
+    assert _real_polynomials(np.zeros((0, 3))) == []
+
+
 def test_document_accepts_root_form():
     p = from_document({"roots": {"real": [1.0, 2.0], "pairs": [], "lead": 2.0}})
     assert np.allclose(p.coeffs, [4.0, -6.0, 2.0], rtol=0, atol=1e-15)
