@@ -48,7 +48,8 @@ import numpy as np
 
 from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      InputError, NonConvergenceError, NotInRightHalfPlaneError,
-                     SectorLabError, SignFlipError, ZeroInteriorTermError)
+                     SectorLabError, SignFlipError, ZeroInteriorTermError,
+                     check_number)
 from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
                        min_enclosing_sector)
 from .operators import (CosineAffineSequence, CosineStepSequence,
@@ -256,13 +257,11 @@ class PolyGenSpec:
                     f"{name} must be an integer, got {value!r}") from None
         if not (1 <= self.deg_lo <= self.deg_hi):
             raise SectorLabError("need 1 <= deg_lo <= deg_hi")
+        for name in ("theta", "mag_lo", "mag_hi", "real_fraction"):
+            check_number(getattr(self, name), name)
         if not (0.0 <= self.theta < math.pi / 2.0):
             raise SectorLabError("theta must lie in [0, pi/2)")
-        try:
-            finite = math.isfinite(self.mag_lo) and math.isfinite(self.mag_hi)
-        except (TypeError, OverflowError):
-            finite = False
-        if not (finite and 0.0 < self.mag_lo <= self.mag_hi):
+        if not 0.0 < self.mag_lo <= self.mag_hi:
             raise SectorLabError("need 0 < mag_lo <= mag_hi < inf")
         if not (0.0 <= self.real_fraction <= 1.0):
             raise SectorLabError("real_fraction must lie in [0, 1]")
@@ -378,8 +377,6 @@ def _trial_jsd(gen, params, rng):
         spec = SectorRootSpec((), ((mag * math.cos(phi), mag * math.sin(phi)),))
     else:
         spec = draw_sector_spec(gen, rng)
-        if spec.degree == 0:
-            return None, None
     alpha = _uniform(rng, 0.0, math.pi, params.get("alpha"))
     if quadratic:
         # resample until the single disc is nonempty, as sharpness needs one
@@ -436,11 +433,10 @@ def _sector_margin(p, q, predicted: float, op: str):
 def _trial_zsro(gen, params, rng):
     """Sector growth check for the gauss family; margin = predicted - measured."""
     spec = draw_sector_spec(gen, rng)
-    alpha = _uniform(rng, 0.1, 1.0, params.get("alpha"))
-    p, q = yield spec, GaussSequence(alpha)
-    predicted = predicted_sector_after_gauss(spec.max_angle(), alpha)
-    return (yield from _sector_margin(p, q, predicted,
-                                      f"gauss:alpha={alpha!r}"))
+    ms = GaussSequence(_uniform(rng, 0.1, 1.0, params.get("alpha")))
+    p, q = yield spec, ms
+    predicted = predicted_sector_after_gauss(spec.max_angle(), ms.alpha)
+    return (yield from _sector_margin(p, q, predicted, ms.spec_string()))
 
 
 def _trial_cosak(gen, params, rng):
@@ -463,8 +459,9 @@ def _trial_lms2(gen, params, rng):
     spec = draw_sector_spec(gen, rng)
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     theta = _uniform(rng, -math.pi, math.pi, params.get("mult_theta"))
+    ms = CosineAffineSequence(lam, theta)
     try:
-        p, q = yield spec, CosineAffineSequence(lam, theta)
+        p, q = yield spec, ms
     except DegenerateSequenceError:
         return None, None
     zeros = yield q
@@ -474,8 +471,7 @@ def _trial_lms2(gen, params, rng):
         margin = -abs(e.location.imag) / max(1.0, abs(e.location))
         if margin < worst:
             worst, worst_zero = margin, e.location
-    return worst, (p, f"cosaffine:lambda={lam!r},theta={theta!r}", worst_zero,
-                   None)
+    return worst, (p, ms.spec_string(), worst_zero, None)
 
 
 def _trial_roms(gen, params, rng):
@@ -646,7 +642,8 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
     """Run a seeded campaign; negative worst margins below the campaign
     tolerance yield a counterexample certificate.  ``config`` is the solver
     configuration of every trial's solves.  A param the campaign's trial
-    does not read, or a float param that is not finite, raises InputError."""
+    does not read, or a number param that is not a finite number, raises
+    InputError."""
     if theorem_id not in CAMPAIGNS:
         raise SectorLabError(f"unknown theorem id {theorem_id!r}; "
                              f"expected one of {THEOREM_IDS}")
@@ -658,8 +655,8 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
         raise InputError(f"{theorem_id} reads no param {', '.join(unread)}; "
                          f"it reads {', '.join(campaign.params)}")
     for name, value in params.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InputError(f"{name} must be finite, got {value!r}")
+        if name not in ("quadratic", "sequence") and value is not None:
+            check_number(value, name, InputError)
     tol = params.pop("tolerance_override", None)
     if tol is None:
         tol = campaign.tolerance

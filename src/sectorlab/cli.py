@@ -110,10 +110,7 @@ def _load_polynomial(args) -> RealPolynomial:
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.input!r} is not valid JSON: "
                          f"line {exc.lineno} column {exc.colno}: {exc.msg}")
-    p = from_document(doc)
-    if not isinstance(p, RealPolynomial):
-        raise InputError("input document must describe a real polynomial")
-    return p
+    return from_document(doc)
 
 
 def _solver_config(args) -> SolverConfig:

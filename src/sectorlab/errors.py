@@ -7,6 +7,9 @@ line front end maps subclasses onto process exit codes.
 
 from __future__ import annotations
 
+import numbers
+import sys
+
 
 class SectorLabError(Exception):
     """Base class for all errors raised by sectorlab."""
@@ -96,3 +99,15 @@ class DegenerateLeadingError(SectorLabError):
 class SignFlipError(HypothesisViolationError):
     """Endpoint terms of the sequence are zero or of opposite sign: the
     double-sector theorem's hypothesis fails."""
+
+
+def check_number(value, name: str, error=SectorLabError, finite=True):
+    """``value`` itself when it is a real number (a bool or a string is not),
+    and unless ``finite`` is false a finite one; otherwise raise ``error``."""
+    if not (type(value) in (float, int) or isinstance(value, numbers.Real)
+            and not isinstance(value, bool)):
+        raise error(f"{name} must be a number, got {value!r}")
+    # NaN fails the comparison, and so does an int past the float range
+    if finite and not abs(value) <= sys.float_info.max:
+        raise error(f"{name} must be finite, got {value!r}")
+    return value

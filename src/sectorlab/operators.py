@@ -10,6 +10,11 @@ A multiplier sequence acts diagonally on coefficients:
     exppower  gamma_k = exp(-alpha k^p), alpha > 0, p > 0
     explicit  gamma_k given as a finite list
 
+Each family but ``explicit`` declares its spec name and its (spec key,
+field) pairs, each field a finite number.  From them ``spec_string`` writes
+the text that names an operator in a certificate, such as
+``cosaffine:lambda=0.1,theta=0.2``, and ``parse_sequence_spec`` reads it.
+
 The rotation blend of a real polynomial p is
 
     f(z) = e^{i lambda} p(e^{i alpha} z) + e^{i beta} p(e^{-i alpha} z),
@@ -45,7 +50,7 @@ import numpy as np
 from .errors import (DegenerateSequenceError, DomainError,
                      HypothesisViolationError, InputError,
                      NotInRightHalfPlaneError, SectorLabError,
-                     ZeroPolynomialResultError)
+                     ZeroPolynomialResultError, check_number)
 from .poly import ComplexPolynomial, RealPolynomial, _real_polynomials
 from .roots import SolverConfig, find_roots
 
@@ -81,6 +86,13 @@ class MultiplierSequence:
 
     #: True for families whose terms are cosines and may be snapped to zero
     trig = False
+    #: the spec name and its (spec key, field) pairs; None for no spec format
+    family = None
+    spec_keys = ()
+
+    def __post_init__(self):
+        for key, field in self.spec_keys:
+            check_number(getattr(self, field), f"{self.family} {key}")
 
     def term(self, k: int) -> float:
         raise NotImplementedError
@@ -89,23 +101,29 @@ class MultiplierSequence:
         """gamma_0 .. gamma_n as a float array."""
         return np.array([self.term(k) for k in range(n + 1)], dtype=np.float64)
 
+    def check_degree(self, degree: int) -> None:
+        """Raise when the family may not act on degree ``degree``; most may."""
+
     def spec_string(self) -> str:
-        raise NotImplementedError
+        if self.family is None:
+            raise NotImplementedError
+        return self.family + ":" + ",".join(
+            f"{key}={getattr(self, field)!r}" for key, field in self.spec_keys)
 
 
 @dataclass(frozen=True)
 class GaussSequence(MultiplierSequence):
     alpha: float
+    family = "gauss"
+    spec_keys = (("alpha", "alpha"),)
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+        super().__post_init__()
+        if not self.alpha > 0.0:
             raise SectorLabError(f"gauss needs alpha > 0, got {self.alpha!r}")
 
     def term(self, k: int) -> float:
         return math.exp(-0.5 * self.alpha * self.alpha * k * k)
-
-    def spec_string(self) -> str:
-        return f"gauss:alpha={self.alpha!r}"
 
 
 @dataclass(frozen=True)
@@ -115,9 +133,12 @@ class CosineStepSequence(MultiplierSequence):
     alpha: float
     N: int
     trig = True
+    family = "cosstep"
+    spec_keys = (("alpha", "alpha"), ("N", "N"))
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+        super().__post_init__()
+        if not self.alpha > 0.0:
             raise SectorLabError(f"cosstep needs alpha > 0, got {self.alpha!r}")
         try:
             N = None if isinstance(self.N, bool) else operator.index(self.N)
@@ -137,76 +158,60 @@ class CosineStepSequence(MultiplierSequence):
                 f"{self.alpha!r}*{degree}/{self.N} = "
                 f"{self.alpha * degree / self.N!r} is not")
 
-    def spec_string(self) -> str:
-        return f"cosstep:alpha={self.alpha!r},N={self.N}"
-
 
 @dataclass(frozen=True)
 class CosineAffineSequence(MultiplierSequence):
     lam: float
     theta: float
     trig = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and math.isfinite(self.theta)):
-            raise SectorLabError(
-                f"cosaffine needs finite lambda and theta, got "
-                f"({self.lam!r}, {self.theta!r})")
+    family = "cosaffine"
+    spec_keys = (("lambda", "lam"), ("theta", "theta"))
 
     def term(self, k: int) -> float:
         return math.cos(self.lam + k * self.theta)
-
-    def spec_string(self) -> str:
-        return f"cosaffine:lambda={self.lam!r},theta={self.theta!r}"
 
 
 @dataclass(frozen=True)
 class LaguerreQSequence(MultiplierSequence):
     q: float
+    family = "laguerre"
+    spec_keys = (("q", "q"),)
 
     def __post_init__(self):
+        super().__post_init__()
         if not (-1.0 < self.q < 1.0):
             raise SectorLabError(f"laguerre needs -1 < q < 1, got {self.q!r}")
 
     def term(self, k: int) -> float:
         return float(self.q ** (k * k))
 
-    def spec_string(self) -> str:
-        return f"laguerre:q={self.q!r}"
-
 
 @dataclass(frozen=True)
 class ExpPowerSequence(MultiplierSequence):
     alpha: float
     p: float
+    family = "exppower"
+    spec_keys = (("alpha", "alpha"), ("p", "p"))
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.alpha > 0.0 and self.p > 0.0):
             raise SectorLabError(
                 f"exppower needs alpha > 0 and p > 0, got "
                 f"({self.alpha!r}, {self.p!r})")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.p)):
-            raise SectorLabError(
-                f"exppower needs finite alpha and p, got "
-                f"({self.alpha!r}, {self.p!r})")
 
     def term(self, k: int) -> float:
         return math.exp(-self.alpha * float(k) ** self.p)
-
-    def spec_string(self) -> str:
-        return f"exppower:alpha={self.alpha!r},p={self.p!r}"
 
 
 class ExplicitSequence(MultiplierSequence):
     """Finite list of multipliers; using terms beyond the list is an error."""
 
     def __init__(self, values):
-        self.values = tuple(float(v) for v in values)
+        self.values = tuple(float(check_number(v, "explicit value"))
+                            for v in values)
         if not self.values:
             raise SectorLabError("explicit sequence needs at least one value")
-        if not all(map(math.isfinite, self.values)):
-            raise SectorLabError(
-                f"explicit sequence needs finite values, got {self.values!r}")
 
     def term(self, k: int) -> float:
         if k >= len(self.values):
@@ -262,8 +267,7 @@ def _apply_many(polys, seqs) -> list:
         for i in rows:
             ms = seqs[i]
             try:
-                if isinstance(ms, CosineStepSequence):
-                    ms.check_degree(d)
+                ms.check_degree(d)
                 g = ms.terms(d)
             except Exception as exc:
                 out[i] = exc
@@ -376,12 +380,11 @@ def exp_poly_principal_zeros(p: RealPolynomial,
 
 
 def predicted_strip_after_gauss(half_width: float, alpha: float) -> float:
-    """arccos(min(1, e^{alpha^2/2} cos A)) for principal-zero strips."""
+    """arccos(min(1, e^{alpha^2/2} cos A)) for principal-zero strips: the
+    Gauss sector bound, since Im log z = arg z."""
     if not (0.0 <= half_width < math.pi / 2.0):
         raise DomainError(f"strip half-width must lie in [0, pi/2), got {half_width!r}")
-    if not (alpha > 0.0):
-        raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return math.acos(min(1.0, math.exp(0.5 * alpha * alpha) * math.cos(half_width)))
+    return predicted_sector_after_gauss(half_width, alpha)
 
 
 def bc_strip_bound(half_width: float, alpha: float) -> float:
@@ -391,59 +394,39 @@ def bc_strip_bound(half_width: float, alpha: float) -> float:
     return math.sqrt(max(half_width * half_width - alpha * alpha, 0.0))
 
 
-_FAMILY_KEYS = {
-    "gauss": ("alpha",),
-    "cosstep": ("alpha", "N"),
-    "cosaffine": ("lambda", "theta"),
-    "laguerre": ("q",),
-    "exppower": ("alpha", "p"),
-}
+# the families parse_sequence_spec reads by key=value, keyed by spec name
+_FAMILIES = {cls.family: cls for cls in MultiplierSequence.__subclasses__()
+             if cls.family is not None}
 
 
 def parse_sequence_spec(spec: str) -> MultiplierSequence:
     """Parse operator strings like ``gauss:alpha=0.5`` or ``explicit:1,0.5``.
-    Every number must be finite."""
+    The constructors check the numbers; ``N`` must be an integer."""
     if ":" not in spec:
         raise InputError(f"operator spec {spec!r} needs the form family:args")
     family, _, body = spec.partition(":")
     family = family.strip().lower()
+    parts = [part for part in body.split(",") if part.strip() != ""]
     if family == "explicit":
         try:
-            values = [float(v) for v in body.split(",") if v.strip() != ""]
-        except ValueError as exc:
-            raise InputError(f"bad explicit values in {spec!r}") from exc
-        if not values:
-            raise InputError(f"explicit spec {spec!r} lists no values")
-        if not all(map(math.isfinite, values)):
-            raise InputError(f"bad explicit values in {spec!r}: "
-                             f"non-finite number")
-        return ExplicitSequence(values)
-    if family not in _FAMILY_KEYS:
+            return ExplicitSequence(float(v) for v in parts)
+        except (ValueError, SectorLabError) as exc:
+            raise InputError(f"bad explicit values in {spec!r}: {exc}") from exc
+    cls = _FAMILIES.get(family)
+    if cls is None:
         raise InputError(f"unknown operator family {family!r}")
     kv = {}
-    for part in body.split(","):
-        if part.strip() == "":
-            continue
+    for part in parts:
         key, eq, val = part.partition("=")
         if not eq:
             raise InputError(f"expected key=value, got {part!r} in {spec!r}")
         kv[key.strip()] = val.strip()
-    expected = _FAMILY_KEYS[family]
+    expected = [key for key, _ in cls.spec_keys]
     if set(kv) != set(expected):
         raise InputError(
             f"{family} takes exactly {', '.join(expected)}; got {sorted(kv)}")
     try:
-        num = {k: float(v) for k, v in kv.items()}
-        if not all(map(math.isfinite, num.values())):
-            raise ValueError("non-finite number")
-        if family == "gauss":
-            return GaussSequence(alpha=num["alpha"])
-        if family == "cosstep":
-            return CosineStepSequence(alpha=num["alpha"], N=int(kv["N"]))
-        if family == "cosaffine":
-            return CosineAffineSequence(lam=num["lambda"], theta=num["theta"])
-        if family == "laguerre":
-            return LaguerreQSequence(q=num["q"])
-        return ExpPowerSequence(alpha=num["alpha"], p=num["p"])
+        return cls(**{field: (int if key == "N" else float)(kv[key])
+                      for key, field in cls.spec_keys})
     except (ValueError, SectorLabError) as exc:
         raise InputError(f"bad parameters in {spec!r}: {exc}") from exc

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvalidRootSpecError, ZeroPolynomialError
+from .errors import (InputError, InvalidRootSpecError, ZeroPolynomialError,
+                     check_number)
 
 __all__ = [
     "RealPolynomial",
@@ -113,6 +114,10 @@ class ComplexPolynomial(_Polynomial):
         return bool(np.max(np.abs(self.coeffs.imag)) <= tol * self.scale())
 
 
+def _root_part(value) -> float:
+    return float(check_number(value, "root part", InvalidRootSpecError))
+
+
 @dataclass(frozen=True)
 class SectorRootSpec:
     """Roots given as nonnegative reals plus conjugate pairs a +/- ib.
@@ -126,16 +131,16 @@ class SectorRootSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "real_roots",
-                           tuple(float(x) for x in self.real_roots))
-        object.__setattr__(self, "pairs",
-                           tuple((float(a), float(b)) for a, b in self.pairs))
+                           tuple(map(_root_part, self.real_roots)))
+        object.__setattr__(self, "pairs", tuple(tuple(map(_root_part, ab))
+                                                for ab in self.pairs))
         for x in self.real_roots:
-            if not math.isfinite(x) or x < 0.0:
-                raise InvalidRootSpecError(f"real root {x!r} must be finite and >= 0")
-        for a, b in self.pairs:
-            if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
+            if x < 0.0:
+                raise InvalidRootSpecError(f"real root {x!r} must be >= 0")
+        for ab in self.pairs:
+            if len(ab) != 2 or min(ab) <= 0.0:
                 raise InvalidRootSpecError(
-                    f"pair ({a!r}, {b!r}) must have a > 0 and b > 0")
+                    f"pair {ab!r} must be (a, b) with a > 0 and b > 0")
 
     @property
     def degree(self) -> int:

@@ -36,7 +36,8 @@ batch of one.  The solve pipeline:
 5. near-real locations are snapped: |Im z| <= _REAL_SNAP_TOL * max(1, |z|)
    becomes exactly real,
 6. for real coefficient input, remaining conjugate iterates are averaged in
-   pairs and the returned multiset is exactly conjugation invariant,
+   pairs; a nonreal entry left unpaired is snapped to the axis or fails the
+   solve, so the returned multiset is exactly conjugation invariant,
 7. every entry gets the normalized residual |p(z)| / (scale * max(1,|z|)^d)
    with scale = max_k |c_k|; unless every entry is at most
    ``residual_accept`` (a NaN is not) the polynomial's solve fails instead
@@ -94,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegreeZeroError, NonConvergenceError
+from .errors import DegreeZeroError, NonConvergenceError, check_number
 from .poly import _horner, _Polynomial
 
 __all__ = [
@@ -133,7 +134,8 @@ class SolverConfig:
     residual_accept: float = 1e-9
 
     def __post_init__(self):
-        if not self.residual_accept > 0.0:
+        if not check_number(self.residual_accept, "residual_accept",
+                            finite=False) > 0.0:
             raise ValueError("residual_accept must be positive")
 
 
@@ -452,7 +454,9 @@ def _pair_conjugates(entries: list, radii: list) -> list:
     of the two entries' inclusion radii ``radii``, where the mates of close
     zeros can sit.  Runs after real snapping, so real roots carrying
     opposite-signed noise never enter the candidate pools and cannot be
-    married across a genuine root gap.
+    married across a genuine root gap.  Mates become exact conjugates, so
+    the multiset is closed exactly when no nonreal entry is left unpaired:
+    one is snapped to the axis within _ORPHAN_SNAP, and any other raises.
     """
     out = list(entries)
     pos = [i for i, (z, _) in enumerate(out) if z.imag > 0.0]
@@ -477,19 +481,13 @@ def _pair_conjugates(entries: list, radii: list) -> list:
             out[bestj] = (mu.conjugate(), out[bestj][1])
     for i, (z, m) in enumerate(out):
         if i not in paired:
-            out[i] = (_snapped(z, _ORPHAN_SNAP), m)
+            z = _snapped(z, _ORPHAN_SNAP)
+            if z.imag != 0.0:
+                raise NonConvergenceError(
+                    "conjugate symmetry of the zero multiset could not be "
+                    "restored", location=z)
+            out[i] = (z, m)
     return out
-
-
-def _assert_conjugate_closed(entries: list) -> None:
-    counts = {}
-    for z, m in entries:
-        counts[(z.real, z.imag, m)] = counts.get((z.real, z.imag, m), 0) + 1
-    for (re, im, m), c in counts.items():
-        if counts.get((re, -im, m), 0) != c:
-            raise NonConvergenceError(
-                "conjugate symmetry of the zero multiset could not be restored",
-                location=complex(re, im))
 
 
 def deflate_origin(p):
@@ -509,7 +507,6 @@ def _finish(q: np.ndarray, k0: int, clusters: list,
                for ctr, m, span, _ in clusters]
     if bool(np.all(q.imag == 0.0)):
         entries = _pair_conjugates(entries, [r for *_, r in clusters])
-        _assert_conjugate_closed(entries)
     if k0 > 0:
         entries.append((0.0 + 0.0j, k0))
 
@@ -547,7 +544,7 @@ def _pair_stacked(w: np.ndarray, absz: np.ndarray, radii: np.ndarray
     which it leaves: a mate nearest to two upper-half entries, where the
     greedy order decides; a distance where Python's abs raises (hypot
     overflows; finite entries give no NaN); and a nonreal entry left
-    unpaired, which _pair_conjugates may snap to the axis."""
+    unpaired, which _pair_conjugates snaps to the axis or fails on."""
     B, n = w.shape
     x, y = w.real, w.imag
     upper, lower = y > 0.0, y < 0.0

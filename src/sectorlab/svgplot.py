@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from .geometry import SectorDisc
-
 __all__ = ["render_scene"]
 
 _SIZE = 800
@@ -109,11 +107,9 @@ def render_scene(before=(), after=(), discs=(), sector_angle=None,
         rays(predicted_angle, _STYLE["predicted"])
 
     for d in discs:
-        if isinstance(d, SectorDisc) and d.empty:
-            continue
-        center = d.center if isinstance(d, SectorDisc) else complex(d[0])
-        radius = d.radius if isinstance(d, SectorDisc) else float(d[1])
-        cv.circle(center.real, center.imag, cv.scale(radius), _STYLE["disc"])
+        if not d.empty:
+            cv.circle(d.center.real, d.center.imag, cv.scale(d.radius),
+                      _STYLE["disc"])
 
     for z in before:
         cv.circle(z.real, z.imag, "5.0", _STYLE["before"])

@@ -1,5 +1,6 @@
 """Ratio profiles, three-term probes, identity checks, and campaigns."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,6 +31,7 @@ from sectorlab import (
     jensen_sector_disc,
     jsd_bracket,
     jsd_modulus_identity_check,
+    parse_sequence_spec,
     rn_profile,
     search_counterexample,
     three_term_transformed_roots,
@@ -213,6 +215,12 @@ def test_poly_gen_spec_validation():
                    ("0.1", 10.0), (None, 10.0)):
         with pytest.raises(SectorLabError):
             PolyGenSpec(mag_lo=lo, mag_hi=hi)
+    # a float field that is not a number is a SectorLabError, not the bare
+    # TypeError of comparing it
+    for field in ("theta", "mag_lo", "mag_hi", "real_fraction"):
+        for bad in ("0.5", None, True, 0.5j):
+            with pytest.raises(SectorLabError, match=field):
+                PolyGenSpec(**{field: bad})
     # degrees and the seed are integers, and not bools
     for field in ("deg_lo", "deg_hi", "seed"):
         for bad in (2.5, 2.0, True, "2", None, np.float64(2.0)):
@@ -583,3 +591,47 @@ def test_verify_rejects_non_finite_params():
                             ("zsro", {"tolerance_override": math.nan})):
         with pytest.raises(InputError, match="must be finite"):
             verify_theorem(theorem, gen, params, trials=1)
+    # a value that is not a number once ran: "0.5" went into the report
+    for theorem, params in (("zsro", {"alpha": "0.5"}),
+                            ("cosak", {"N": "3"}),
+                            ("jsd", {"lam": None, "beta": [0.1]}),
+                            ("zsro", {"tolerance_override": "0.1"})):
+        with pytest.raises(InputError, match="must be a number"):
+            verify_theorem(theorem, gen, params, trials=1)
+
+
+@pytest.mark.parametrize("gen, params", [
+    # lambda - beta = pi: every multiplier cos(pi/2 + k pi) is snapped to 0
+    (PolyGenSpec(seed=42, theta=1.4),
+     {"alpha": math.pi, "lam": math.pi / 2.0, "beta": -math.pi / 2.0}),
+    # cos(k pi/2) on a real linear polynomial leaves its constant term only
+    (PolyGenSpec(seed=42, deg_hi=1, theta=0.0),
+     {"alpha": math.pi / 2.0, "lam": 0.0, "beta": 0.0}),
+], ids=["degenerate-blend", "constant-image"])
+def test_jsd_skips_a_blend_with_nothing_to_solve(gen, params):
+    report = verify_theorem("jsd", gen, params, trials=5)
+    assert report.skipped == 5
+    assert report.worst_margin is None and report.counterexample is None
+
+
+@pytest.mark.parametrize("theorem, params", [
+    ("zsro", {}), ("cosak", {}), ("lms2", {}), ("roms", {}),
+    ("roms", {"sequence": LaguerreQSequence(0.5)}), ("search", {})])
+def test_forced_certificates_name_an_operator_that_parses_back(
+        monkeypatch, theorem, params):
+    # every tested trial violates tolerance -1, so each run certifies one
+    if theorem == "search":
+        monkeypatch.setattr(analysis, "SEARCH_CAMPAIGN", dataclasses.replace(
+            analysis.SEARCH_CAMPAIGN, tolerance=-1.0))
+        report = search_counterexample(
+            ExpPowerSequence(0.3, 1.5), PolyGenSpec(seed=42, theta=0.6,
+                                                    deg_hi=12), trials=20)
+    else:
+        campaign = analysis.CAMPAIGNS[theorem]
+        gen = PolyGenSpec(seed=42, theta=campaign.theta,
+                          deg_hi=campaign.deg_hi)
+        report = verify_theorem(theorem, gen,
+                                {**params, "tolerance_override": -1.0},
+                                trials=20)
+    op = report.counterexample.operator
+    assert parse_sequence_spec(op).spec_string() == op

@@ -18,6 +18,7 @@ from sectorlab import (
     HypothesisViolationError,
     InputError,
     LaguerreQSequence,
+    MultiplierSequence,
     NotInRightHalfPlaneError,
     RealPolynomial,
     SectorLabError,
@@ -151,6 +152,39 @@ def test_multiplier_constructors_reject_non_finite_numbers(make):
     # a SectorLabError, not the polynomial's bare ValueError once applied
     with pytest.raises(SectorLabError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GaussSequence("0.5"),
+    lambda: CosineStepSequence("0.5", 2),
+    lambda: CosineAffineSequence("0", 0.1),
+    lambda: LaguerreQSequence(None),
+    lambda: ExpPowerSequence("1", 1.0),
+    lambda: ExplicitSequence(["a"]),
+    lambda: ExplicitSequence([1.0, True]),
+], ids=["gauss", "cosstep", "cosaffine", "laguerre", "exppower", "explicit",
+        "explicit-bool"])
+def test_multiplier_constructors_reject_values_that_are_not_numbers(make):
+    # a SectorLabError, not the bare TypeError or ValueError of using them
+    with pytest.raises(SectorLabError, match="must be a number"):
+        make()
+
+
+def test_spec_string_comes_from_the_declared_keys():
+    for ms, text in ((GaussSequence(0.25), "gauss:alpha=0.25"),
+                     (CosineStepSequence(0.3, 4), "cosstep:alpha=0.3,N=4"),
+                     (CosineAffineSequence(-0.1, 0.7),
+                      "cosaffine:lambda=-0.1,theta=0.7"),
+                     (LaguerreQSequence(0.9), "laguerre:q=0.9"),
+                     (ExpPowerSequence(1.5, 2), "exppower:alpha=1.5,p=2")):
+        assert ms.spec_string() == text
+        assert parse_sequence_spec(text) == ms
+    # valid input is stored as given: the int 2 is written as 2
+    assert ExpPowerSequence(1.5, 2).p == 2
+    # a sequence of no family has no spec, and may act on any degree
+    with pytest.raises(NotImplementedError):
+        MultiplierSequence().spec_string()
+    MultiplierSequence().check_degree(10**6)
 
 
 def test_apply_sequence_gauss_oracle():

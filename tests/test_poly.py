@@ -80,6 +80,12 @@ def test_sector_root_spec_validation():
         SectorRootSpec(pairs=((0.0, 1.0),))
     with pytest.raises(InvalidRootSpecError):
         SectorRootSpec(pairs=((1.0, -2.0),))
+    # root parts that are not numbers, and pairs that are not pairs
+    for bad in (dict(real_roots=("a",)), dict(real_roots=(None,)),
+                dict(pairs=(("1", 1.0),)), dict(pairs=((1.0,),)),
+                dict(pairs=((1.0, 1.0, 1.0),)), dict(real_roots=(math.inf,))):
+        with pytest.raises(InvalidRootSpecError):
+            SectorRootSpec(**bad)
 
 
 def test_sector_root_spec_angle_and_roots():

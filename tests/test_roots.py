@@ -12,6 +12,7 @@ from sectorlab import (
     NonConvergenceError,
     PolyGenSpec,
     RealPolynomial,
+    SectorLabError,
     SectorRootSpec,
     SolverConfig,
     ZeroPolynomialError,
@@ -104,6 +105,30 @@ def test_solver_config_validation():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             SolverConfig(residual_accept=bad)
+    # not a number: a SectorLabError, not the bare TypeError of comparing it
+    for bad in ("1e-9", None):
+        with pytest.raises(SectorLabError, match="must be a number"):
+            SolverConfig(residual_accept=bad)
+    assert SolverConfig(residual_accept=math.inf).residual_accept == math.inf
+
+
+def test_unpaired_nonreal_entry_fails_the_solve_there():
+    # 1+1j has no conjugate mate within reach, and is too far from the axis
+    # to snap: the finish fails at that entry, before any residual
+    q = np.array([2.0, -2.0, 1.0], dtype=complex)
+    clusters = [(1 + 1j, 1, 0.0, 0.0), (2 - 1j, 1, 0.0, 0.0)]
+    with pytest.raises(NonConvergenceError,
+                       match="conjugate symmetry") as info:
+        roots._finish(q, 0, clusters, SolverConfig())
+    assert info.value.location == 1 + 1j
+    # the stacked finish leaves such a row to the scalar finish
+    w = np.array([[1 + 1j, 2 - 1j]])
+    left = roots._pair_stacked(w, np.abs(w), np.zeros(w.shape))
+    assert left.tolist() == [True]
+    # an entry within _ORPHAN_SNAP of the axis is snapped instead
+    entries = roots._pair_conjugates([(2 + 1e-7j, 1), (1 + 1j, 1),
+                                      (1 - 1j, 1)], [0.0, 0.0, 0.0])
+    assert entries == [(2 + 0j, 1), (1 + 1j, 1), (1 - 1j, 1)]
 
 
 def test_wilkinson_ten_recovered():
@@ -688,7 +713,6 @@ def _finish_loop(c, q, k0, iterates, cfg):
         raw = [(roots._snapped(z, roots._REAL_SNAP_TOL), m) for z, m in raw]
         if bool(np.all(c.imag == 0.0)):
             raw = roots._pair_conjugates(raw, [r for *_, r in clusters])
-            roots._assert_conjugate_closed(raw)
         entries.extend(raw)
     if k0 > 0:
         entries.append((0.0 + 0.0j, k0))
