@@ -35,16 +35,15 @@ from .operators import (BlendParams, CosineAffineSequence, CosineStepSequence,
                         predicted_sector_after_cosine_step,
                         predicted_sector_after_gauss,
                         predicted_strip_after_gauss, rotation_blend)
-from .poly import (ComplexPolynomial, RealPolynomial, SectorRootSpec,
-                   from_document, from_sector_roots, from_sector_roots_many,
-                   to_document)
+from .poly import (RealPolynomial, SectorRootSpec, from_document,
+                   from_sector_roots, from_sector_roots_many, to_document)
 from .roots import (SolverConfig, ZeroEntry, ZeroSet, deflate_origin,
                     find_roots, find_roots_many)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlendParams", "ComplexPolynomial", "CosineAffineSequence",
+    "BlendParams", "CosineAffineSequence",
     "CosineStepSequence", "Counterexample", "DegenerateLeadingError",
     "DegenerateSequenceError", "DegreeZeroError", "DomainError",
     "EmptyDiscError", "ExplicitSequence", "ExpPowerSequence", "GaussSequence",

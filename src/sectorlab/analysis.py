@@ -56,7 +56,7 @@ from .operators import (CosineAffineSequence, CosineStepSequence,
                         ExplicitSequence, ExpPowerSequence, GaussSequence,
                         MultiplierSequence, apply_sequence_many,
                         predicted_sector_after_cosine_step,
-                        predicted_sector_after_gauss)
+                        predicted_sector_after_gauss, _step_count)
 from .poly import RealPolynomial, SectorRootSpec, from_sector_roots_many
 from .roots import SolverConfig, find_roots, find_roots_many
 
@@ -447,10 +447,10 @@ def _trial_cosak(gen, params, rng):
     if big_n is None:
         big_n = int(math.floor(alpha * max(spec.degree, 1)
                                / (0.98 * math.pi / 2.0))) + 1
-    ms = CosineStepSequence(alpha, int(big_n))
+    ms = CosineStepSequence(alpha, big_n)
     p, q = yield spec, ms
     predicted = predicted_sector_after_cosine_step(spec.max_angle(), alpha,
-                                                   int(big_n))
+                                                   big_n)
     return (yield from _sector_margin(p, q, predicted, ms.spec_string()))
 
 
@@ -657,6 +657,9 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
     for name, value in params.items():
         if name not in ("quadratic", "sequence") and value is not None:
             check_number(value, name, InputError)
+    if params.get("N") is not None:
+        # the operator certified is the one the report names
+        params["N"] = _step_count(params["N"], InputError)
     tol = params.pop("tolerance_override", None)
     if tol is None:
         tol = campaign.tolerance

@@ -51,7 +51,7 @@ from .errors import (DegenerateSequenceError, DomainError,
                      HypothesisViolationError, InputError,
                      NotInRightHalfPlaneError, SectorLabError,
                      ZeroPolynomialResultError, check_number)
-from .poly import ComplexPolynomial, RealPolynomial, _real_polynomials
+from .poly import RealPolynomial, _real_polynomials
 from .roots import SolverConfig, find_roots
 
 __all__ = [
@@ -126,6 +126,18 @@ class GaussSequence(MultiplierSequence):
         return math.exp(-0.5 * self.alpha * self.alpha * k * k)
 
 
+def _step_count(N, error=SectorLabError) -> int:
+    """The cosine step's N as an int: an integer >= 1 (a bool is not, nor
+    is a float, even an integral one); otherwise raise ``error``."""
+    try:
+        n = None if isinstance(N, bool) else operator.index(N)
+    except TypeError:
+        n = None
+    if n is None or n < 1:
+        raise error(f"cosstep needs integer N >= 1, got {N!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class CosineStepSequence(MultiplierSequence):
     """gamma_k = cos(alpha k / N); usable on degree n only while alpha n / N < pi/2."""
@@ -140,13 +152,7 @@ class CosineStepSequence(MultiplierSequence):
         super().__post_init__()
         if not self.alpha > 0.0:
             raise SectorLabError(f"cosstep needs alpha > 0, got {self.alpha!r}")
-        try:
-            N = None if isinstance(self.N, bool) else operator.index(self.N)
-        except TypeError:
-            N = None
-        if N is None or N < 1:
-            raise SectorLabError(f"cosstep needs integer N >= 1, got {self.N!r}")
-        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "N", _step_count(self.N))
 
     def term(self, k: int) -> float:
         return math.cos(self.alpha * k / self.N)
@@ -236,21 +242,24 @@ class BlendParams:
     beta: float
 
 
-def rotation_blend(p: RealPolynomial, bp: BlendParams) -> ComplexPolynomial:
-    """e^{i lam} p(e^{i alpha} z) + e^{i beta} p(e^{-i alpha} z).
+def rotation_blend(p: RealPolynomial, bp: BlendParams) -> np.ndarray:
+    """The complex128 coefficients, ascending, of
+    e^{i lam} p(e^{i alpha} z) + e^{i beta} p(e^{-i alpha} z).
 
-    Blend factors of modulus <= 1e-13 are taken as exact zeros, so the result
-    degree drops when the leading factor vanishes; an all-zero result raises.
+    Blend factors of modulus <= 1e-13 are taken as exact zeros, and trailing
+    zero coefficients are stripped, so the degree drops when the leading
+    factor vanishes; an all-zero result raises.
     """
     k = np.arange(p.coeffs.size)
     w = np.exp(1j * (bp.lam + k * bp.alpha)) + np.exp(1j * (bp.beta - k * bp.alpha))
     w[np.abs(w) <= 2.0 * _TRIG_SNAP] = 0.0
-    out = p.coeffs.astype(np.complex128) * w
-    if not np.any(out):
+    out = p.coeffs * w
+    nonzero = np.flatnonzero(out)
+    if not nonzero.size:
         raise ZeroPolynomialResultError(
             "every blend coefficient vanished (beta - lambda = pi mod 2 pi "
             "combined with the rotation angle)")
-    return ComplexPolynomial(out)
+    return out[: nonzero[-1] + 1]
 
 
 def _apply_many(polys, seqs) -> list:

@@ -1,11 +1,11 @@
-"""Dense polynomials with real or complex coefficients.
+"""Dense polynomials with real coefficients.
 
 Coefficients are stored in ascending degree order, so ``coeffs[k]`` multiplies
 ``z**k``.  Trailing zero coefficients are stripped on construction and the
 zero polynomial is rejected everywhere.  Values are immutable: the backing
 arrays are marked read-only.
 
-Besides the two value types the module provides construction from
+Besides the value type the module provides construction from
 sector-constrained root data (nonnegative real roots plus conjugate pairs
 ``a +/- ib`` with ``a, b > 0``) and a small JSON document format used by the
 command line tools.
@@ -29,7 +29,6 @@ from .errors import (InputError, InvalidRootSpecError, ZeroPolynomialError,
 
 __all__ = [
     "RealPolynomial",
-    "ComplexPolynomial",
     "SectorRootSpec",
     "from_sector_roots",
     "from_sector_roots_many",
@@ -65,13 +64,13 @@ def _horner(c: list, z):
     return pv, dv
 
 
-class _Polynomial:
-    """Shared body of the two value types; ``_dtype`` fixes the coefficients'."""
+class RealPolynomial:
+    """Real-coefficient polynomial, ascending order, trailing zeros stripped."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = _normalized(np.array(coeffs, dtype=self._dtype))
+        self.coeffs = _normalized(np.array(coeffs, dtype=np.float64))
 
     @property
     def degree(self) -> int:
@@ -86,36 +85,30 @@ class _Polynomial:
         return float(np.max(np.abs(self.coeffs)))
 
     def __eq__(self, other):
-        return (isinstance(other, type(self))
+        return (isinstance(other, RealPolynomial)
                 and self.coeffs.shape == other.coeffs.shape
                 and bool(np.all(self.coeffs == other.coeffs)))
 
     __hash__ = None
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.coeffs.tolist()!r})"
-
-
-class RealPolynomial(_Polynomial):
-    """Real-coefficient polynomial, ascending order, trailing zeros stripped."""
-
-    __slots__ = ()
-    _dtype = np.float64
-
-
-class ComplexPolynomial(_Polynomial):
-    """Complex-coefficient polynomial, ascending order, trailing zeros stripped."""
-
-    __slots__ = ()
-    _dtype = np.complex128
-
-    def is_real_within(self, tol: float = 0.0) -> bool:
-        """True when every imaginary part is at most tol * coefficient scale."""
-        return bool(np.max(np.abs(self.coeffs.imag)) <= tol * self.scale())
+        return f"RealPolynomial({self.coeffs.tolist()!r})"
 
 
 def _root_part(value) -> float:
     return float(check_number(value, "root part", InvalidRootSpecError))
+
+
+def _pair(ab) -> tuple:
+    """(a, b) as floats, with a > 0 and b > 0."""
+    try:
+        a, b = map(_root_part, ab)
+    except (TypeError, ValueError):  # a number, or another length
+        a = b = 0.0
+    if min(a, b) <= 0.0:
+        raise InvalidRootSpecError(
+            f"pair {ab!r} must be (a, b) with a > 0 and b > 0")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -132,15 +125,10 @@ class SectorRootSpec:
     def __post_init__(self):
         object.__setattr__(self, "real_roots",
                            tuple(map(_root_part, self.real_roots)))
-        object.__setattr__(self, "pairs", tuple(tuple(map(_root_part, ab))
-                                                for ab in self.pairs))
+        object.__setattr__(self, "pairs", tuple(map(_pair, self.pairs)))
         for x in self.real_roots:
             if x < 0.0:
                 raise InvalidRootSpecError(f"real root {x!r} must be >= 0")
-        for ab in self.pairs:
-            if len(ab) != 2 or min(ab) <= 0.0:
-                raise InvalidRootSpecError(
-                    f"pair {ab!r} must be (a, b) with a > 0 and b > 0")
 
     @property
     def degree(self) -> int:
@@ -282,13 +270,9 @@ def from_sector_roots_many(specs) -> list:
     return out
 
 
-def to_document(p) -> dict:
-    """JSON-serializable document {"coeffs": [...]} for a real polynomial."""
-    if isinstance(p, ComplexPolynomial):
-        if not p.is_real_within(0.0):
-            raise InputError("cannot serialize complex coefficients to a document")
-        return {"coeffs": [float(v.real) for v in p.coeffs]}
-    return {"coeffs": [float(v) for v in p.coeffs]}
+def to_document(p: RealPolynomial) -> dict:
+    """JSON-serializable document {"coeffs": [...]}."""
+    return {"coeffs": p.coeffs.tolist()}
 
 
 def from_document(doc: dict) -> RealPolynomial:

@@ -1,12 +1,12 @@
 """Simultaneous polynomial root finding with residual certificates.
 
-``find_roots_many`` solves a batch of polynomials; ``find_roots`` is the
-batch of one.  The solve pipeline:
+``find_roots_many`` solves a batch of real polynomials; ``find_roots`` is
+the batch of one.  The solve pipeline:
 
 1. deflate exact zeros at the origin, group the batch by the degree left
    over, and scale each polynomial by the power of two that brings its
-   largest coefficient part into [1/2, 1).  Scaling by a power of two is
-   exact, so no zero moves, and Horner's scheme no longer overflows on
+   largest coefficient magnitude into [1/2, 1).  Scaling by a power of two
+   is exact, so no zero moves, and Horner's scheme no longer overflows on
    coefficients near 1e308; a polynomial whose scaled coefficients would
    lose bits to underflow is left as it is,
 2. Aberth-Ehrlich simultaneous iteration from equispaced angles at radii
@@ -35,9 +35,9 @@ batch of one.  The solve pipeline:
    the (m-1)-th derivative, recovering full accuracy for multiple roots,
 5. near-real locations are snapped: |Im z| <= _REAL_SNAP_TOL * max(1, |z|)
    becomes exactly real,
-6. for real coefficient input, remaining conjugate iterates are averaged in
-   pairs; a nonreal entry left unpaired is snapped to the axis or fails the
-   solve, so the returned multiset is exactly conjugation invariant,
+6. remaining conjugate iterates are averaged in pairs; a nonreal entry left
+   unpaired is snapped to the axis or fails the solve, so the returned
+   multiset is exactly conjugation invariant,
 7. every entry gets the normalized residual |p(z)| / (scale * max(1,|z|)^d)
    with scale = max_k |c_k|; unless every entry is at most
    ``residual_accept`` (a NaN is not) the polynomial's solve fails instead
@@ -47,10 +47,10 @@ Stacked on (B, d) arrays, once per degree group: Aberth (a row leaves the
 stack after the sweep in which its own stopping test passes), and stage 3's
 sort, inclusion radii and mask of candidate pairs, on the Aberth iterates
 and again on the polished ones.  In a group of two or more rows, a row with
-real coefficients, no zero at the origin, no candidate pair and finite
-iterates is finished stacked: its singleton clusters are snapped, paired and
-certified by the residual on (B, d) arrays, in the order of the scalar
-finish and with its bits.  The stacked finish keeps only the rows it can
+no zero at the origin, no candidate pair and finite iterates is finished
+stacked: its singleton clusters are snapped, paired and certified by the
+residual on (B, d) arrays, in the order of the scalar finish and with its
+bits.  The stacked finish keeps only the rows it can
 certify so: every nonreal entry pairs with its own nearest mate, and every
 residual is finite and passes the gate.  It leaves every other row to the
 scalar finish, which decides it, exceptions included.  Scalar, per
@@ -78,6 +78,12 @@ multiplied out of place, on contiguous operands of one shape, and per-row
 constants are broadcast only into additions and real factors, which round
 the same in either loop.
 
+Real coefficients round as complex ones with zero imaginary parts: Aberth
+runs on complex128 columns (complex plus float arrays round the same, but
+slower), its start radius is |c_0 (1 / c_d)|, as numpy's complex division
+computes it, and the scalar Horner paths run on Python complex numbers, so
+no signed zero depends on how the interpreter mixes float and complex.
+
 The solver emits no floating-point warnings: ``_aberth`` and
 ``_finish_many`` (polishing, clustering and finishing) run under
 ``np.errstate(all="ignore")``.  The iterates of a hard solve can overflow,
@@ -96,7 +102,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegreeZeroError, NonConvergenceError, check_number
-from .poly import _horner, _Polynomial
+from .poly import RealPolynomial, _horner
 
 __all__ = [
     "SolverConfig",
@@ -160,12 +166,6 @@ class ZeroSet:
         return [e.location for e in self.zeros]
 
 
-def _coeff_array(p) -> np.ndarray:
-    if not isinstance(p, _Polynomial):
-        raise TypeError("expected RealPolynomial or ComplexPolynomial")
-    return p.coeffs.astype(np.complex128)
-
-
 def _derivative(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, c.size)
 
@@ -191,7 +191,7 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
     B, d = Q.shape[0], Q.shape[1] - 1
     radius = np.empty(B)
     for i, q in enumerate(Q):
-        r = float(abs(q[0] / q[-1])) ** (1.0 / d)
+        r = float(abs(q[0] * (1.0 / q[-1]))) ** (1.0 / d)
         radius[i] = r if math.isfinite(r) and r != 0.0 else 1.0
     ang = 2.0 * math.pi * np.arange(d) / d + _START_OFFSET
     # ramped radii: no two starts are antipodal, which would otherwise trap
@@ -292,9 +292,10 @@ def _isolated(diff: np.ndarray, apv: np.ndarray, lead: np.ndarray
 
 
 def _columns(Q: np.ndarray, n: int) -> list:
-    """Column k of Q broadcast to shape (B, n), for every k: numpy adds
-    same-shape operands fastest, and addition rounds the same either way."""
-    return list(np.repeat(Q.T[:, :, None], n, axis=2))
+    """Column k of Q broadcast to shape (B, n) as complex128, for every k:
+    numpy adds same-shape complex operands fastest, and addition rounds the
+    same either way."""
+    return list(np.repeat(Q.T[:, :, None], n, axis=2).astype(np.complex128))
 
 
 def _polish(q: list, z: complex) -> complex:
@@ -490,27 +491,27 @@ def _pair_conjugates(entries: list, radii: list) -> list:
     return out
 
 
-def deflate_origin(p):
+def deflate_origin(p: RealPolynomial):
     """Split p(z) = z^k q(z) with q(0) != 0; returns (q, k)."""
     k = int(np.flatnonzero(p.coeffs)[0])
-    return type(p)(p.coeffs[k:]), k
+    return RealPolynomial(p.coeffs[k:]), k
 
 
 def _finish(q: np.ndarray, k0: int, clusters: list,
             cfg: SolverConfig) -> ZeroSet:
-    """Refine, snap and pair the clusters of the polynomial q(z) z^k0, then
-    certify every entry against its full coefficients."""
+    """Refine, snap and pair the clusters of the real polynomial q(z) z^k0,
+    then certify every entry against its full coefficients."""
     degree = q.size - 1 + k0
+    c = q.astype(np.complex128)
     # snap before pairing: real roots carrying opposite-signed imaginary
     # noise must not be mistaken for a wide conjugate pair
-    entries = [(_snapped(_refine_cluster(q, ctr, m, span), _REAL_SNAP_TOL), m)
+    entries = [(_snapped(_refine_cluster(c, ctr, m, span), _REAL_SNAP_TOL), m)
                for ctr, m, span, _ in clusters]
-    if bool(np.all(q.imag == 0.0)):
-        entries = _pair_conjugates(entries, [r for *_, r in clusters])
+    entries = _pair_conjugates(entries, [r for *_, r in clusters])
     if k0 > 0:
         entries.append((0.0 + 0.0j, k0))
 
-    cl = [0j] * k0 + q.tolist()
+    cl = [0j] * k0 + c.tolist()
     scale = float(np.max(np.abs(q)))
     finished = []
     worst, nan = (-1.0, 0.0 + 0.0j), None
@@ -575,14 +576,14 @@ def _pair_stacked(w: np.ndarray, absz: np.ndarray, radii: np.ndarray
 
 def _finish_stacked(Q: np.ndarray, z: np.ndarray, incl: np.ndarray,
                     cfg: SolverConfig) -> list:
-    """``_finish`` for rows of real coefficients whose clusters are
-    singletons: the sorted finite iterates z (B, n) of the rows of Q, with
-    inclusion radii ``incl``.  Every step of _finish runs on (B, n) arrays in
-    its order and with its bits: |z| is np.hypot, which is Python's
-    abs(complex) bitwise on finite parts (numpy's complex abs is not), and
-    the products of the residual's Horner are Python's complex products
-    written out in real arithmetic, which numpy's complex multiply is not
-    (it fuses multiplies and adds in its SIMD loop).  Returns each row's
+    """``_finish`` for rows whose clusters are singletons: the sorted finite
+    iterates z (B, n) of the rows of Q, with inclusion radii ``incl``.
+    Every step of _finish runs on (B, n) arrays in its order and with its
+    bits: |z| is np.hypot, which is Python's abs(complex) bitwise on finite
+    parts (numpy's complex abs is not), and the products of the residual's
+    Horner are Python's complex products written out in real arithmetic,
+    which numpy's complex multiply is not (it fuses multiplies and adds in
+    its SIMD loop).  Returns each row's
     ZeroSet, or None for a row left to _finish: one whose pairing
     _pair_stacked leaves, or with a residual that is not finite, that fails
     the gate or whose power max(1, |z|)**n overflows."""
@@ -593,12 +594,12 @@ def _finish_stacked(Q: np.ndarray, z: np.ndarray, incl: np.ndarray,
     y[(y != 0.0) & (np.abs(y) <= _REAL_SNAP_TOL * np.maximum(1.0, absz))] = 0.0
     left = _pair_stacked(w, absz, incl)
 
-    # the residual: Horner on the row of Q
-    pre = np.repeat(Q[:, -1:].real, n, axis=1)
-    pim = np.repeat(Q[:, -1:].imag, n, axis=1)
+    # the residual: Horner on the row of Q.  _finish's complex Horner also
+    # adds each coefficient's +0.0 imaginary part: that moves only the sign
+    # of a zero, which |p(z)| does not read
+    pre, pim = np.repeat(Q[:, -1:], n, axis=1), 0.0
     for ck in Q.T[-2::-1]:
-        pre, pim = (pre * x - pim * y + ck.real[:, None],
-                    pre * y + pim * x + ck.imag[:, None])
+        pre, pim = pre * x - pim * y + ck[:, None], pre * y + pim * x
     apv = np.hypot(pre, pim)
     left |= ~np.isfinite(apv).all(axis=1)
     mags = np.maximum(1.0, np.hypot(x, y)).tolist()
@@ -625,9 +626,9 @@ def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
     """Cluster and finish one group, the polynomials Q[r](z) z^k0[r], from
     the (B, d) Aberth iterates of the rows of Q.  Only a row with a candidate
     merge pair is polished and merged (stage 3).  In a group of two or more
-    rows, a row of real coefficients with no origin zero, no candidate pair
-    and finite iterates goes to the stacked finish, and each row it leaves
-    joins the other rows without a candidate pair.  Returns each row's
+    rows, a row with no origin zero, no candidate pair and finite iterates
+    goes to the stacked finish, and each row it leaves joins the other rows
+    without a candidate pair.  Returns each row's
     ZeroSet or the exception it raised; one row's failure fails no other."""
     B = len(k0)
     out = [None] * B
@@ -636,7 +637,7 @@ def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
     single = ~near
     if B > 1:
         rows = np.flatnonzero(
-            single & (np.array(k0) == 0) & (Q.imag == 0.0).all(axis=1)
+            single & (np.array(k0) == 0)
             & np.isfinite(np.hypot(z.real, z.imag)).all(axis=1)).tolist()
         if rows:
             for r, result in zip(rows, _finish_stacked(
@@ -651,7 +652,7 @@ def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
         clusters[r] = [(_mean([v]), 1, 0.0, i) for v, i in zip(zs, radii)]
     polished, ok = [], []
     for r in np.flatnonzero(near).tolist():
-        q = Q[r].tolist()
+        q = Q[r].astype(np.complex128).tolist()
         try:
             polished.append([_polish(q, v) for v in iterates[r].tolist()])
             ok.append(r)
@@ -668,15 +669,14 @@ def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
 
 
 def _scaled(Q: np.ndarray) -> np.ndarray:
-    """Each row of Q times the power of two that brings its largest real or
-    imaginary part into [1/2, 1).  That moves no zero, and Horner's scheme
-    cannot overflow on huge coefficients.  A row that would lose bits to
-    underflow is left as it is."""
-    parts = Q.view(np.float64)
-    e = np.frexp(np.abs(parts).max(axis=1))[1][:, None]
-    scaled = np.ldexp(parts, -e)
-    exact = (np.ldexp(scaled, e) == parts).all(axis=1)[:, None]
-    return np.where(exact, scaled, parts).view(np.complex128)
+    """Each row of Q times the power of two that brings its largest
+    magnitude into [1/2, 1).  That moves no zero, and Horner's scheme cannot
+    overflow on huge coefficients.  A row that would lose bits to underflow
+    is left as it is."""
+    e = np.frexp(np.abs(Q).max(axis=1))[1][:, None]
+    scaled = np.ldexp(Q, -e)
+    exact = (np.ldexp(scaled, e) == Q).all(axis=1)[:, None]
+    return np.where(exact, scaled, Q)
 
 
 def _solve_many(polys, config: SolverConfig | None) -> list:
@@ -686,16 +686,16 @@ def _solve_many(polys, config: SolverConfig | None) -> list:
     cfg = config or SolverConfig()
     out = [None] * len(polys)
     groups = {}
-    # a solve reads only its complex128 coefficients, so each distinct set
-    # of them is solved once and its result handed to every copy
+    # a solve reads only its coefficients, so each distinct set of them is
+    # solved once and its result handed to every copy
     first, copies = {}, []
     for i, p in enumerate(polys):
-        try:
-            c = _coeff_array(p)
-            if c.size == 1:
-                raise DegreeZeroError("a nonzero constant has no zeros")
-        except (TypeError, DegreeZeroError) as exc:
-            out[i] = exc
+        if not isinstance(p, RealPolynomial):
+            out[i] = TypeError("expected RealPolynomial")
+            continue
+        c = p.coeffs
+        if c.size == 1:
+            out[i] = DegreeZeroError("a nonzero constant has no zeros")
             continue
         j = first.setdefault(c.tobytes(), i)
         if j != i:
@@ -716,7 +716,7 @@ def _solve_many(polys, config: SolverConfig | None) -> list:
 
 
 def find_roots_many(polys, config: SolverConfig | None = None) -> list:
-    """Solve every polynomial of ``polys``; see the module docstring.
+    """Solve every ``RealPolynomial`` of ``polys``; see the module docstring.
 
     Returns one entry per input, in order: its ``ZeroSet``, or the exception
     solving it alone would have raised.  Each entry is bitwise equal to what
@@ -727,7 +727,7 @@ def find_roots_many(polys, config: SolverConfig | None = None) -> list:
 
 
 def find_roots(p, config: SolverConfig | None = None) -> ZeroSet:
-    """Solve for all zeros of p; see the module docstring for the pipeline."""
+    """Find every zero of the RealPolynomial p; see the module docstring."""
     result = _solve_many([p], config)[0]
     if isinstance(result, Exception):
         raise result

@@ -508,8 +508,7 @@ def test_cosine_images_are_half_their_rotation_blends(monkeypatch, theorem,
               if isinstance(ms, CosineAffineSequence)]
     assert len(affine) >= 100
     for p, ms, q in affine:
-        half = 0.5 * rotation_blend(p, BlendParams(ms.theta, ms.lam,
-                                                   -ms.lam)).coeffs
+        half = 0.5 * rotation_blend(p, BlendParams(ms.theta, ms.lam, -ms.lam))
         diff = np.zeros(p.coeffs.size, dtype=complex)
         diff[:q.coeffs.size] += q.coeffs
         diff[:half.size] -= half
@@ -598,6 +597,20 @@ def test_verify_rejects_non_finite_params():
                             ("zsro", {"tolerance_override": "0.1"})):
         with pytest.raises(InputError, match="must be a number"):
             verify_theorem(theorem, gen, params, trials=1)
+
+
+def test_cosak_certifies_the_step_count_it_reports():
+    # every trial violates tolerance -1, so each run certifies one
+    gen = PolyGenSpec(seed=42, deg_hi=4)
+    params = {"alpha": 0.3, "tolerance_override": -1.0}
+    for n in (2.5, 2.0, 0):
+        with pytest.raises(InputError, match="cosstep needs integer N >= 1"):
+            verify_theorem("cosak", gen, {**params, "N": n}, trials=3)
+    for n in (3, np.int64(3)):
+        report = verify_theorem("cosak", gen, {**params, "N": n}, trials=3)
+        op = parse_sequence_spec(report.counterexample.operator)
+        assert op.N == report.params["N"] == 3
+        assert type(report.params["N"]) is int
 
 
 @pytest.mark.parametrize("gen, params", [

@@ -242,7 +242,7 @@ def test_disc_traps_nonreal_blend_zeros_of_its_pair():
             continue
         p = RealPolynomial([a * a + b * b, -2.0 * a, 1.0])
         f = rotation_blend(p, BlendParams(alpha=alpha, lam=lam, beta=-lam))
-        for z in np.roots(f.coeffs[::-1]):
+        for z in np.roots(f[::-1]):
             if abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
                 continue
             assert in_disc(complex(z), d, tol=1e-9)

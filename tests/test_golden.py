@@ -101,7 +101,7 @@ def test_few_solves_of_the_benchmark_pool_use_the_whole_budget(monkeypatch):
             gen, np.random.default_rng([42, i])))
         q, _ = deflate_origin(p)
         sweeps.append(0)
-        roots._aberth(q.coeffs.astype(np.complex128)[None, :])
+        roots._aberth(q.coeffs[None, :])
     assert sum(n == roots._MAX_ITERATIONS for n in sweeps) <= 1
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sectorlab import (
-    ComplexPolynomial,
     InputError,
     InvalidRootSpecError,
     RealPolynomial,
@@ -30,7 +29,7 @@ def test_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomialError):
         RealPolynomial([0.0, 0.0])
     with pytest.raises(ZeroPolynomialError):
-        ComplexPolynomial([0.0])
+        RealPolynomial([0.0])
 
 
 def test_nonfinite_and_bad_shape_rejected():
@@ -70,7 +69,7 @@ def test_scale_is_max_abs_coefficient():
 def test_equality_by_exact_coefficients():
     assert RealPolynomial([1.0, 2.0]) == RealPolynomial([1, 2])
     assert RealPolynomial([1.0, 2.0]) != RealPolynomial([1.0, 2.0, 3.0])
-    assert ComplexPolynomial([1j]) == ComplexPolynomial([1j])
+    assert RealPolynomial([1.0, 2.0]) != [1.0, 2.0]
 
 
 def test_sector_root_spec_validation():
@@ -83,7 +82,8 @@ def test_sector_root_spec_validation():
     # root parts that are not numbers, and pairs that are not pairs
     for bad in (dict(real_roots=("a",)), dict(real_roots=(None,)),
                 dict(pairs=(("1", 1.0),)), dict(pairs=((1.0,),)),
-                dict(pairs=((1.0, 1.0, 1.0),)), dict(real_roots=(math.inf,))):
+                dict(pairs=((1.0, 1.0, 1.0),)), dict(real_roots=(math.inf,)),
+                dict(pairs=(1.0,)), dict(pairs=(None,))):
         with pytest.raises(InvalidRootSpecError):
             SectorRootSpec(**bad)
 
@@ -258,11 +258,3 @@ def test_document_rejects_malformed_input():
     ):
         with pytest.raises(InputError):
             from_document(doc)
-
-
-def test_complex_document_requires_real_coefficients():
-    q = ComplexPolynomial([1.0, 1j])
-    with pytest.raises(InputError):
-        to_document(q)
-    r = ComplexPolynomial([1.0 + 0j, 2.0 + 0j])
-    assert to_document(r) == {"coeffs": [1.0, 2.0]}

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sectorlab import (
-    ComplexPolynomial,
     DegreeZeroError,
     NonConvergenceError,
     PolyGenSpec,
@@ -115,7 +114,7 @@ def test_solver_config_validation():
 def test_unpaired_nonreal_entry_fails_the_solve_there():
     # 1+1j has no conjugate mate within reach, and is too far from the axis
     # to snap: the finish fails at that entry, before any residual
-    q = np.array([2.0, -2.0, 1.0], dtype=complex)
+    q = np.array([2.0, -2.0, 1.0])
     clusters = [(1 + 1j, 1, 0.0, 0.0), (2 - 1j, 1, 0.0, 0.0)]
     with pytest.raises(NonConvergenceError,
                        match="conjugate symmetry") as info:
@@ -322,7 +321,7 @@ def _sweeps(monkeypatch, coeffs):
         return real(c, z)
 
     monkeypatch.setattr(roots, "_eval_many", counted)
-    roots._aberth(np.array([coeffs], dtype=complex))
+    roots._aberth(np.array([coeffs]))
     return len(calls)
 
 
@@ -471,7 +470,8 @@ def test_batched_rows_without_merge_pairs_skip_the_scalar_finish(monkeypatch):
 
 
 def _batch_corpus():
-    """Degrees 1-24, real and complex coefficients, origin zeros, repeats."""
+    """Degrees 1-24, coefficients spread over many orders of magnitude,
+    origin zeros, repeats."""
     rng = np.random.default_rng(7)
     polys = []
     for deg in range(1, 25):
@@ -481,8 +481,8 @@ def _batch_corpus():
         if deg % 3 + 2 * len(pairs) == deg:
             polys.append(from_sector_roots(SectorRootSpec(reals, pairs)))
         polys.append(RealPolynomial(rng.normal(size=deg + 1)))
-        polys.append(ComplexPolynomial(rng.normal(size=deg + 1)
-                                       + 1j * rng.normal(size=deg + 1)))
+        c, e = rng.normal(size=(2, deg + 1))
+        polys.append(RealPolynomial(c * np.exp2(20.0 * e)))
         polys.append(RealPolynomial([0.0] * int(rng.integers(1, 4))
                                     + rng.normal(size=deg + 1).tolist()))
     # linear ones share one stacked run here but run on one-element arrays
@@ -491,7 +491,7 @@ def _batch_corpus():
     polys += polys[::5]
     # monomials: a batch of them has no zero left to solve
     polys += [RealPolynomial([0.0, 0.0, 2.0]),
-              RealPolynomial([0.0] * 4 + [-1.5]), ComplexPolynomial([0.0, 1j])]
+              RealPolynomial([0.0] * 4 + [-1.5])]
     polys.append(RealPolynomial([-1.0, 3.0, -3.0, 1.0]))
     # rows that stop on their noise floor, on the step guard or on disjoint
     # inclusion discs, and one that runs the budget
@@ -528,10 +528,10 @@ def test_repeated_polynomials_are_solved_once(monkeypatch):
     # its residual overflows, as in test_a_failing_finish_is_its_own_entry
     hard = [0.0] * 39 + [-1e10, 1.0]
     polys = [RealPolynomial(_POOL_316), RealPolynomial([2.0, -2.0, 1.0]),
-             RealPolynomial(_POOL_316), ComplexPolynomial([2.0, -2.0, 1.0]),
-             RealPolynomial(hard), RealPolynomial([0.0, 2.0, -2.0, 1.0]),
-             RealPolynomial(hard), RealPolynomial([3.0]),
-             RealPolynomial([3.0]), RealPolynomial([2.0, -2.0, 1.0])]
+             RealPolynomial(_POOL_316), RealPolynomial(hard),
+             RealPolynomial([0.0, 2.0, -2.0, 1.0]), RealPolynomial(hard),
+             RealPolynomial([3.0]), RealPolynomial([3.0]),
+             RealPolynomial([2.0, -2.0, 1.0])]
     rows = []
     aberth = roots._aberth
 
@@ -543,8 +543,9 @@ def test_repeated_polynomials_are_solved_once(monkeypatch):
     monkeypatch.setattr(roots, "_aberth", counted)
     batch = find_roots_many(polys)
     assert [_bits(r) for r in batch] == lone
-    assert isinstance(batch[4], OverflowError) and batch[6] is batch[4]
-    # the real and the complex 2 - 2z + z^2 have the same coefficients
+    assert isinstance(batch[3], OverflowError) and batch[5] is batch[3]
+    # four distinct coefficient sets reach Aberth: z (2 - 2z + z^2) is no
+    # copy of 2 - 2z + z^2
     assert sum(rows) == 4
 
 
@@ -568,32 +569,30 @@ def test_stacked_aberth_rows_match_the_per_polynomial_loop():
     for p in _batch_corpus():
         q, _ = deflate_origin(p)
         if q.degree:
-            by_degree.setdefault(q.degree, []).append(
-                q.coeffs.astype(np.complex128))
+            by_degree.setdefault(q.degree, []).append(q.coeffs)
     # degree-1 batches of one work on one-element arrays, where numpy can
     # take a loop of its own
     rng = np.random.default_rng(11)
-    lone = [[q] for q in rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))]
+    lone = [[q] for q in rng.normal(size=(40, 2))]
     for qs in list(by_degree.values()) + lone:
         stacked = roots._aberth(np.stack(qs))
         for row, q in zip(stacked, qs):
             assert row.view(np.float64).tolist() == \
-                _aberth_loop(q).view(np.float64).tolist()
+                _aberth_loop(q.astype(complex)).view(np.float64).tolist()
 
 
 def test_stacked_aberth_fallback_and_budget_rows_match_the_loop(monkeypatch):
     # Horner overflows at the iterates of the huge middle coefficients, so
     # the first row takes the fallback branch; a one-sweep budget stops
     # every row unconverged
-    qs = [np.array([1.0, 1e150, 1e150, 1.0], dtype=complex),
-          np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
-          np.array([2.0, -3.0, 0.5, 1.0], dtype=complex)]
+    qs = [np.array([1.0, 1e150, 1e150, 1.0]), np.array([1.0, 0.0, 0.0, 1.0]),
+          np.array([2.0, -3.0, 0.5, 1.0])]
     for budget in (roots._MAX_ITERATIONS, 1):
         monkeypatch.setattr(roots, "_MAX_ITERATIONS", budget)
         stacked = roots._aberth(np.stack(qs))
         for row, q in zip(stacked, qs):
             assert row.view(np.float64).tolist() == \
-                _aberth_loop(q).view(np.float64).tolist()
+                _aberth_loop(q.astype(complex)).view(np.float64).tolist()
 
 
 def test_find_roots_many_returns_failures_in_place(monkeypatch):
@@ -613,6 +612,20 @@ def test_find_roots_many_returns_failures_in_place(monkeypatch):
     assert isinstance(out[1], NonConvergenceError)
     assert [_bits(out[0]), _bits(out[2])] == \
         [_bits(find_roots(good[1])), _bits(find_roots(good[2]))]
+
+
+def test_only_real_polynomials_are_solved():
+    good = [RealPolynomial([2.0, -2.0, 1.0]), RealPolynomial([-3.0, 1.0])]
+    # coefficients as a complex array and as a plain list
+    bad = [np.array([2.0, -2.0, 1.0], dtype=complex), [2.0, -2.0, 1.0]]
+    for p in bad:
+        with pytest.raises(TypeError, match="expected RealPolynomial"):
+            find_roots(p)
+    out = find_roots_many([good[0], bad[0], good[1], bad[1]])
+    assert [(type(r), str(r)) for r in out[1::2]] == \
+        [(TypeError, "expected RealPolynomial")] * 2
+    assert [_bits(out[0]), _bits(out[2])] == \
+        [_bits(find_roots(p)) for p in good]
 
 
 def _polish_loop(q, z):
@@ -711,9 +724,7 @@ def _finish_loop(c, q, k0, iterates, cfg):
         raw = [(roots._refine_cluster(q, ctr, m, span), m)
                for ctr, m, span, _ in clusters]
         raw = [(roots._snapped(z, roots._REAL_SNAP_TOL), m) for z, m in raw]
-        if bool(np.all(c.imag == 0.0)):
-            raw = roots._pair_conjugates(raw, [r for *_, r in clusters])
-        entries.extend(raw)
+        entries.extend(roots._pair_conjugates(raw, [r for *_, r in clusters]))
     if k0 > 0:
         entries.append((0.0 + 0.0j, k0))
     cl = c.tolist()
@@ -729,20 +740,21 @@ def _finish_loop(c, q, k0, iterates, cfg):
 
 
 def _solve_loop(p, cfg):
-    """Reference solve: the lone Aberth row, then ``_finish_loop``."""
+    """Reference solve: ``_aberth_loop``, then ``_finish_loop``, both in
+    complex arithmetic on the coefficients."""
     c = p.coeffs.astype(complex)
     k0 = int(np.flatnonzero(c)[0])
     q = c[k0:]
     try:
-        iterates = roots._aberth(q[None, :])[0] if q.size > 1 else None
+        iterates = _aberth_loop(q) if q.size > 1 else None
         return _finish_loop(c, q, k0, iterates, cfg)
     except Exception as exc:
         return exc
 
 
 def _finish_corpus():
-    """Multiple roots, close simple roots around cluster_tol, and linear
-    polynomials, beside the batch corpus."""
+    """Multiple roots, close simple real roots and close conjugate pairs
+    around cluster_tol, and linear polynomials, beside the batch corpus."""
     polys = [RealPolynomial(np.poly(zs)[::-1]) for zs in
              ([1.0, 1.0, 1.0], [2.0, 2.0, -1.0], [0.5, 0.5, 0.5, 3.0, 3.0],
               [1 + 1j, 1 - 1j, 1 + 1j, 1 - 1j], [-1.0, -1.0, 0.25, 0.25, 4.0])]
@@ -752,12 +764,11 @@ def _finish_corpus():
         for f in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 10.0):
             delta = f * tol * max(1.0, x)
             polys.append(RealPolynomial(np.poly([x, x + delta, -2.0])[::-1]))
-            polys.append(ComplexPolynomial(
-                np.poly([x + 1j, x + 1j + delta * 1j])[::-1]))
+            close = [x + 1j, x + 1j + delta * 1j]
+            polys.append(RealPolynomial(
+                np.poly(close + np.conj(close).tolist())[::-1]))
     rng = np.random.default_rng(5)
     polys += [RealPolynomial(c) for c in rng.normal(size=(10, 2))]
-    polys += [ComplexPolynomial(c) for c in
-              rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))]
     return polys
 
 
@@ -780,7 +791,7 @@ def test_stacked_inclusion_radii_match_the_per_polynomial_loop():
         if q.size > 1:
             by_degree.setdefault(q.size - 1, []).append(q)
     for qs in list(by_degree.values()) + [[q] for q in by_degree[1]]:
-        Q = np.stack(qs)
+        Q = np.stack(qs).real
         Z = np.array([[_polish_loop(q, complex(v)) for v in row]
                       for q, row in zip(qs, roots._aberth(Q))])
         z, incl = roots._inclusion_radii(Q, Z)
@@ -798,10 +809,6 @@ def test_stacked_finish_keeps_signed_zeros_of_singletons():
     cases = [
         (RealPolynomial([1.0, 0.0, 1.0]), [complex(-0.0, 1.0), complex(-0.0, -1.0)]),
         (RealPolynomial([-2.0, 1.0]), [complex(2.0, -0.0)]),
-        (ComplexPolynomial([-1j, 1.0]), [complex(-0.0, 1.0)]),
-        (ComplexPolynomial([1.0, 1j]), [complex(-0.0, 1.0)]),
-        (ComplexPolynomial([1j, 1.0]), [complex(-0.0, -1.0)]),
-        (ComplexPolynomial([0.0, -1j, 1.0]), [complex(-0.0, 1.0)]),
         (RealPolynomial([-1.0, 0.0, 0.0, 0.0, 1.0]),
          [complex(-1.0, -0.0), complex(-0.0, -1.0), complex(-0.0, 1.0),
           complex(1.0, -0.0)]),
@@ -811,7 +818,7 @@ def test_stacked_finish_keeps_signed_zeros_of_singletons():
         k0 = int(np.flatnonzero(c)[0])
         q = c[k0:]
         iterates = np.array([zs])
-        got = roots._finish_many(q[None, :], [k0], iterates, cfg)[0]
+        got = roots._finish_many(q[None, :].real, [k0], iterates, cfg)[0]
         assert _bits(got) == _bits(_finish_loop(c, q, k0, iterates[0], cfg))
 
 
@@ -887,14 +894,13 @@ def test_a_failing_finish_is_its_own_entry(monkeypatch):
 
 @pytest.mark.parametrize("k", [100, -100, 1000, -1000])
 def test_scaling_by_a_power_of_two_moves_no_bit(k):
-    # the solver brings the largest coefficient part into [1/2, 1), so c and
-    # c 2^k are the same input to it
+    # the solver brings the largest coefficient magnitude into [1/2, 1), so
+    # c and c 2^k are the same input to it
     for p in (RealPolynomial([2.0, -2.0, 1.0]),
               RealPolynomial([-1.0, 3.0, -3.0, 1.0]),
               RealPolynomial(_POOL_316),
-              RealPolynomial([0.0, 0.0, 1.5, -0.25, 3.0]),
-              ComplexPolynomial([1 + 2j, -0.5j, 3.0, 1 - 1j])):
-        assert _bits(_solve_alone(type(p)(p.coeffs * 2.0 ** k))) == \
+              RealPolynomial([0.0, 0.0, 1.5, -0.25, 3.0])):
+        assert _bits(_solve_alone(RealPolynomial(p.coeffs * 2.0 ** k))) == \
             _bits(_solve_alone(p))
 
 
@@ -902,8 +908,8 @@ def _stacked_group():
     """One degree-4 group for the stacked finish, as (Q, k0, iterates).
 
     Crafted iterates, far enough apart that no pair may merge, and Aberth
-    iterates of real and complex quartics, with origin zeros of several
-    orders and a residual that overflows."""
+    iterates of quartics, with origin zeros of several orders and a
+    residual that overflows."""
     q = np.poly([1j, -1j, 2j, -2j])[::-1]
     crafted = [
         # 0.18 - 3i is the nearest lower mate of both upper entries: the
@@ -915,18 +921,19 @@ def _stacked_group():
         (q, [2 + 5e-7j, -2.0, 5j, -5j]),
         # 1 + i has no lower mate in reach: not conjugate closed
         (q, [1 + 1j, -1 - 3j, 3.0, -3.0]),
-        # |p(z)| = 1.8e308 at |z| = 0.5 has finite parts: Python's abs raises
-        ([1.3e308 * (1 + 1j), 0, 0, 0, 1], [0.5, -0.5, 0.5j, -0.5j]),
+        # p(-i) = 1.3e308 (1 - i) + 1 has finite parts, and |p(-i)| = 1.8e308:
+        # Python's abs raises
+        ([1.3e308, 1.3e308, 0, 0, 1], [-0.5, -0.25, 1j, -1j]),
         # Horner's scheme meets inf - inf: NaN residuals, which fail
         ([1, 0, 0, 0, 1e300], [1e5 + 1e5j, 1e5 - 1e5j, -1e5 + 1e5j,
                                -1e5 - 1e5j]),
     ]
     real = np.poly([0.5, 3.0, 1 + 2j, 1 - 2j])[::-1].real
-    natural = [real, np.poly([1j, -2.0, 0.5 + 3j, 1.5])[::-1], real, real,
+    natural = [real, real, real,
                # |z|^40 overflows at the zero 1e10
                np.poly([1e10, 1j, -1j, 2.0])[::-1].real]
-    Q = np.array([c for c, _ in crafted] + natural, dtype=complex)
-    k0 = [0] * len(crafted) + [0, 0, 2, 5, 36]
+    Q = np.array([c for c, _ in crafted] + natural)
+    k0 = [0] * len(crafted) + [0, 2, 5, 36]
     iterates = np.concatenate((np.array([z for _, z in crafted]),
                                roots._aberth(Q[len(crafted):])))
     return Q, k0, iterates
@@ -939,8 +946,8 @@ def test_stacked_finish_branches_match_lone_rows(monkeypatch, accept):
     lone = [_bits(roots._finish_many(Q[r:r + 1], k0[r:r + 1],
                                      iterates[r:r + 1], cfg)[0])
             for r in range(len(k0))]
-    # the stacked finish certifies only row 6, the real quartic with no
-    # origin zero, and leaves every other row to the scalar finish
+    # the stacked finish certifies only row 6, the quartic with no origin
+    # zero, and leaves every other row to the scalar finish
     calls = []
     finish = roots._finish
     monkeypatch.setattr(roots, "_finish", lambda q, k, *a: calls.append(
@@ -954,7 +961,7 @@ def test_stacked_finish_branches_match_lone_rows(monkeypatch, accept):
     assert str(group[4]) == "absolute value too large"
     assert isinstance(group[5], NonConvergenceError)
     assert "carries residual nan above" in str(group[5])
-    assert isinstance(group[10], OverflowError)
+    assert isinstance(group[9], OverflowError)
     if accept == 1e300:
         assert [e.location for e in group[0].zeros] == \
             [0.09 - 3j, 0.09 + 3j, 0.4575 - 3j, 0.4575 + 3j]
@@ -963,7 +970,7 @@ def test_stacked_finish_branches_match_lone_rows(monkeypatch, accept):
         # the crafted rows sit off the zeros
         assert "above the acceptance threshold" in str(group[0])
         assert "above the acceptance threshold" in str(group[2])
-        assert all(isinstance(r, roots.ZeroSet) for r in group[6:10])
+        assert all(isinstance(r, roots.ZeroSet) for r in group[6:9])
 
 
 # Horner overflows at every zero of this polynomial: each residual is NaN
