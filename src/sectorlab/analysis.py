@@ -19,20 +19,19 @@ trial derives its RNG stream from (seed, trial index), so reports are
 byte-identical across reruns.  A spec takes one block of raw doubles u from
 it, each uniform numpy's lo + (hi - lo) * u: the bits of one call per draw.
 
-A trial is a generator.  It draws its spec and parameters from its own
-stream, yields a request (the spec, or for ``roms`` a polynomial, and the
-multiplier sequence) and receives the polynomial p with its image T[p];
-then it yields each polynomial it needs solved and receives its zeros.  A
-failed expansion, application or solve is thrown in at the yield.  The
-loop advances a chunk of trials together: each round expands the pending
-specs with one ``from_sector_roots_many`` call, applies their sequences
-with one ``apply_sequence_many`` call, and solves the pending polynomials
-as one ``find_roots_many`` batch.  Each of these returns bitwise what the
-lone call returns, so a report does not depend on how trials are
-batched.  Each chunk runs once, and an exception
-a trial does not handle is raised after its chunk, from the earliest such
-trial: trials share no state and the solver emits no warnings, so the
-later trials of that chunk leave no trace.
+A trial is a generator that yields once.  It draws its spec and parameters
+from its own stream and makes one request, the spec (for ``roms`` a
+polynomial) and the multiplier sequence T: ``p, q, zeros = yield request``
+gives it the polynomial p, its image q = T[p] and the zeros of q.  A failed
+expansion, application or solve is thrown in at the yield.  The loop runs a
+chunk of trials in two passes: it draws every trial's request, answers them
+all with one ``from_sector_roots_many``, one ``apply_sequence_many`` and one
+``find_roots_many`` call, then hands each trial its answer to judge.  Each
+of these returns bitwise what the lone call returns, so a report does not
+depend on how trials are batched.  An exception a trial does not handle is
+raised after its chunk, from the earliest such trial: trials share no state
+and the solver emits no warnings, so the later trials of that chunk leave
+no trace.
 """
 
 from __future__ import annotations
@@ -47,16 +46,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DegenerateLeadingError, DegenerateSequenceError,
-                     InputError, NonConvergenceError, NotInRightHalfPlaneError,
-                     SectorLabError, SignFlipError, ZeroInteriorTermError,
-                     check_number)
+                     DegreeZeroError, InputError, NonConvergenceError,
+                     NotInRightHalfPlaneError, SectorLabError, SignFlipError,
+                     ZeroInteriorTermError, check_number)
 from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
                        min_enclosing_sector)
 from .operators import (CosineAffineSequence, CosineStepSequence,
                         ExplicitSequence, ExpPowerSequence, GaussSequence,
                         MultiplierSequence, apply_sequence_many,
-                        predicted_sector_after_cosine_step,
-                        predicted_sector_after_gauss, _step_count)
+                        predicted_sector, _step_count)
 from .poly import RealPolynomial, SectorRootSpec, from_sector_roots_many
 from .roots import SolverConfig, find_roots, find_roots_many
 
@@ -390,12 +388,9 @@ def _trial_jsd(gen, params, rng):
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     beta = _uniform(rng, -math.pi, math.pi, params.get("beta"))
     try:
-        p, f = yield spec, CosineAffineSequence(0.5 * (lam - beta), alpha)
-    except DegenerateSequenceError:
+        p, _, zeros = yield spec, CosineAffineSequence(0.5 * (lam - beta), alpha)
+    except (DegenerateSequenceError, DegreeZeroError):
         return None, None
-    if f.degree == 0:
-        return None, None
-    zeros = yield f
     discs = [jensen_sector_disc(a, b, alpha) for a, b in spec.pairs]
     live = [d for d in discs if not d.empty]
     worst = None
@@ -419,39 +414,42 @@ def _trial_jsd(gen, params, rng):
                    worst_zero, None)
 
 
-def _sector_margin(p, q, predicted: float, op: str):
-    """predicted - measured sector of q's zeros, -pi for a zero outside the
-    right half-plane."""
-    zeros = yield q
-    try:
-        measured = min_enclosing_sector(zeros)
-    except NotInRightHalfPlaneError as exc:
-        return -math.pi, (p, op, exc.offender, None)
-    return predicted - measured, (p, op, None, None)
+def _gauss_draw(spec, params, rng):
+    """zsro's sequence: gauss at alpha uniform in [0.1, 1]."""
+    return GaussSequence(_uniform(rng, 0.1, 1.0, params.get("alpha")))
 
 
-def _trial_zsro(gen, params, rng):
-    """Sector growth check for the gauss family; margin = predicted - measured."""
-    spec = draw_sector_spec(gen, rng)
-    ms = GaussSequence(_uniform(rng, 0.1, 1.0, params.get("alpha")))
-    p, q = yield spec, ms
-    predicted = predicted_sector_after_gauss(spec.max_angle(), ms.alpha)
-    return (yield from _sector_margin(p, q, predicted, ms.spec_string()))
-
-
-def _trial_cosak(gen, params, rng):
-    """Single cosine-step application; margin = predicted - measured."""
-    spec = draw_sector_spec(gen, rng)
+def _cosine_step_draw(spec, params, rng):
+    """cosak's sequence: a single cosine step, by default with the least N
+    that gives alpha deg / N < 0.98 pi/2."""
     alpha = _uniform(rng, 0.05, math.pi / 2.0 - 0.05, params.get("alpha"))
     big_n = params.get("N")
     if big_n is None:
         big_n = int(math.floor(alpha * max(spec.degree, 1)
                                / (0.98 * math.pi / 2.0))) + 1
-    ms = CosineStepSequence(alpha, big_n)
-    p, q = yield spec, ms
-    predicted = predicted_sector_after_cosine_step(spec.max_angle(), alpha,
-                                                   big_n)
-    return (yield from _sector_margin(p, q, predicted, ms.spec_string()))
+    return CosineStepSequence(alpha, big_n)
+
+
+def _sector_trial(draw_sequence):
+    """The trial of the proven sector bound (``operators.predicted_sector``)
+    under the sequence ``draw_sequence(spec, params, rng)`` draws after the
+    spec; margin = predicted - measured, -pi for a zero outside the right
+    half-plane."""
+    def trial(gen, params, rng):
+        spec = draw_sector_spec(gen, rng)
+        ms = draw_sequence(spec, params, rng)
+        p, _, zeros = yield spec, ms
+        predicted = predicted_sector(ms, spec.max_angle())
+        op = ms.spec_string()
+        try:
+            return predicted - min_enclosing_sector(zeros), (p, op, None, None)
+        except NotInRightHalfPlaneError as exc:
+            return -math.pi, (p, op, exc.offender, None)
+    return trial
+
+
+_trial_zsro = _sector_trial(_gauss_draw)
+_trial_cosak = _sector_trial(_cosine_step_draw)
 
 
 def _trial_lms2(gen, params, rng):
@@ -461,10 +459,9 @@ def _trial_lms2(gen, params, rng):
     theta = _uniform(rng, -math.pi, math.pi, params.get("mult_theta"))
     ms = CosineAffineSequence(lam, theta)
     try:
-        p, q = yield spec, ms
+        p, _, zeros = yield spec, ms
     except DegenerateSequenceError:
         return None, None
-    zeros = yield q
     worst = 0.0
     worst_zero = None
     for e in zeros.zeros:
@@ -479,8 +476,7 @@ def _trial_roms(gen, params, rng):
     ms = params["sequence"]
     n = int(rng.integers(max(gen.deg_lo, 2), gen.deg_hi + 1))
     coeffs = [math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]
-    p, q = yield RealPolynomial(coeffs), ms
-    zeros = yield q
+    p, _, zeros = yield RealPolynomial(coeffs), ms
     worst = math.inf
     worst_zero = None
     for e in zeros.zeros:
@@ -498,8 +494,7 @@ def _trial_search(gen, params, rng):
     theta_after."""
     ms = params["sequence"]
     spec = draw_sector_spec(gen, rng)
-    p, q = yield spec, ms
-    zeros = yield q
+    p, _, zeros = yield spec, ms
     after = max(abs(math.atan2(e.location.imag, e.location.real))
                 for e in zeros.zeros)
     before = spec.max_angle()
@@ -509,11 +504,11 @@ def _trial_search(gen, params, rng):
 
 @dataclass(frozen=True)
 class Campaign:
-    """``trial(gen, params, rng)`` is a generator.  It first yields its
+    """``trial(gen, params, rng)`` is a generator that yields once: its
     request (a ``SectorRootSpec`` or a ``RealPolynomial`` p, and the
-    ``MultiplierSequence`` T) and receives (p, T[p]); then it yields each
-    polynomial to solve and receives its ``ZeroSet``.  The exception of a
-    failed expansion, application or solve is thrown in at the yield.  It
+    ``MultiplierSequence`` T), for which it receives (p, T[p], the
+    ``ZeroSet`` of T[p]).  The exception of a failed expansion, application
+    or solve is thrown in at the yield.  It may return before yielding.  It
     returns (margin, info), margin None when nothing was tested.  A
     margin below -``tolerance`` is a violation, and info = (polynomial,
     operator, offending zero or None, certificate detail or None) describes
@@ -545,15 +540,16 @@ THEOREM_IDS = tuple(CAMPAIGNS)
 SEARCH_CAMPAIGN = Campaign(_trial_search, 1e-7, ("sequence",), theta=0.6,
                            deg_hi=12)
 
-# trials advanced together, whose pending polynomials are solved as one batch
+# trials run together, whose requests are answered as one batch
 _CHUNK = 1000
 
 
-def _transform_many(requests: list) -> list:
-    """Per trial request (spec or polynomial p, sequence T): (p, T[p]), or
-    the exception of expanding p or of applying T.  Specs are expanded by
-    one from_sector_roots_many call and the sequences applied by one
-    apply_sequence_many call."""
+def _answer_many(requests: list, config: SolverConfig | None) -> list:
+    """Per trial request (spec or polynomial p, sequence T): (p, T[p], the
+    zeros of T[p]), or the exception of expanding p, applying T or solving
+    T[p].  One from_sector_roots_many call expands the specs, one
+    apply_sequence_many call applies the sequences and one find_roots_many
+    call solves the images."""
     out = [p for p, _ in requests]
     specs = [i for i, p in enumerate(out) if isinstance(p, SectorRootSpec)]
     for i, p in zip(specs, from_sector_roots_many([out[i] for i in specs])):
@@ -562,42 +558,41 @@ def _transform_many(requests: list) -> list:
     for i, q in zip(live, apply_sequence_many([out[i] for i in live],
                                               [requests[i][1] for i in live])):
         out[i] = q if isinstance(q, Exception) else (out[i], q)
+    live = [i for i, pq in enumerate(out) if not isinstance(pq, Exception)]
+    for i, zeros in zip(live, find_roots_many([out[i][1] for i in live],
+                                              config)):
+        out[i] = zeros if isinstance(zeros, Exception) else (*out[i], zeros)
     return out
 
 
 def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
                trials: range, config: SolverConfig | None) -> list:
     """Run ``trials`` to completion; per trial, what it returned or the
-    exception it did not handle.  Each round answers every pending request
-    with one _transform_many call and solves every pending polynomial with
-    one find_roots_many call."""
-    steps = {t: campaign.trial(gen, params, _trial_rng(gen.seed, t))
-             for t in trials}
-    outcomes = {}
-    replies = dict.fromkeys(steps)
-    while True:
-        pending = {}
-        for t, reply in replies.items():
-            try:
-                if isinstance(reply, Exception):
-                    pending[t] = steps[t].throw(reply)
-                else:
-                    pending[t] = steps[t].send(reply)
-            except StopIteration as stop:
-                outcomes[t] = stop.value
-            except Exception as exc:  # the trial's own outcome
-                outcomes[t] = exc
-        if not pending:
-            return [outcomes[t] for t in trials]
-        requests = {t: r for t, r in pending.items() if isinstance(r, tuple)}
-        solves = {t: p for t, p in pending.items() if t not in requests}
-        replies = {}
-        if requests:
-            replies.update(zip(requests,
-                               _transform_many(list(requests.values()))))
-        if solves:
-            replies.update(zip(solves,
-                               find_roots_many(list(solves.values()), config)))
+    exception it did not handle.  The draw pass takes each trial's request,
+    one _answer_many call answers them all, and the judge pass hands each
+    trial its answer.  A trial that yields again breaks the protocol: its
+    outcome is a RuntimeError."""
+    outcomes, pending = {}, {}
+    for t in trials:
+        step = campaign.trial(gen, params, _trial_rng(gen.seed, t))
+        try:
+            pending[t] = step, next(step)
+        except StopIteration as stop:
+            outcomes[t] = stop.value
+        except Exception as exc:  # the trial's own outcome
+            outcomes[t] = exc
+    answers = _answer_many([r for _, r in pending.values()], config)
+    for (t, (step, _)), answer in zip(pending.items(), answers):
+        try:
+            (step.throw if isinstance(answer, Exception) else step.send)(answer)
+            outcomes[t] = RuntimeError(
+                f"trial {t} yielded twice; a campaign trial yields once: "
+                f"p, q, zeros = yield request")
+        except StopIteration as stop:
+            outcomes[t] = stop.value
+        except Exception as exc:  # the trial's own outcome
+            outcomes[t] = exc
+    return [outcomes[t] for t in trials]
 
 
 def _run_trials(campaign: Campaign, gen: PolyGenSpec, params: dict,

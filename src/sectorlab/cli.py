@@ -227,20 +227,21 @@ def _generator(args, campaign) -> PolyGenSpec:
     return PolyGenSpec(deg_lo=1, deg_hi=deg_hi, theta=theta, seed=args.seed)
 
 
-def cmd_verify(args) -> int:
-    if args.theorem == "double-sector":
-        ms = parse_sequence_spec(args.op)
-        before, after = double_sector_demo(ms, _solver_config(args))
-        reduced = after < before - 1e-9
-        verdict = ("reduction observed (unexpected)" if reduced
-                   else "no reduction (as proven)")
-        doc = {"after": after, "before": before, "operator": ms.spec_string(),
-               "theorem_id": "double-sector", "verdict": verdict}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
-        print(f"double-sector: before {before:.12g} after {after:.12g} "
-              f"-> {verdict}", file=sys.stderr)
-        return 4 if reduced else 0
+def cmd_double_sector(args) -> int:
+    ms = parse_sequence_spec(args.op)
+    before, after = double_sector_demo(ms, _solver_config(args))
+    reduced = after < before - 1e-9
+    verdict = ("reduction observed (unexpected)" if reduced
+               else "no reduction (as proven)")
+    doc = {"after": after, "before": before, "operator": ms.spec_string(),
+           "theorem_id": "double-sector", "verdict": verdict}
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
+    print(f"double-sector: before {before:.12g} after {after:.12g} "
+          f"-> {verdict}", file=sys.stderr)
+    return 4 if reduced else 0
 
+
+def cmd_verify(args) -> int:
     campaign = CAMPAIGNS[args.theorem]
     gen = _generator(args, campaign)
     # each flag's dest is its param's name; a param without a flag is unset
@@ -364,16 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("roots", help="find zeros with multiplicities")
     _add_common(sp, ("text", "json", "csv"))
+    sp.set_defaults(handler=cmd_roots)
 
     sp = subs.add_parser("apply", help="apply a multiplier sequence")
     _add_common(sp, ("text", "json"))
     sp.add_argument("--op", required=True,
                     help="sequence spec, e.g. gauss:alpha=0.5")
+    sp.set_defaults(handler=cmd_apply)
 
     sp = subs.add_parser("sector", help="measure the smallest enclosing sector")
     _add_common(sp, ("text", "json"))
     sp.add_argument("--double", action="store_true",
                     help="fold through the origin (double sector)")
+    sp.set_defaults(handler=cmd_sector)
 
     sp = subs.add_parser("verify", help="run a theorem campaign")
     theorems = sp.add_subparsers(dest="theorem", required=True,
@@ -388,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         tp.add_argument("--theta", type=float, default=None,
                         help="sector half-angle for generated zeros")
         tp.add_argument("--degree-max", type=int, default=None)
+        tp.set_defaults(handler=cmd_verify)
         for name in campaign.params:
             if name in _PARAM_FLAGS:
                 flag, kwargs = _PARAM_FLAGS[name]
@@ -397,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(tp, ("json",), with_input=False)
     tp.add_argument("--op", default="explicit:1,1,1,1,1",
                     help="sequence spec")
+    tp.set_defaults(handler=cmd_double_sector)
 
     sp = subs.add_parser("search", help="hunt for sector-growth counterexamples")
     _add_common(sp, ("json",), with_input=False)
@@ -406,6 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--theta", type=float, default=None)
     sp.add_argument("--degree-max", type=int, default=None)
+    sp.set_defaults(handler=cmd_search)
 
     sp = subs.add_parser("plot", help="render zeros, sectors and discs as SVG")
     _add_common(sp, ("svg",))
@@ -415,25 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disc angle for --show-discs")
     sp.add_argument("--show-discs", action="store_true",
                     help="draw the sector-disc for each conjugate pair")
+    sp.set_defaults(handler=cmd_plot)
 
     return parser
-
-
-_DISPATCH = {
-    "roots": cmd_roots,
-    "apply": cmd_apply,
-    "sector": cmd_sector,
-    "verify": cmd_verify,
-    "search": cmd_search,
-    "plot": cmd_plot,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except HypothesisViolationError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3

@@ -282,12 +282,11 @@ def from_document(doc: dict) -> RealPolynomial:
         raise InputError("polynomial document must be a JSON object")
     if "coeffs" in doc:
         coeffs = doc["coeffs"]
-        if (not isinstance(coeffs, list) or not coeffs
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in coeffs)):
+        if not isinstance(coeffs, list) or not coeffs:
             raise InputError('"coeffs" must be a nonempty list of numbers')
         try:
-            return RealPolynomial(coeffs)
+            return RealPolynomial([check_number(v, "coefficient", InputError)
+                                   for v in coeffs])
         except (ZeroPolynomialError, ValueError) as exc:
             raise InputError(str(exc)) from exc
     if "roots" in doc:
@@ -297,7 +296,8 @@ def from_document(doc: dict) -> RealPolynomial:
         try:
             spec = SectorRootSpec(tuple(roots.get("real", ())),
                                   tuple(tuple(p) for p in roots.get("pairs", ())))
-            return from_sector_roots(spec, float(roots.get("lead", 1.0)))
+            lead = check_number(roots.get("lead", 1.0), "lead", InputError)
+            return from_sector_roots(spec, lead)
         except (InvalidRootSpecError, TypeError, ValueError) as exc:
             raise InputError(f"bad root document: {exc}") from exc
     raise InputError('polynomial document needs a "coeffs" or "roots" key')

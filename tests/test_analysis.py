@@ -37,6 +37,7 @@ from sectorlab import (
     three_term_transformed_roots,
     verify_theorem,
 )
+from test_golden import SEARCH_CASES, VERIFY_CASES
 
 _SQRT_LN2 = math.sqrt(math.log(2.0))
 
@@ -451,19 +452,24 @@ def _chunked_report(monkeypatch, chunk, run):
     return run().to_json()
 
 
+# the digests of tests/test_golden.py's tables, by case and by search seed
+_VERIFY_DIGESTS = {case[0]: case[-1] for case in VERIFY_CASES}
+_SEARCH_DIGESTS = {seed: digest for seed, digest, _ in SEARCH_CASES}
+
+
 @pytest.mark.parametrize("run,digest", [
     (lambda: verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=16, theta=1.4),
                             {"tolerance_override": -1.0}, trials=20),
-     "dbfe42bf08b08c51429db93969eabc8009b2467a22ad6c8971fc047bec427034"),
+     _VERIFY_DIGESTS["zsro-forced"]),
     (lambda: search_counterexample(ExpPowerSequence(alpha=0.3, p=1.5),
                                    PolyGenSpec(seed=1, deg_hi=12, theta=0.6),
                                    trials=200),
-     "a144a56e517022e173df34dbf5d6ac25956462459433269313eeebb475a4ddf5"),
+     _SEARCH_DIGESTS[1]),
 ], ids=["zsro-forced", "search-seed1"])
 def test_report_bytes_do_not_depend_on_the_chunk(monkeypatch, run, digest):
     small = _chunked_report(monkeypatch, 7, run)
     assert small == _chunked_report(monkeypatch, 1000, run)
-    # the digests of tests/test_golden.py, recorded with an 80-bit long double
+    # the digests were recorded with an 80-bit long double
     if np.finfo(np.longdouble).nmant == 63:
         assert hashlib.sha256(small.encode("utf-8")).hexdigest() == digest
 
@@ -548,7 +554,7 @@ def _trial_probe(gen, params, rng):
     """Solves z^2 - 2 (inexact zeros) or z^2 - 2z + 2 (exact zeros)."""
     inexact = rng.uniform() < 0.5
     p = RealPolynomial([-2.0, 0.0, 1.0] if inexact else [2.0, -2.0, 1.0])
-    zeros = yield p
+    _, _, zeros = yield p, ExplicitSequence([1.0, 1.0, 1.0])
     return min(e.location.real for e in zeros.zeros), (p, "probe", None, None)
 
 
@@ -566,6 +572,43 @@ def test_nonconvergence_skips_only_its_own_trial(monkeypatch):
     lenient = verify_theorem("probe", gen, trials=30)
     assert lenient.skipped == 0
     assert math.isclose(lenient.worst_margin, -math.sqrt(2.0), rel_tol=1e-12)
+
+
+def _trial_asks_twice(gen, params, rng):
+    p = RealPolynomial([2.0, -2.0, 1.0])
+    _, q, _ = yield p, ExplicitSequence([1.0, 1.0, 1.0])
+    yield q, ExplicitSequence([1.0, 1.0, 1.0])
+    return 0.0, (p, "probe", None, None)
+
+
+def test_a_trial_that_yields_twice_breaks_the_protocol(monkeypatch):
+    monkeypatch.setitem(analysis.CAMPAIGNS, "twice",
+                        analysis.Campaign(_trial_asks_twice, 1e-7))
+    with pytest.raises(RuntimeError, match="yields once: p, q, zeros = yield"):
+        verify_theorem("twice", PolyGenSpec(seed=5), trials=3)
+
+
+@pytest.mark.parametrize("theorem", ["jsd", "roms"])
+def test_a_chunk_expands_applies_and_solves_in_one_call_each(monkeypatch,
+                                                             theorem):
+    # 100 trials in chunks of 40: three chunks.  jsd's trials catch a
+    # failed application or solve, and roms requests polynomials, not specs
+    monkeypatch.setattr(analysis, "_CHUNK", 40)
+    calls = []
+    stages = ("from_sector_roots_many", "apply_sequence_many",
+              "find_roots_many")
+
+    def spy(name):
+        real = getattr(analysis, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in stages:
+        monkeypatch.setattr(analysis, name, spy(name))
+    campaign = analysis.CAMPAIGNS[theorem]
+    report = verify_theorem(theorem, PolyGenSpec(
+        seed=42, theta=campaign.theta, deg_hi=campaign.deg_hi), trials=100)
+    assert report.trials == 100
+    assert calls == list(stages) * 3
 
 
 def test_verify_rejects_params_the_campaign_never_reads():

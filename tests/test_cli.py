@@ -78,6 +78,21 @@ def test_roots_from_document(tmp_path):
     assert r.stdout.startswith("1+1i")
 
 
+@pytest.mark.parametrize("doc", [
+    '{"coeffs": [1, 1%s]}' % ("0" * 400),
+    '{"roots": {"real": [2.0], "lead": 1%s}}' % ("0" * 400)],
+    ids=["coefficient", "lead"])
+def test_a_document_number_past_the_float_range_is_an_input_error(tmp_path,
+                                                                  doc):
+    # float() of such an integer raises OverflowError, not an input error
+    path = tmp_path / "p.json"
+    path.write_text(doc)
+    r = run("roots", "--input", str(path))
+    assert r.returncode == 1
+    assert r.stderr.startswith("input error: ")
+    assert "must be finite" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_output_file_written(tmp_path):
     out = tmp_path / "zeros.csv"
     r = run("roots", "--coeffs", "2,-2,1", "--format", "csv", "-o", str(out))

@@ -5,7 +5,8 @@ The ``-forced`` cases set ``tolerance_override=-1.0`` so that every tested
 trial crosses the tolerance and the report carries a certificate; the
 search at seed 1 finds one on its own.  Generated polynomials are expanded
 in ``long double`` (``from_sector_roots``), so the digests hold only where
-it is the 80-bit x87 format.
+it is the 80-bit x87 format.  The chunk test of ``tests/test_analysis.py``
+reads its digests from the tables below, so a re-pin is one edit here.
 """
 
 import hashlib

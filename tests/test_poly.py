@@ -255,6 +255,10 @@ def test_document_rejects_malformed_input():
         {"coeffs": "1,2"},
         {"roots": {"real": [-1.0]}},
         {"roots": 5},
+        # integers past the float range, and a lead that is not a number
+        {"coeffs": [1, 10 ** 400]},
+        {"roots": {"real": [2.0], "lead": 10 ** 400}},
+        {"roots": {"real": [2.0], "lead": "2.0"}},
     ):
         with pytest.raises(InputError):
             from_document(doc)
