@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -48,7 +47,7 @@ import numpy as np
 from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      DegreeZeroError, InputError, NonConvergenceError,
                      NotInRightHalfPlaneError, SectorLabError, SignFlipError,
-                     ZeroInteriorTermError, check_number)
+                     ZeroInteriorTermError, check_integer, check_number)
 from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
                        min_enclosing_sector)
 from .operators import (CosineAffineSequence, CosineStepSequence,
@@ -245,14 +244,8 @@ class PolyGenSpec:
     def __post_init__(self):
         # numpy integers are stored as int: the seed is masked to 64 bits
         for name in ("deg_lo", "deg_hi", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise SectorLabError(
-                    f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name,
+                               check_integer(getattr(self, name), name))
         if not (1 <= self.deg_lo <= self.deg_hi):
             raise SectorLabError("need 1 <= deg_lo <= deg_hi")
         for name in ("theta", "mag_lo", "mag_hi", "real_fraction"):
@@ -599,10 +592,11 @@ def _run_trials(campaign: Campaign, gen: PolyGenSpec, params: dict,
                 trials: int, tol: float, config: SolverConfig | None):
     """The trial loop of every campaign.  A margin None or a
     NonConvergenceError skips the trial; any other exception a trial raises
-    is raised once its chunk has run, from the earliest such trial.  Fewer
-    than one trial raises InputError.  Returns (worst margin, certificate of
-    the worst violation or None, skipped count, seconds)."""
-    if trials < 1:
+    is raised once its chunk has run, from the earliest such trial.  A trial
+    count that is not an integer, or below one, raises InputError.  Returns
+    (worst margin, certificate of the worst violation or None, skipped
+    count, seconds)."""
+    if check_integer(trials, "trials", InputError) < 1:
         raise InputError(f"trials must be at least 1, got {trials!r}")
     start = time.perf_counter()
     worst = cex = None

@@ -110,6 +110,8 @@ def _load_polynomial(args) -> RealPolynomial:
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.input!r} is not valid JSON: "
                          f"line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # a number past the digit limit, or not UTF-8
+        raise InputError(f"{args.input!r} cannot be read: {exc}")
     return from_document(doc)
 
 

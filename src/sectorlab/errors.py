@@ -8,6 +8,7 @@ line front end maps subclasses onto process exit codes.
 from __future__ import annotations
 
 import numbers
+import operator
 import sys
 
 
@@ -111,3 +112,15 @@ def check_number(value, name: str, error=SectorLabError, finite=True):
     if finite and not abs(value) <= sys.float_info.max:
         raise error(f"{name} must be finite, got {value!r}")
     return value
+
+
+def check_integer(value, name: str, error=SectorLabError) -> int:
+    """``value`` as an int when it is an integer: an int or a numpy integer,
+    never a bool (nor a float, even an integral one); otherwise raise
+    ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

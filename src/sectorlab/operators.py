@@ -341,8 +341,7 @@ def predicted_sector_after_cosine_step(theta: float, alpha: float,
         raise DomainError(f"theta must lie in [0, pi/2), got {theta!r}")
     if not (0.0 < alpha < math.pi / 2.0):
         raise DomainError(f"alpha must lie in (0, pi/2), got {alpha!r}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N!r}")
+    N = _step_count(N, DomainError)
     return math.acos(min(1.0, math.cos(theta) / math.cos(alpha / N)))
 
 
@@ -358,8 +357,8 @@ def predicted_sector(ms: MultiplierSequence, theta: float) -> float | None:
 
 def cosine_power_limit(alpha: float, N: int) -> float:
     """[cos(alpha/N)]^(N^2), which approaches e^{-alpha^2/2} as N grows."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N!r}")
+    check_number(alpha, "alpha", DomainError)
+    N = _step_count(N, DomainError)
     if abs(alpha) / N >= math.pi / 2.0:
         raise DomainError(f"|alpha|/N must be below pi/2, got {abs(alpha) / N!r}")
     return math.cos(alpha / N) ** (N * N)

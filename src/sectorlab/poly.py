@@ -55,7 +55,9 @@ def _horner(c: list, z):
 
     ``c`` is a list of Python scalars (``coeffs.tolist()``, made once by the
     caller), so real coefficients at a real ``z`` give a float p(z); the
-    derivative is always complex.
+    derivative is always complex.  It may also be a list of numpy arrays,
+    each broadcasting against the array ``z``: then p and p' are arrays, and
+    the solver evaluates a stack of polynomials at their iterates at once.
     """
     pv, dv = c[-1], 0j
     for ck in reversed(c[:-1]):
@@ -173,9 +175,9 @@ def _real_polynomials(stack: np.ndarray) -> list:
 
 
 def _checked_lead(lead) -> float:
-    lead = float(lead)
-    if lead == 0.0 or not math.isfinite(lead):
-        raise InvalidRootSpecError("lead coefficient must be nonzero and finite")
+    lead = float(check_number(lead, "lead", InvalidRootSpecError))
+    if lead == 0.0:
+        raise InvalidRootSpecError("lead coefficient must be nonzero")
     return lead
 
 
@@ -296,8 +298,7 @@ def from_document(doc: dict) -> RealPolynomial:
         try:
             spec = SectorRootSpec(tuple(roots.get("real", ())),
                                   tuple(tuple(p) for p in roots.get("pairs", ())))
-            lead = check_number(roots.get("lead", 1.0), "lead", InputError)
-            return from_sector_roots(spec, lead)
+            return from_sector_roots(spec, roots.get("lead", 1.0))
         except (InvalidRootSpecError, TypeError, ValueError) as exc:
             raise InputError(f"bad root document: {exc}") from exc
     raise InputError('polynomial document needs a "coeffs" or "roots" key')

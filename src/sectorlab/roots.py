@@ -170,17 +170,6 @@ def _derivative(c: np.ndarray) -> np.ndarray:
     return c[1:] * np.arange(1, c.size)
 
 
-def _eval_many(c: np.ndarray, z: np.ndarray):
-    """Vectorized Horner returning (p(z), p'(z)); each c[k] broadcasts
-    against z."""
-    pv = np.full_like(z, c[-1])
-    dv = np.zeros_like(z)
-    for k in range(len(c) - 2, -1, -1):
-        dv = dv * z + pv
-        pv = pv * z + c[k]
-    return pv, dv
-
-
 @np.errstate(all="ignore")
 def _aberth(Q: np.ndarray) -> np.ndarray:
     """Iterates for a (B, d+1) stack of degree-d polynomials, shape (B, d).
@@ -218,7 +207,7 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
         diff = z[:, :, None] - z[:, None, :]
         diff.reshape(rows.size, -1)[:, ::d + 1] = np.inf
         stuck = (diff == 0).any(axis=(1, 2)) if (diff == 0).any() else None
-        pv, dv = _eval_many(cols, z)
+        pv, dv = _horner(cols, z)
         repulse = (1.0 / diff).sum(axis=2)
         newton = pv / dv
         w = newton / (1.0 - newton * repulse)
@@ -330,9 +319,9 @@ def _cluster_many(Q: np.ndarray, Z: np.ndarray) -> list:
     z, incl = _inclusion_radii(Q, Z)
     pairs = {}
     for r, i, j in zip(*(ix.tolist() for ix in
-                         np.nonzero(_near_pairs(z, incl, _CLUSTER_TOL)))):
+                         np.nonzero(_near_pairs(z, incl)))):
         pairs.setdefault(r, []).append((i, j))
-    return [_merge(zl, il, pairs.get(r, ()), _CLUSTER_TOL)
+    return [_merge(zl, il, pairs.get(r, ()))
             for r, (zl, il) in enumerate(zip(z.tolist(), incl.tolist()))]
 
 
@@ -343,7 +332,7 @@ def _inclusion_radii(Q: np.ndarray, Z: np.ndarray):
     B, n = Z.shape
     order = np.lexsort((Z.imag, Z.real), axis=-1)
     z = np.take_along_axis(Z, order, axis=-1)
-    pv, _ = _eval_many(_columns(Q, n), z)
+    pv, _ = _horner(_columns(Q, n), z)
     diff = z[:, :, None] - z[:, None, :]
     diff.reshape(B, -1)[:, ::n + 1] = 1.0
     prods = np.abs(diff).prod(axis=2)
@@ -353,27 +342,28 @@ def _inclusion_radii(Q: np.ndarray, Z: np.ndarray):
     return z, incl
 
 
-def _near_pairs(z: np.ndarray, incl: np.ndarray, tol: float) -> np.ndarray:
+def _near_pairs(z: np.ndarray, incl: np.ndarray) -> np.ndarray:
     """(B, n, n) mask of the pairs i < j of each row that ``_close`` might
     merge.  numpy's SIMD complex abs is not libm's hypot, so the limit gets
     a margin, and a NaN comparison counts as near: the mask holds every pair
     that ``_close`` merges, and ``_close`` decides."""
-    absz = np.abs(z)
+    absz = np.maximum(1.0, np.abs(z))
     lim = np.maximum(
-        tol * np.maximum(1.0, np.maximum(absz[:, :, None], absz[:, None, :])),
+        _CLUSTER_TOL * np.maximum(absz[:, :, None], absz[:, None, :]),
         incl[:, :, None] + incl[:, None, :])
     far = np.abs(z[:, :, None] - z[:, None, :]) > lim * (1.0 + 1e-9)
     return ~far & np.triu(np.ones(far.shape[1:], bool), 1)
 
 
-def _close(zi: complex, zj: complex, ri: float, rj: float, tol: float) -> bool:
-    """The merge test: z_i and z_j lie within tol * max(1, |z_i|, |z_j|), or
-    their inclusion discs of radii r_i, r_j overlap.  It runs on Python
-    complex numbers, so every |.| is libm's hypot."""
-    return abs(zi - zj) <= max(tol * max(1.0, abs(zi), abs(zj)), ri + rj)
+def _close(zi: complex, zj: complex, ri: float, rj: float) -> bool:
+    """The merge test: z_i and z_j lie within _CLUSTER_TOL * max(1, |z_i|,
+    |z_j|), or their inclusion discs of radii r_i, r_j overlap.  It runs on
+    Python complex numbers, so every |.| is libm's hypot."""
+    return abs(zi - zj) <= max(_CLUSTER_TOL * max(1.0, abs(zi), abs(zj)),
+                               ri + rj)
 
 
-def _merge(z: list, incl: list, pairs, tol: float) -> list:
+def _merge(z: list, incl: list, pairs) -> list:
     """Clusters of the sorted iterates z, merging the pairs (i, j) of
     ``pairs`` that pass ``_close``.  A cluster's radius is the largest
     inclusion radius of its members."""
@@ -386,7 +376,7 @@ def _merge(z: list, incl: list, pairs, tol: float) -> list:
         return i
 
     for i, j in pairs:
-        if _close(z[i], z[j], incl[i], incl[j], tol):
+        if _close(z[i], z[j], incl[i], incl[j]):
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
@@ -415,8 +405,6 @@ def _refine_cluster(q: np.ndarray, center: complex, mult: int,
     dq = q
     for _ in range(mult - 1):
         dq = _derivative(dq)
-    if dq.size < 2:
-        return center
     dq = dq.tolist()
     w = center
     for _ in range(60):
@@ -633,7 +621,7 @@ def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
     B = len(k0)
     out = [None] * B
     z, incl = _inclusion_radii(Q, iterates)
-    near = _near_pairs(z, incl, _CLUSTER_TOL).any(axis=(1, 2))
+    near = _near_pairs(z, incl).any(axis=(1, 2))
     single = ~near
     if B > 1:
         rows = np.flatnonzero(

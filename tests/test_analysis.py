@@ -424,6 +424,15 @@ def test_search_requires_open_family():
         search_counterexample(GaussSequence(0.5), PolyGenSpec(seed=1), trials=1)
 
 
+@pytest.mark.parametrize("trials", [True, 2.5, "5"])
+def test_a_trial_count_that_is_not_an_integer_is_an_input_error(trials):
+    with pytest.raises(InputError, match="trials must be an integer"):
+        verify_theorem("zsro", PolyGenSpec(seed=1), trials=trials)
+    with pytest.raises(InputError, match="trials must be an integer"):
+        search_counterexample(ExpPowerSequence(alpha=0.4, p=2.0),
+                              PolyGenSpec(seed=1), trials=trials)
+
+
 def test_search_exppower_p2_reports_safe_diagnostics():
     report = search_counterexample(ExpPowerSequence(alpha=0.4, p=2.0),
                                    PolyGenSpec(seed=23, deg_hi=8, theta=0.6),

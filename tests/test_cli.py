@@ -93,6 +93,16 @@ def test_a_document_number_past_the_float_range_is_an_input_error(tmp_path,
     assert "must be finite" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_a_document_integer_past_the_digit_limit_is_an_input_error(tmp_path):
+    # json reads an integer of more than 4,300 digits as a plain ValueError
+    path = tmp_path / "p.json"
+    path.write_text('{"coeffs": [1, 1%s]}' % ("0" * 5000))
+    r = run("roots", "--input", str(path))
+    assert r.returncode == 1
+    assert r.stderr.startswith("input error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_output_file_written(tmp_path):
     out = tmp_path / "zeros.csv"
     r = run("roots", "--coeffs", "2,-2,1", "--format", "csv", "-o", str(out))

@@ -89,13 +89,13 @@ def test_few_solves_of_the_benchmark_pool_use_the_whole_budget(monkeypatch):
     # with the step-guarded stall exit.  Only #360 is left, whose inclusion
     # discs never come apart
     sweeps = []
-    real = roots._eval_many
+    real = roots._horner
 
     def counted(c, z):
         sweeps[-1] += 1
         return real(c, z)
 
-    monkeypatch.setattr(roots, "_eval_many", counted)
+    monkeypatch.setattr(roots, "_horner", counted)
     gen = PolyGenSpec(seed=42, deg_hi=16, theta=1.4)
     for i in range(400):
         p = from_sector_roots(draw_sector_spec(

@@ -372,6 +372,19 @@ def test_predicted_sector_after_cosine_step():
         predicted_sector_after_cosine_step(0.3, 0.3, 0)
 
 
+@pytest.mark.parametrize("N", [2.5, True])
+def test_cosine_step_bounds_need_an_integer_step_count(N):
+    with pytest.raises(DomainError):
+        cosine_power_limit(0.5, N)
+    with pytest.raises(DomainError):
+        predicted_sector_after_cosine_step(0.5, 0.3, N)
+
+
+def test_cosine_power_limit_rejects_a_nan_alpha():
+    with pytest.raises(DomainError):
+        cosine_power_limit(math.nan, 2)
+
+
 def test_cosine_power_limit_approaches_gauss_factor():
     target = math.exp(-0.5)
     assert abs(cosine_power_limit(1.0, 100) - target) <= 1e-4

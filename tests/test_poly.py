@@ -111,6 +111,13 @@ def test_from_sector_roots_rejects_zero_lead():
         from_sector_roots(SectorRootSpec(real_roots=(1.0,)), lead=0.0)
 
 
+@pytest.mark.parametrize("lead", ["2", True, 10 ** 400],
+                         ids=["string", "bool", "past-float-range"])
+def test_from_sector_roots_rejects_a_lead_that_is_not_a_finite_number(lead):
+    with pytest.raises(InvalidRootSpecError):
+        from_sector_roots(SectorRootSpec(real_roots=(1.0,)), lead=lead)
+
+
 def test_from_sector_roots_vanishes_at_described_roots():
     rng = np.random.default_rng(7)
     for _ in range(40):

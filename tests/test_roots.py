@@ -314,13 +314,13 @@ _POOL_360 = [31677.170318196942, -329505.32222228387, 1572883.855339971,
 def _sweeps(monkeypatch, coeffs):
     """The Aberth sweeps of one lone solve of ``coeffs``."""
     calls = []
-    real = roots._eval_many
+    real = roots._horner
 
     def counted(c, z):
         calls.append(1)
         return real(c, z)
 
-    monkeypatch.setattr(roots, "_eval_many", counted)
+    monkeypatch.setattr(roots, "_horner", counted)
     roots._aberth(np.array([coeffs]))
     return len(calls)
 
@@ -650,7 +650,7 @@ def _inclusion_loop(q, zs):
     """Reference: one polynomial's sorted iterates and inclusion radii."""
     order = np.lexsort((zs.imag, zs.real))
     z = zs[order]
-    pv, _ = roots._eval_many(q, z)
+    pv, _ = roots._horner(q, z)
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 1.0)
     prods = np.abs(diff).prod(axis=1)
@@ -854,8 +854,8 @@ def test_near_pairs_hold_every_pair_the_exact_test_merges():
             zi = complex(*rng.uniform(-1e-8, 1e-8, 2))
             rows.append([zi, zi + tol * (1.0 + k * eps) * cmath.exp(1j * phi)])
             radii.append([0.0, 0.0])
-    near = roots._near_pairs(np.array(rows), np.array(radii), tol)
-    merged = [roots._close(zi, zj, ri, rj, tol)
+    near = roots._near_pairs(np.array(rows), np.array(radii))
+    merged = [roots._close(zi, zj, ri, rj)
               for (zi, zj), (ri, rj) in zip(rows, radii)]
     assert 0 < sum(merged) < len(merged)
     assert all(near[r, 0, 1] for r, m in enumerate(merged) if m)
