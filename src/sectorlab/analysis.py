@@ -14,10 +14,11 @@ margin observed together with a replayable counterexample certificate when a
 margin crosses the violation tolerance.  Each theorem campaign is one entry
 of the ``CAMPAIGNS`` registry: its trial function, its violation tolerance
 and the generator defaults of ``sectorlab verify``; ``SEARCH_CAMPAIGN`` is
-the same for ``search_counterexample``.  One trial loop runs them all.  Each
-trial derives its RNG stream from (seed, trial index), so reports are
-byte-identical across reruns.  A spec takes one block of raw doubles u from
-it, each uniform numpy's lo + (hi - lo) * u: the bits of one call per draw.
+the same for ``search_counterexample``.  One trial loop runs them all and
+returns their report.  Each trial derives its RNG stream from (seed, trial
+index), so reports are byte-identical across reruns.  A spec takes one block
+of raw doubles u from it, each uniform numpy's lo + (hi - lo) * u: the bits
+of one call per draw.
 
 A trial is a generator that yields once.  It draws its spec and parameters
 from its own stream and makes one request, the spec (for ``roms`` a
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      DegreeZeroError, InputError, NonConvergenceError,
                      NotInRightHalfPlaneError, SectorLabError, SignFlipError,
-                     ZeroInteriorTermError, check_integer, check_number)
+                     ZeroInteriorTermError, check_integer, check_number, shown)
 from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
                        min_enclosing_sector)
 from .operators import (CosineAffineSequence, CosineStepSequence,
@@ -303,15 +304,9 @@ class Counterexample:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "coeffs": list(self.coeffs),
-            "operator": self.operator,
-            "offending_zero": [self.offending_zero.real,
-                               self.offending_zero.imag],
-            "margin": self.margin,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "coeffs": list(self.coeffs),
+                "offending_zero": [self.offending_zero.real,
+                                   self.offending_zero.imag]}
 
 
 @dataclass(frozen=True)
@@ -330,16 +325,10 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         # elapsed stays out: serialized reports must be run-to-run identical
-        return {
-            "theorem_id": self.theorem_id,
-            "trials": self.trials,
-            "seed": self.seed,
-            "worst_margin": self.worst_margin,
-            "counterexample": (None if self.counterexample is None
-                               else self.counterexample.to_json_dict()),
-            "params": self.params,
-            "skipped": self.skipped,
-        }
+        out = {k: v for k, v in asdict(self).items() if k != "elapsed"}
+        if self.counterexample is not None:
+            out["counterexample"] = self.counterexample.to_json_dict()
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -588,16 +577,18 @@ def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
     return [outcomes[t] for t in trials]
 
 
-def _run_trials(campaign: Campaign, gen: PolyGenSpec, params: dict,
-                trials: int, tol: float, config: SolverConfig | None):
-    """The trial loop of every campaign.  A margin None or a
+def _run_trials(theorem_id: str, campaign: Campaign, gen: PolyGenSpec,
+                params: dict, report_params: dict, trials: int,
+                config: SolverConfig | None) -> VerificationReport:
+    """The trial loop of every campaign, which returns its report.  A margin
+    below -report_params["tolerance"] is a violation.  A margin None or a
     NonConvergenceError skips the trial; any other exception a trial raises
     is raised once its chunk has run, from the earliest such trial.  A trial
-    count that is not an integer, or below one, raises InputError.  Returns
-    (worst margin, certificate of the worst violation or None, skipped
-    count, seconds)."""
-    if check_integer(trials, "trials", InputError) < 1:
-        raise InputError(f"trials must be at least 1, got {trials!r}")
+    count that is not an integer, or below one, raises InputError."""
+    trials = check_integer(trials, "trials", InputError)
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {shown(trials)}")
+    tol = report_params["tolerance"]
     start = time.perf_counter()
     worst = cex = None
     skipped = 0
@@ -622,24 +613,24 @@ def _run_trials(campaign: Campaign, gen: PolyGenSpec, params: dict,
                                      margin,
                                      detail or f"margin {margin!r} below "
                                                f"-{tol!r}")
-    return worst, cex, skipped, time.perf_counter() - start
+    return VerificationReport(theorem_id, trials, gen.seed, worst, cex,
+                              report_params, skipped, time.perf_counter() - start)
 
 
 def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None,
-                   trials: int = 200,
-                   config: SolverConfig | None = None) -> VerificationReport:
-    """Run a seeded campaign; negative worst margins below the campaign
-    tolerance yield a counterexample certificate.  ``config`` is the solver
-    configuration of every trial's solves.  A param the campaign's trial
-    does not read, or a number param that is not a finite number, raises
-    InputError."""
+                   trials: int = 200, config: SolverConfig | None = None,
+                   tolerance: float | None = None) -> VerificationReport:
+    """Run a seeded campaign; a margin below -``tolerance`` (by default the
+    campaign's) yields a counterexample certificate.  ``config`` is the
+    solver configuration of every trial's solves.  A param the campaign's
+    trial does not read, or a number param or tolerance that is not a finite
+    number, raises InputError."""
     if theorem_id not in CAMPAIGNS:
         raise SectorLabError(f"unknown theorem id {theorem_id!r}; "
                              f"expected one of {THEOREM_IDS}")
     campaign = CAMPAIGNS[theorem_id]
     params = dict(params or {})
-    unread = sorted(set(params) - set(campaign.params)
-                    - {"tolerance_override"})
+    unread = sorted(set(params) - set(campaign.params))
     if unread:
         raise InputError(f"{theorem_id} reads no param {', '.join(unread)}; "
                          f"it reads {', '.join(campaign.params)}")
@@ -649,23 +640,18 @@ def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None
     if params.get("N") is not None:
         # the operator certified is the one the report names
         params["N"] = _step_count(params["N"], InputError)
-    tol = params.pop("tolerance_override", None)
-    if tol is None:
-        tol = campaign.tolerance
     if params.pop("quadratic", False):
         params["quadratic"] = True
     if "sequence" in campaign.params and params.get("sequence") is None:
         params["sequence"] = GaussSequence(params.get("alpha", 0.5))
     report_params = {k: v.spec_string() if k == "sequence" else v
                      for k, v in params.items()}
-    report_params["tolerance"] = tol
+    report_params["tolerance"] = (campaign.tolerance if tolerance is None else
+                                  check_number(tolerance, "tolerance", InputError))
     report_params["generator"] = {k: v for k, v in asdict(gen).items()
                                   if k != "seed"}
-
-    worst, cex, skipped, elapsed = _run_trials(campaign, gen, params, trials,
-                                               tol, config)
-    return VerificationReport(theorem_id, trials, gen.seed, worst, cex,
-                              report_params, skipped, elapsed)
+    return _run_trials(theorem_id, campaign, gen, params, report_params,
+                       trials, config)
 
 
 def search_counterexample(ms: MultiplierSequence, gen: PolyGenSpec,
@@ -684,10 +670,8 @@ def search_counterexample(ms: MultiplierSequence, gen: PolyGenSpec,
     """
     if not isinstance(ms, (ExpPowerSequence, ExplicitSequence)):
         raise InputError("search expects an exppower or explicit sequence")
-    tol = SEARCH_CAMPAIGN.tolerance
-    worst, cex, skipped, elapsed = _run_trials(
-        SEARCH_CAMPAIGN, gen, {"sequence": ms}, trials, tol, config)
-    params: dict = {"sequence": ms.spec_string(), "tolerance": tol}
+    params: dict = {"sequence": ms.spec_string(),
+                    "tolerance": SEARCH_CAMPAIGN.tolerance}
     theta_probe = gen.theta if gen.theta > 0.0 else 0.6
     ladder = []
     b = 2.0 * math.cos(theta_probe)
@@ -710,5 +694,5 @@ def search_counterexample(ms: MultiplierSequence, gen: PolyGenSpec,
         params["rn_necessary_condition"] = profile.necessary_condition()
     except SectorLabError:
         pass
-    return VerificationReport("search", trials, gen.seed, worst, cex, params,
-                              skipped, elapsed)
+    return _run_trials("search", SEARCH_CAMPAIGN, gen, {"sequence": ms},
+                       params, trials, config)

@@ -250,10 +250,9 @@ def cmd_verify(args) -> int:
     params = {name: parse_sequence_spec(v) if name == "sequence" else v
               for name in campaign.params
               if (v := getattr(args, name, None)) is not None}
-    if args.tol_angle is not None:
-        params["tolerance_override"] = args.tol_angle
     report = verify_theorem(args.theorem, gen, params, trials=args.trials,
-                            config=_solver_config(args))
+                            config=_solver_config(args),
+                            tolerance=args.tol_angle)
     return _emit_report(args.theorem, report, args.output)
 
 

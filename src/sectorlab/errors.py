@@ -102,15 +102,28 @@ class SignFlipError(HypothesisViolationError):
     double-sector theorem's hypothesis fails."""
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message.  An int past Python's int-to-str
+    digit limit, whose ``repr`` raises ValueError, shows as its bit length,
+    and a container of one as its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to show"
+
+
 def check_number(value, name: str, error=SectorLabError, finite=True):
     """``value`` itself when it is a real number (a bool or a string is not),
     and unless ``finite`` is false a finite one; otherwise raise ``error``."""
     if not (type(value) in (float, int) or isinstance(value, numbers.Real)
             and not isinstance(value, bool)):
-        raise error(f"{name} must be a number, got {value!r}")
+        raise error(f"{name} must be a number, got {shown(value)}")
     # NaN fails the comparison, and so does an int past the float range
     if finite and not abs(value) <= sys.float_info.max:
-        raise error(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {shown(value)}")
     return value
 
 
@@ -123,4 +136,4 @@ def check_integer(value, name: str, error=SectorLabError) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise error(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {shown(value)}")

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import (DegenerateSequenceError, DomainError,
                      HypothesisViolationError, InputError,
                      NotInRightHalfPlaneError, SectorLabError,
-                     ZeroPolynomialResultError, check_number)
+                     ZeroPolynomialResultError, check_number, shown)
 from .poly import RealPolynomial, _real_polynomials
 from .roots import SolverConfig, find_roots
 
@@ -134,7 +134,7 @@ def _step_count(N, error=SectorLabError) -> int:
     except TypeError:
         n = None
     if n is None or n < 1:
-        raise error(f"cosstep needs integer N >= 1, got {N!r}")
+        raise error(f"cosstep needs integer N >= 1, got {shown(N)}")
     return n
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InputError, InvalidRootSpecError, ZeroPolynomialError,
-                     check_number)
+                     check_number, shown)
 
 __all__ = [
     "RealPolynomial",
@@ -72,7 +72,10 @@ class RealPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = _normalized(np.array(coeffs, dtype=np.float64))
+        try:
+            self.coeffs = _normalized(np.array(coeffs, dtype=np.float64))
+        except OverflowError:  # an int past the float range
+            raise ValueError("non-finite coefficient") from None
 
     @property
     def degree(self) -> int:
@@ -109,7 +112,7 @@ def _pair(ab) -> tuple:
         a = b = 0.0
     if min(a, b) <= 0.0:
         raise InvalidRootSpecError(
-            f"pair {ab!r} must be (a, b) with a > 0 and b > 0")
+            f"pair {shown(ab)} must be (a, b) with a > 0 and b > 0")
     return a, b
 
 

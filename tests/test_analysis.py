@@ -11,15 +11,19 @@ import pytest
 
 from sectorlab import analysis
 from sectorlab import (
+    CosineStepSequence,
     DegenerateLeadingError,
+    DomainError,
     ExplicitSequence,
     ExpPowerSequence,
     GaussSequence,
     InputError,
+    InvalidRootSpecError,
     LaguerreQSequence,
     PolyGenSpec,
     RealPolynomial,
     SectorLabError,
+    SectorRootSpec,
     SolverConfig,
     SignFlipError,
     ZeroInteriorTermError,
@@ -32,6 +36,7 @@ from sectorlab import (
     jsd_bracket,
     jsd_modulus_identity_check,
     parse_sequence_spec,
+    predicted_sector_after_cosine_step,
     rn_profile,
     search_counterexample,
     three_term_transformed_roots,
@@ -415,7 +420,7 @@ def test_verify_roms_zeros_stay_real_positive():
 
 def test_verify_tolerance_override_lands_in_report():
     report = verify_theorem("zsro", PolyGenSpec(seed=3, deg_hi=6),
-                            params={"tolerance_override": 0.5}, trials=10)
+                            trials=10, tolerance=0.5)
     assert report.params["tolerance"] == 0.5
 
 
@@ -431,6 +436,39 @@ def test_a_trial_count_that_is_not_an_integer_is_an_input_error(trials):
     with pytest.raises(InputError, match="trials must be an integer"):
         search_counterexample(ExpPowerSequence(alpha=0.4, p=2.0),
                               PolyGenSpec(seed=1), trials=trials)
+
+
+def test_a_numpy_trial_count_gives_the_bytes_of_its_int():
+    gen = PolyGenSpec(seed=1)
+    for run in (lambda n: verify_theorem("zsro", gen, trials=n),
+                lambda n: search_counterexample(
+                    ExpPowerSequence(alpha=0.3, p=1.5), gen, trials=n)):
+        report = run(np.int64(3))
+        assert type(report.trials) is int
+        assert report.to_json() == run(3).to_json()
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: from_sector_roots(SectorRootSpec((1.0,)), lead=10**5000),
+     InvalidRootSpecError),
+    (lambda: PolyGenSpec(theta=10**5000), SectorLabError),
+    (lambda: GaussSequence(10**5000), SectorLabError),
+    (lambda: SectorRootSpec((10**5000,)), InvalidRootSpecError),
+    (lambda: SectorRootSpec((), ((10**5000, 1.0),)), InvalidRootSpecError),
+    (lambda: SectorRootSpec((), (10**5000,)), InvalidRootSpecError),
+    (lambda: SectorRootSpec((), (((10**5000, 1.0), 1.0),)),
+     InvalidRootSpecError),
+    (lambda: verify_theorem("zsro", PolyGenSpec(seed=1), trials=-10**5000),
+     InputError),
+    (lambda: CosineStepSequence(0.3, -10**5000), SectorLabError),
+    (lambda: predicted_sector_after_cosine_step(0.5, 0.3, -10**5000),
+     DomainError),
+], ids=["lead", "theta", "gauss-alpha", "real-root", "pair-part",
+        "bare-pair", "nested-pair", "trials", "cosstep-N", "bound-N"])
+def test_an_int_past_the_digit_limit_is_named_in_its_error(make, error):
+    # repr raises a plain ValueError for an int of more than 4,300 digits
+    with pytest.raises(error, match="int (of 16610 bits|too long to show)"):
+        make()
 
 
 def test_search_exppower_p2_reports_safe_diagnostics():
@@ -468,7 +506,7 @@ _SEARCH_DIGESTS = {seed: digest for seed, digest, _ in SEARCH_CASES}
 
 @pytest.mark.parametrize("run,digest", [
     (lambda: verify_theorem("zsro", PolyGenSpec(seed=42, deg_hi=16, theta=1.4),
-                            {"tolerance_override": -1.0}, trials=20),
+                            trials=20, tolerance=-1.0),
      _VERIFY_DIGESTS["zsro-forced"]),
     (lambda: search_counterexample(ExpPowerSequence(alpha=0.3, p=1.5),
                                    PolyGenSpec(seed=1, deg_hi=12, theta=0.6),
@@ -547,13 +585,14 @@ def test_unhandled_trial_error_comes_from_the_earliest_trial():
 
 @pytest.mark.parametrize("theta", [1.4, 0.785398])
 @pytest.mark.parametrize("seed", [42, 1, 2])
-@pytest.mark.parametrize("params", [None, {"tolerance_override": -1.0}],
-                         ids=["plain", "forced"])
-def test_period_strip_is_zsro_in_log_coordinates(theta, seed, params):
+@pytest.mark.parametrize("tolerance", [None, -1.0], ids=["plain", "forced"])
+def test_period_strip_is_zsro_in_log_coordinates(theta, seed, tolerance):
     # Im log z = arg z: the strip of the principal logs is the zeros' sector
     gen = PolyGenSpec(seed=seed, theta=theta)
-    strip = verify_theorem("period-strip", gen, params, trials=60).to_json_dict()
-    sector = verify_theorem("zsro", gen, params, trials=60).to_json_dict()
+    strip = verify_theorem("period-strip", gen, trials=60,
+                           tolerance=tolerance).to_json_dict()
+    sector = verify_theorem("zsro", gen, trials=60,
+                            tolerance=tolerance).to_json_dict()
     assert strip.pop("theorem_id") == "period-strip"
     assert sector.pop("theorem_id") == "zsro"
     assert strip == sector
@@ -627,9 +666,13 @@ def test_verify_rejects_params_the_campaign_never_reads():
                             ("cosak", {"quadratic": True})):
         with pytest.raises(InputError):
             verify_theorem(theorem, gen, params, trials=1)
-    report = verify_theorem("jsd", gen, {"quadratic": True, "alpha": 0.4,
-                                         "tolerance_override": 0.1}, trials=2)
+    report = verify_theorem("jsd", gen, {"quadratic": True, "alpha": 0.4},
+                            trials=2, tolerance=0.1)
     assert report.params["quadratic"] is True
+    # the violation tolerance is an argument, read by the loop, not a param
+    with pytest.raises(InputError, match="zsro reads no param "
+                                         "tolerance_override; it reads alpha"):
+        verify_theorem("zsro", gen, {"tolerance_override": 0.5}, trials=1)
 
 
 def test_verify_rejects_non_finite_params():
@@ -638,28 +681,31 @@ def test_verify_rejects_non_finite_params():
                             ("lms2", {"mult_theta": math.inf}),
                             ("jsd", {"beta": -math.inf}),
                             ("cosak", {"alpha": np.float64(math.nan)}),
-                            ("roms", {"alpha": math.inf}),
-                            ("zsro", {"tolerance_override": math.nan})):
+                            ("roms", {"alpha": math.inf})):
         with pytest.raises(InputError, match="must be finite"):
             verify_theorem(theorem, gen, params, trials=1)
+    with pytest.raises(InputError, match="must be finite"):
+        verify_theorem("zsro", gen, trials=1, tolerance=math.nan)
     # a value that is not a number once ran: "0.5" went into the report
     for theorem, params in (("zsro", {"alpha": "0.5"}),
                             ("cosak", {"N": "3"}),
-                            ("jsd", {"lam": None, "beta": [0.1]}),
-                            ("zsro", {"tolerance_override": "0.1"})):
+                            ("jsd", {"lam": None, "beta": [0.1]})):
         with pytest.raises(InputError, match="must be a number"):
             verify_theorem(theorem, gen, params, trials=1)
+    with pytest.raises(InputError, match="must be a number"):
+        verify_theorem("zsro", gen, trials=1, tolerance="0.1")
 
 
 def test_cosak_certifies_the_step_count_it_reports():
     # every trial violates tolerance -1, so each run certifies one
     gen = PolyGenSpec(seed=42, deg_hi=4)
-    params = {"alpha": 0.3, "tolerance_override": -1.0}
     for n in (2.5, 2.0, 0):
         with pytest.raises(InputError, match="cosstep needs integer N >= 1"):
-            verify_theorem("cosak", gen, {**params, "N": n}, trials=3)
+            verify_theorem("cosak", gen, {"alpha": 0.3, "N": n}, trials=3,
+                           tolerance=-1.0)
     for n in (3, np.int64(3)):
-        report = verify_theorem("cosak", gen, {**params, "N": n}, trials=3)
+        report = verify_theorem("cosak", gen, {"alpha": 0.3, "N": n},
+                                trials=3, tolerance=-1.0)
         op = parse_sequence_spec(report.counterexample.operator)
         assert op.N == report.params["N"] == 3
         assert type(report.params["N"]) is int
@@ -695,8 +741,7 @@ def test_forced_certificates_name_an_operator_that_parses_back(
         campaign = analysis.CAMPAIGNS[theorem]
         gen = PolyGenSpec(seed=42, theta=campaign.theta,
                           deg_hi=campaign.deg_hi)
-        report = verify_theorem(theorem, gen,
-                                {**params, "tolerance_override": -1.0},
-                                trials=20)
+        report = verify_theorem(theorem, gen, params, trials=20,
+                                tolerance=-1.0)
     op = report.counterexample.operator
     assert parse_sequence_spec(op).spec_string() == op

@@ -212,6 +212,15 @@ def test_verify_tol_residual_reaches_campaign_solves():
         "zsro", PolyGenSpec(seed=42), trials=20).to_json()
 
 
+def test_verify_tol_angle_reaches_the_campaign():
+    # every tested trial violates tolerance -1, so the run certifies one
+    r = run("verify", "zsro", "--trials", "5", "--seed", "42",
+            "--tol-angle", "-1")
+    assert r.returncode == 4
+    assert '"tolerance": -1.0' in r.stdout
+    assert json.loads(r.stdout)["counterexample"] is not None
+
+
 @pytest.mark.parametrize("flags", [["--op", "laguerre:q=0.5"], ["--N", "3"]])
 def test_verify_rejects_flags_the_campaign_never_reads(flags):
     r = run("verify", "zsro", "--trials", "20", "--seed", "42", *flags)

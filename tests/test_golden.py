@@ -1,7 +1,7 @@
 """Golden report bytes: sha256 of ``report.to_json()`` for seeded campaigns.
 
 A refactor of the campaign code must leave every report byte as it was.
-The ``-forced`` cases set ``tolerance_override=-1.0`` so that every tested
+The ``-forced`` cases set ``tolerance=-1.0`` so that every tested
 trial crosses the tolerance and the report carries a certificate; the
 search at seed 1 finds one on its own.  Generated polynomials are expanded
 in ``long double`` (``from_sector_roots``), so the digests hold only where
@@ -23,7 +23,6 @@ pytestmark = pytest.mark.skipif(
     reason="digests were recorded with an 80-bit long double")
 
 _WIDE = dict(deg_hi=16, theta=1.4)
-_FORCED = {"tolerance_override": -1.0}
 
 # (case, theorem id, generator settings, params, trials, sha256)
 VERIFY_CASES = [
@@ -41,11 +40,11 @@ VERIFY_CASES = [
      "39416fef81f843476f63c985fd368f02328d8b945c637b51209d7f8fd4a95c99"),
     ("roms", "roms", dict(deg_hi=16, theta=0.785398), None, 50,
      "454d910e40601a5551a3fc685df3d3066795d52ddb82ce990676ecbda07e5b0b"),
-    ("zsro-forced", "zsro", _WIDE, _FORCED, 20,
+    ("zsro-forced", "zsro", _WIDE, None, 20,
      "dbfe42bf08b08c51429db93969eabc8009b2467a22ad6c8971fc047bec427034"),
-    ("jsd-forced", "jsd", _WIDE, _FORCED, 20,
+    ("jsd-forced", "jsd", _WIDE, None, 20,
      "c6435bec4b45ad5b882a84e8b9c7177b5c8d38c4bd6ac05fc9181359317a6088"),
-    ("roms-forced", "roms", dict(deg_hi=16, theta=0.785398), _FORCED, 10,
+    ("roms-forced", "roms", dict(deg_hi=16, theta=0.785398), None, 10,
      "9e1883939f16df63367c9524130ef2901a32e54cf44b0eae8eebc0f5778c886d"),
 ]
 
@@ -65,9 +64,11 @@ def _digest(report) -> str:
 @pytest.mark.parametrize("case,theorem,generator,params,trials,digest",
                          VERIFY_CASES, ids=[c[0] for c in VERIFY_CASES])
 def test_verify_report_bytes(case, theorem, generator, params, trials, digest):
+    forced = case.endswith("-forced")
     report = verify_theorem(theorem, PolyGenSpec(seed=42, **generator),
-                            dict(params) if params else None, trials=trials)
-    if case.endswith("-forced"):
+                            dict(params) if params else None, trials=trials,
+                            tolerance=-1.0 if forced else None)
+    if forced:
         assert report.found_counterexample()
     assert _digest(report) == digest
 

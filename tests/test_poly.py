@@ -35,6 +35,11 @@ def test_zero_polynomial_rejected():
 def test_nonfinite_and_bad_shape_rejected():
     with pytest.raises(ValueError):
         RealPolynomial([1.0, math.inf])
+    # an int past the float range is the error of an infinite coefficient,
+    # not numpy's bare OverflowError
+    for big in (10**400, -10**400):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            RealPolynomial([1.0, big])
     with pytest.raises(ValueError):
         RealPolynomial([[1.0, 2.0]])
 
