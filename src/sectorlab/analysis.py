@@ -118,7 +118,7 @@ def _classify_tail(values) -> str:
 
 def rn_profile(ms: MultiplierSequence, window: int) -> RnProfile:
     """r_n = gamma_n gamma_{n+2} / gamma_{n+1}^2 for n = 0 .. window-1."""
-    if window < 3:
+    if check_integer(window, "window") < 3:
         raise SectorLabError(f"window must be >= 3, got {window!r}")
     gamma = ms.terms(window + 1)
     if np.any(gamma[1:window + 1] == 0.0):
@@ -138,10 +138,12 @@ def three_term_transformed_roots(n: int, b: float, c: float,
     gamma_{n+2} x^2 - gamma_{n+1} b x + gamma_n c, solved here by the
     quadratic formula (note the leading 1/gamma_{n+2}).
     """
+    n = check_integer(n, "n")
     if n < 0:
         raise SectorLabError(f"n must be >= 0, got {n!r}")
-    if not (b > 0.0):
+    if not (check_number(b, "b") > 0.0):
         raise SectorLabError(f"b must be positive, got {b!r}")
+    check_number(c, "c")
     g0, g1, g2 = ms.term(n), ms.term(n + 1), ms.term(n + 2)
     if g2 == 0.0:
         raise DegenerateLeadingError(
@@ -359,11 +361,14 @@ def _trial_jsd(gen, params, rng):
         spec = draw_sector_spec(gen, rng)
     alpha = _uniform(rng, 0.0, math.pi, params.get("alpha"))
     if quadratic:
-        # resample until the single disc is nonempty, as sharpness needs one
+        # sharpness needs a nonempty single disc: a drawn alpha is drawn
+        # again until the disc is one, and a pinned alpha skips the trial
         a, b = spec.pairs[0]
         for _ in range(256):
             if not jensen_sector_disc(a, b, alpha).empty:
                 break
+            if params.get("alpha") is not None:
+                return None, None
             alpha = _uniform_at(0.0, math.pi, rng.random())
         else:
             return None, None

@@ -28,7 +28,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (DomainError, EmptyDiscError, NonpositiveRootPartError,
-                     NotInRightHalfPlaneError, OffAxisError, SectorLabError)
+                     NotInRightHalfPlaneError, OffAxisError, SectorLabError,
+                     check_number)
 from .roots import ZeroSet
 
 __all__ = [
@@ -84,9 +85,7 @@ class TangencyData:
 
 def reference_angle(alpha: float) -> float:
     """Reduce any finite angle to [0, pi]: take mod 2 pi, reflect above pi."""
-    if not math.isfinite(alpha):
-        raise DomainError(f"angle must be finite, got {alpha!r}")
-    a = math.fmod(alpha, _TWO_PI)
+    a = math.fmod(check_number(alpha, "angle", DomainError), _TWO_PI)
     if a < 0.0:
         a += _TWO_PI
     if a > math.pi:

@@ -327,9 +327,9 @@ def cosine_affine_transform(p: RealPolynomial, lam: float,
 
 def predicted_sector_after_gauss(theta: float, alpha: float) -> float:
     """arccos(min(1, e^{alpha^2/2} cos theta)); shrinks S(theta), sharp on quadratics."""
-    if not (0.0 <= theta < math.pi / 2.0):
+    if not (0.0 <= check_number(theta, "theta", DomainError) < math.pi / 2.0):
         raise DomainError(f"theta must lie in [0, pi/2), got {theta!r}")
-    if not (alpha > 0.0):
+    if not (check_number(alpha, "alpha", DomainError) > 0.0):
         raise DomainError(f"alpha must be positive, got {alpha!r}")
     return math.acos(min(1.0, math.exp(0.5 * alpha * alpha) * math.cos(theta)))
 
@@ -397,7 +397,8 @@ def predicted_strip_after_gauss(half_width: float, alpha: float) -> float:
 
 def bc_strip_bound(half_width: float, alpha: float) -> float:
     """Comparison strip width sqrt(max(A^2 - alpha^2, 0))."""
-    if half_width < 0.0:
+    check_number(alpha, "alpha", DomainError)
+    if check_number(half_width, "strip half-width", DomainError) < 0.0:
         raise DomainError(f"strip half-width must be >= 0, got {half_width!r}")
     return math.sqrt(max(half_width * half_width - alpha * alpha, 0.0))
 

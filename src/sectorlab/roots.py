@@ -23,14 +23,15 @@ the batch of one.  The solve pipeline:
    ``d |p(z)/c_d| / prod |z - z_j|``, with |p(z)| at least u sum |c_k| |z|^k,
    may stand in for the step test: they hold d simple zeros (Braess &
    Hadeler 1973; Carstensen 1991),
-3. cluster merging: iterates are merged when they sit within
-   _CLUSTER_TOL * max(1, |z|) of each other or when their Gerschgorin-style
-   inclusion discs of radius ``d |p(z)/c_d| / prod |z - z_j|`` overlap, which
-   is what certifies a multiple root whose iterates stall on the evaluation
-   noise floor.  A polynomial whose discs may merge is polished before the
-   merge test: guarded Newton steps on each iterate shrink |p(z)| and so the
-   discs, which keeps close simple zeros apart.  One whose Aberth discs are
-   all apart has nothing to merge, and each iterate is its own cluster,
+3. cluster merging: iterates z_i, z_j are merged when they sit within
+   _CLUSTER_TOL * max(1, |z_i|, |z_j|) of each other or when their
+   Gerschgorin-style inclusion discs of radius ``d |p(z)/c_d| /
+   prod |z - z_j|`` overlap, which is what certifies a multiple root whose
+   iterates stall on the evaluation noise floor.  One array test decides
+   every merge.  A polynomial with a pair to merge is polished and tested
+   again: guarded Newton steps on each iterate shrink |p(z)| and so the
+   discs, which keeps close simple zeros apart.  In one with no pair to
+   merge among its Aberth iterates, each iterate is its own cluster,
 4. clusters of multiplicity m are re-centered on the nearby simple root of
    the (m-1)-th derivative, recovering full accuracy for multiple roots,
 5. near-real locations are snapped: |Im z| <= _REAL_SNAP_TOL * max(1, |z|)
@@ -45,24 +46,22 @@ the batch of one.  The solve pipeline:
 
 Stacked on (B, d) arrays, once per degree group: Aberth (a row leaves the
 stack after the sweep in which its own stopping test passes), and stage 3's
-sort, inclusion radii and mask of candidate pairs, on the Aberth iterates
-and again on the polished ones.  In a group of two or more rows, a row with
-no zero at the origin, no candidate pair and finite iterates is finished
-stacked: its singleton clusters are snapped, paired and certified by the
-residual on (B, d) arrays, in the order of the scalar finish and with its
-bits.  The stacked finish keeps only the rows it can
-certify so: every nonreal entry pairs with its own nearest mate, and every
-residual is finite and passes the gate.  It leaves every other row to the
-scalar finish, which decides it, exceptions included.  Scalar, per
+sort, inclusion radii and merge test, on the Aberth iterates and again on
+the polished ones.  In a group of two or more rows, a row with no zero at
+the origin, no pair to merge and finite iterates is finished stacked: its
+singleton clusters are snapped, paired and certified by the residual on
+(B, d) arrays, in the order of the scalar finish and with its bits.  The
+stacked finish keeps only the rows it can certify so: every nonreal entry
+pairs with its own nearest mate, and every residual is finite and passes
+the gate.  It leaves every other row to the scalar finish, which decides
+it, exceptions included.  Scalar, per
 polynomial, on Python lists made once: a group of one row, which is every
 ``find_roots`` call and where numpy's per-call cost outweighs a short loop,
-a row the stacked finish leaves, and a row with a candidate pair or a
-non-finite iterate: polishing and each candidate pair's merge test, then
-refinement, snapping, pairing and the residual.  The merge test decides, so
-it runs on Python complex numbers, whose |.| is libm's hypot, as on numpy
-scalars; numpy's SIMD abs may differ in the last bit: the mask has a
-margin.  The stacked finish takes |z| as np.hypot, which is libm's hypot
-too.
+a row the stacked finish leaves, and a row with a pair to merge or a
+non-finite iterate: polishing and the union of the merged pairs, then
+refinement, snapping, pairing and the residual.  The merge test and the
+stacked finish take every |.| as np.hypot, which is libm's hypot bitwise,
+as Python's abs(complex) is; numpy's SIMD complex abs is not.
 
 Iteration order, start configuration and merge order are fixed, so the
 same input and configuration give bitwise identical output, whatever else
@@ -343,30 +342,23 @@ def _inclusion_radii(Q: np.ndarray, Z: np.ndarray):
 
 
 def _near_pairs(z: np.ndarray, incl: np.ndarray) -> np.ndarray:
-    """(B, n, n) mask of the pairs i < j of each row that ``_close`` might
-    merge.  numpy's SIMD complex abs is not libm's hypot, so the limit gets
-    a margin, and a NaN comparison counts as near: the mask holds every pair
-    that ``_close`` merges, and ``_close`` decides."""
-    absz = np.maximum(1.0, np.abs(z))
-    lim = np.maximum(
+    """The merge test: the (B, n, n) mask of the pairs i < j of each row
+    with |z_i - z_j| <= max(_CLUSTER_TOL * max(1, |z_i|, |z_j|), r_i + r_j),
+    r the inclusion radii ``incl``; every |.| is np.hypot.  np.fmax skips a
+    NaN |z| or radius, as Python's max does after its first argument."""
+    absz = np.fmax(1.0, np.hypot(z.real, z.imag))
+    lim = np.fmax(
         _CLUSTER_TOL * np.maximum(absz[:, :, None], absz[:, None, :]),
         incl[:, :, None] + incl[:, None, :])
-    far = np.abs(z[:, :, None] - z[:, None, :]) > lim * (1.0 + 1e-9)
-    return ~far & np.triu(np.ones(far.shape[1:], bool), 1)
-
-
-def _close(zi: complex, zj: complex, ri: float, rj: float) -> bool:
-    """The merge test: z_i and z_j lie within _CLUSTER_TOL * max(1, |z_i|,
-    |z_j|), or their inclusion discs of radii r_i, r_j overlap.  It runs on
-    Python complex numbers, so every |.| is libm's hypot."""
-    return abs(zi - zj) <= max(_CLUSTER_TOL * max(1.0, abs(zi), abs(zj)),
-                               ri + rj)
+    diff = z[:, :, None] - z[:, None, :]
+    near = np.hypot(diff.real, diff.imag) <= lim
+    return near & np.triu(np.ones(near.shape[1:], bool), 1)
 
 
 def _merge(z: list, incl: list, pairs) -> list:
-    """Clusters of the sorted iterates z, merging the pairs (i, j) of
-    ``pairs`` that pass ``_close``.  A cluster's radius is the largest
-    inclusion radius of its members."""
+    """Clusters of the sorted iterates z: the union of the pairs (i, j) of
+    ``pairs``, which the merge test ``_near_pairs`` keeps.  A cluster's
+    radius is the largest inclusion radius of its members."""
     parent = list(range(len(z)))
 
     def find(i):
@@ -376,10 +368,9 @@ def _merge(z: list, incl: list, pairs) -> list:
         return i
 
     for i, j in pairs:
-        if _close(z[i], z[j], incl[i], incl[j]):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
 
     groups = {}
     for i in range(len(z)):
@@ -612,11 +603,11 @@ def _finish_stacked(Q: np.ndarray, z: np.ndarray, incl: np.ndarray,
 def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
                  cfg: SolverConfig) -> list:
     """Cluster and finish one group, the polynomials Q[r](z) z^k0[r], from
-    the (B, d) Aberth iterates of the rows of Q.  Only a row with a candidate
-    merge pair is polished and merged (stage 3).  In a group of two or more
-    rows, a row with no origin zero, no candidate pair and finite iterates
+    the (B, d) Aberth iterates of the rows of Q.  Only a row with a pair to
+    merge is polished and merged (stage 3).  In a group of two or more
+    rows, a row with no origin zero, no pair to merge and finite iterates
     goes to the stacked finish, and each row it leaves joins the other rows
-    without a candidate pair.  Returns each row's
+    without a pair to merge.  Returns each row's
     ZeroSet or the exception it raised; one row's failure fails no other."""
     B = len(k0)
     out = [None] * B
@@ -633,8 +624,8 @@ def _finish_many(Q: np.ndarray, k0: list, iterates: np.ndarray,
                 if result is not None:
                     out[r], single[r] = result, False
     clusters = {}
-    # a row with no candidate pair has nothing to merge: its clusters are
-    # its sorted iterates, each alone, as _merge would return them
+    # a row with no pair to merge: its clusters are its sorted iterates,
+    # each alone, as _merge would return them
     for r, zs, radii in zip(np.flatnonzero(single).tolist(),
                             z[single].tolist(), incl[single].tolist()):
         clusters[r] = [(_mean([v]), 1, 0.0, i) for v, i in zip(zs, radii)]

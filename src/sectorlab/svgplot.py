@@ -69,14 +69,12 @@ def _ray(canvas: _Canvas, angle: float, style: str):
 
 
 def render_scene(before=(), after=(), discs=(), sector_angle=None,
-                 predicted_angle=None, double_sector=False,
-                 annotations=()) -> str:
+                 predicted_angle=None, annotations=()) -> str:
     """Compose one SVG document.
 
     ``before``/``after`` are iterables of complex zero locations, ``discs``
     of SectorDisc (empty ones are skipped), angles are sector half-angles in
-    radians drawn as rays from the origin (mirrored into the left half plane
-    when ``double_sector`` is set).
+    radians drawn as rays from the origin.
     """
     biggest = 1.0
     for z in list(before) + list(after):
@@ -94,17 +92,11 @@ def render_scene(before=(), after=(), discs=(), sector_angle=None,
     cv.line(-limit, 0.0, limit, 0.0, _STYLE["axis"])
     cv.line(0.0, -limit, 0.0, limit, _STYLE["axis"])
 
-    def rays(angle: float, style: str):
-        _ray(cv, angle, style)
-        _ray(cv, -angle, style)
-        if double_sector:
-            _ray(cv, math.pi - angle, style)
-            _ray(cv, angle - math.pi, style)
-
-    if sector_angle is not None:
-        rays(sector_angle, _STYLE["sector"])
-    if predicted_angle is not None:
-        rays(predicted_angle, _STYLE["predicted"])
+    for angle, style in ((sector_angle, _STYLE["sector"]),
+                         (predicted_angle, _STYLE["predicted"])):
+        if angle is not None:
+            _ray(cv, angle, style)
+            _ray(cv, -angle, style)
 
     for d in discs:
         if not d.empty:

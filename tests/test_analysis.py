@@ -20,6 +20,7 @@ from sectorlab import (
     InputError,
     InvalidRootSpecError,
     LaguerreQSequence,
+    NonConvergenceError,
     PolyGenSpec,
     RealPolynomial,
     SectorLabError,
@@ -154,6 +155,23 @@ def test_three_term_guards():
         three_term_transformed_roots(0, 3.0, 2.0, ExplicitSequence([1.0, 1.0, 0.0]))
     with pytest.raises(ZeroInteriorTermError):
         three_term_transformed_roots(0, 3.0, 2.0, ExplicitSequence([1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ms: rn_profile(ms, 3.5), "window must be an integer"),
+    (lambda ms: rn_profile(ms, "5"), "window must be an integer"),
+    (lambda ms: three_term_transformed_roots(2.5, 1.0, 1.0, ms),
+     "n must be an integer"),
+    (lambda ms: three_term_transformed_roots(True, 1.0, 1.0, ms),
+     "n must be an integer"),
+    (lambda ms: three_term_transformed_roots(2, 1.0, math.nan, ms),
+     "c must be finite"),
+    (lambda ms: three_term_transformed_roots(2, math.inf, 1.0, ms),
+     "b must be finite"),
+], ids=["float-window", "str-window", "float-n", "bool-n", "nan-c", "inf-b"])
+def test_diagnostics_reject_numbers_they_cannot_use(call, message):
+    with pytest.raises(SectorLabError, match=message):
+        call(GaussSequence(0.5))
 
 
 def test_modulus_identity_residual_small():
@@ -381,6 +399,19 @@ def test_verify_jsd_quadratic_sharpness():
     assert report.counterexample is None
     assert report.worst_margin >= -1e-8
     assert report.params.get("quadratic") is True
+
+
+def test_jsd_quadratic_keeps_a_pinned_alpha():
+    # a pinned alpha whose disc is empty skips its trial, which returns
+    # before its request, instead of drawing another alpha
+    gen = PolyGenSpec(seed=1)
+    report = verify_theorem("jsd", gen, {"quadratic": True, "alpha": 0.4},
+                            trials=20, tolerance=-1.0)
+    assert report.skipped == 14
+    assert report.counterexample.operator.startswith("blend alpha=0.4 ")
+    report = verify_theorem("jsd", gen, {"quadratic": True, "alpha": 1.5},
+                            trials=20)
+    assert report.skipped == 20 and report.worst_margin is None
 
 
 def test_verify_jsd_containment_small():
@@ -620,6 +651,71 @@ def test_nonconvergence_skips_only_its_own_trial(monkeypatch):
     lenient = verify_theorem("probe", gen, trials=30)
     assert lenient.skipped == 0
     assert math.isclose(lenient.worst_margin, -math.sqrt(2.0), rel_tol=1e-12)
+
+
+def _answered(trial, zeros_of):
+    """``trial`` answered with the zeros ``zeros_of(p, q)`` in place of those
+    of its image q."""
+    def answered(gen, params, rng):
+        inner = trial(gen, params, rng)
+        p, q, _ = yield next(inner)
+        try:
+            inner.send((p, q, zeros_of(p, q)))
+        except StopIteration as stop:
+            return stop.value
+    return answered
+
+
+def test_jsd_without_a_live_disc_measures_the_distance_to_the_axis(
+        monkeypatch):
+    # alpha = 1.5 empties the disc of every pair within 1.4 of the axis, and
+    # the blend's zeros are then real: answered with 1 +/- i, a trial's
+    # margin is -|Im z| / max(1, |z|)
+    pair = find_roots(RealPolynomial([2.0, -2.0, 1.0]))
+    monkeypatch.setitem(analysis.CAMPAIGNS, "answered", analysis.Campaign(
+        _answered(analysis._trial_jsd, lambda p, q: pair), 1e-8, ("alpha",)))
+    report = verify_theorem("answered", PolyGenSpec(seed=42, theta=1.4),
+                            {"alpha": 1.5}, trials=10)
+    assert report.skipped == 0 and report.worst_margin == -1.0 / abs(1 + 1j)
+
+
+def test_a_zero_outside_the_right_half_plane_certifies_minus_pi(monkeypatch):
+    # zsro's trial answered with the zeros of p(-z), which all lie outside
+    # the right half-plane
+    monkeypatch.setitem(analysis.CAMPAIGNS, "answered", analysis.Campaign(
+        _answered(analysis._trial_zsro, lambda p, q: find_roots(RealPolynomial(
+            p.coeffs * (-1.0) ** np.arange(p.coeffs.size)))), 1e-7))
+    report = verify_theorem("answered", PolyGenSpec(seed=42), trials=10)
+    assert report.skipped == 0 and report.worst_margin == -math.pi
+    cex = report.counterexample
+    assert cex.margin == -math.pi and cex.offending_zero.real < 0.0
+    assert parse_sequence_spec(cex.operator).family == "gauss"
+
+
+def _refusing(error):
+    """A trial that raises ``error`` before its request on about half its
+    draws."""
+    def trial(gen, params, rng):
+        if rng.uniform() < 0.5:
+            raise error("refused before the request")
+        p = RealPolynomial([2.0, -2.0, 1.0])
+        yield p, ExplicitSequence([1.0, 1.0, 1.0])
+        return 0.0, (p, "probe", None, None)
+    return trial
+
+
+def test_a_trial_that_raises_before_its_request(monkeypatch):
+    gen = PolyGenSpec(seed=5)
+    early = sum(analysis._trial_rng(5, t).uniform() < 0.5 for t in range(30))
+    assert 0 < early < 30
+    monkeypatch.setitem(analysis.CAMPAIGNS, "refuses", analysis.Campaign(
+        _refusing(NonConvergenceError), 1e-7))
+    report = verify_theorem("refuses", gen, trials=30)
+    assert report.skipped == early and report.worst_margin == 0.0
+    monkeypatch.setitem(analysis.CAMPAIGNS, "refuses", analysis.Campaign(
+        _refusing(ValueError), 1e-7))
+    with pytest.raises(ValueError, match="refused before the request"):
+        verify_theorem("refuses", gen, trials=30)
 
 
 def _trial_asks_twice(gen, params, rng):

@@ -4,8 +4,10 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,21 @@ def run(*args, env_extra=None, **kwargs):
         env.update(env_extra)
     return subprocess.run(_CLI + list(args), capture_output=True, text=True,
                           env=env, **kwargs)
+
+
+def test_readme_command_line_examples_print_what_they_show():
+    # each `$ sectorlab ...` line of README's first command-line block,
+    # followed by the stdout lines shown under it
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    examples = block.split("```", 1)[0].strip().split("\n\n")
+    assert len(examples) == 3
+    for example in examples:
+        command, *shown = example.splitlines()
+        assert command.startswith("$ sectorlab ")
+        r = run(*shlex.split(command)[2:])
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == shown
 
 
 def test_roots_text_output():

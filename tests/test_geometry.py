@@ -52,6 +52,11 @@ def test_non_finite_angles_raise_domain_error(alpha):
         jensen_sector_disc(1.0, 1.0, alpha)
 
 
+def test_an_angle_that_is_not_a_number_raises_domain_error():
+    with pytest.raises(DomainError, match="angle must be a number"):
+        jensen_sector_disc(1.0, 1.0, "x")
+
+
 def test_principal_arg_negative_axis_maps_up():
     assert principal_arg(-1.0 + 0j) == math.pi
     assert principal_arg(complex(-1.0, -0.0)) == math.pi

@@ -354,6 +354,8 @@ def test_predicted_sector_after_gauss():
         predicted_sector_after_gauss(math.pi / 2.0, 0.5)
     with pytest.raises(DomainError):
         predicted_sector_after_gauss(0.3, 0.0)
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        predicted_sector_after_gauss(0.5, math.inf)
 
 
 def test_predicted_sector_shrinks_monotonically_in_alpha():
@@ -422,6 +424,8 @@ def test_strip_predictions():
         predicted_strip_after_gauss(-0.1, 0.5)
     with pytest.raises(DomainError):
         bc_strip_bound(-1.0, 0.5)
+    with pytest.raises(DomainError, match="strip half-width must be finite"):
+        bc_strip_bound(math.nan, 0.1)
 
 
 def test_parse_sequence_spec_families():

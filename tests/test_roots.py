@@ -698,17 +698,18 @@ def _cluster_loop(q, zs):
     return clusters
 
 
+def _merges(zi, zj, ri, rj):
+    """Reference merge test: z_i and z_j lie within cluster_tol * max(1,
+    |z_i|, |z_j|), or their inclusion discs of radii r_i, r_j overlap."""
+    lim = max(roots._CLUSTER_TOL * max(1.0, abs(zi), abs(zj)), ri + rj)
+    return abs(zi - zj) <= lim
+
+
 def _may_merge(q, zs):
-    """Reference: whether any pair of the iterates zs is a candidate merge
-    pair, with the margin of ``_near_pairs`` and a NaN comparison as near."""
+    """Reference: whether any pair of the iterates zs merges."""
     z, incl = _inclusion_loop(q, zs)
-    for i in range(z.size):
-        for j in range(i + 1, z.size):
-            lim = max(roots._CLUSTER_TOL * max(1.0, abs(z[i]), abs(z[j])),
-                      incl[i] + incl[j])
-            if not abs(z[i] - z[j]) > lim * (1.0 + 1e-9):
-                return True
-    return False
+    return any(_merges(z[i], z[j], incl[i], incl[j])
+               for i in range(z.size) for j in range(i + 1, z.size))
 
 
 def _finish_loop(c, q, k0, iterates, cfg):
@@ -854,11 +855,20 @@ def test_near_pairs_hold_every_pair_the_exact_test_merges():
             zi = complex(*rng.uniform(-1e-8, 1e-8, 2))
             rows.append([zi, zi + tol * (1.0 + k * eps) * cmath.exp(1j * phi)])
             radii.append([0.0, 0.0])
-    near = roots._near_pairs(np.array(rows), np.array(radii))
-    merged = [roots._close(zi, zj, ri, rj)
-              for (zi, zj), (ri, rj) in zip(rows, radii)]
-    assert 0 < sum(merged) < len(merged)
-    assert all(near[r, 0, 1] for r, m in enumerate(merged) if m)
+    assert 0 < sum(_merges(*z, *r) for z, r in zip(rows, radii)) < len(rows)
+    # non-finite iterates and radii
+    parts = [0.0, -0.0, 1.5, -1e308, math.inf, -math.inf, math.nan]
+    special = [complex(re, im) for re in parts for im in parts]
+    for zi in special:
+        for zj in special:
+            for r in ([0.0, 0.0], [1.0, math.nan], [math.inf, 0.0],
+                      [math.nan, math.nan]):
+                rows.append([zi, zj])
+                radii.append(r)
+    with np.errstate(all="ignore"):
+        near = roots._near_pairs(np.array(rows), np.array(radii))
+    assert near[:, 0, 1].tolist() == [_merges(*z, *r)
+                                      for z, r in zip(rows, radii)]
     assert not near[:, 1, 0].any() and not near[:, 0, 0].any()
 
 

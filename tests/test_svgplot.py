@@ -44,13 +44,6 @@ def test_element_counts_and_order():
     assert svg.index("fill-opacity") < hollow < filled
 
 
-def test_double_sector_mirrors_rays():
-    single = render_scene(sector_angle=0.5)
-    folded = render_scene(sector_angle=0.5, double_sector=True)
-    assert single.count("<line") == 4
-    assert folded.count("<line") == 6
-
-
 def test_predicted_rays_are_dashed():
     svg = render_scene(sector_angle=0.7, predicted_angle=0.2)
     assert svg.count("stroke-dasharray") == 2
