@@ -181,6 +181,8 @@ def jsd_modulus_identity_check(a: float, b: float, alpha: float,
     evaluated in extended precision; the return value is
     |lhs - rhs| / max(1, |lhs|, |rhs|).
     """
+    for value, name in ((a, "a"), (b, "b"), (alpha, "alpha")):
+        check_number(value, name)
     ld = np.longdouble
     aL, bL, alL = ld(a), ld(b), ld(alpha)
     x, y = ld(complex(z).real), ld(complex(z).imag)
@@ -197,6 +199,8 @@ def jsd_modulus_identity_check(a: float, b: float, alpha: float,
 
 def jsd_bracket(a: float, b: float, alpha: float, z: complex) -> float:
     """The sign-carrying factor 8 y sin(alpha) [...] from the identity above."""
+    for value, name in ((a, "a"), (b, "b"), (alpha, "alpha")):
+        check_number(value, name)
     x, y = complex(z).real, complex(z).imag
     mod2 = a * a + b * b
     return (8.0 * y * math.sin(alpha)

@@ -103,7 +103,8 @@ def principal_arg(z: complex) -> float:
 
 def jensen_sector_disc(a: float, b: float, alpha: float) -> SectorDisc:
     """Sector-disc for the pair a +/- ib at rotation angle alpha."""
-    if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
+    if not (check_number(a, "a", NonpositiveRootPartError) > 0.0
+            and check_number(b, "b", NonpositiveRootPartError) > 0.0):
         raise NonpositiveRootPartError(
             f"disc requires a > 0 and b > 0, got ({a!r}, {b!r})")
     ar = reference_angle(alpha)

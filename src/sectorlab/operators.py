@@ -337,9 +337,9 @@ def predicted_sector_after_gauss(theta: float, alpha: float) -> float:
 def predicted_sector_after_cosine_step(theta: float, alpha: float,
                                        N: int) -> float:
     """arccos(min(1, cos theta sec(alpha/N))) for a single cosstep application."""
-    if not (0.0 <= theta < math.pi / 2.0):
+    if not (0.0 <= check_number(theta, "theta", DomainError) < math.pi / 2.0):
         raise DomainError(f"theta must lie in [0, pi/2), got {theta!r}")
-    if not (0.0 < alpha < math.pi / 2.0):
+    if not (0.0 < check_number(alpha, "alpha", DomainError) < math.pi / 2.0):
         raise DomainError(f"alpha must lie in (0, pi/2), got {alpha!r}")
     N = _step_count(N, DomainError)
     return math.acos(min(1.0, math.cos(theta) / math.cos(alpha / N)))
@@ -390,7 +390,8 @@ def exp_poly_principal_zeros(p: RealPolynomial,
 def predicted_strip_after_gauss(half_width: float, alpha: float) -> float:
     """arccos(min(1, e^{alpha^2/2} cos A)) for principal-zero strips: the
     Gauss sector bound, since Im log z = arg z."""
-    if not (0.0 <= half_width < math.pi / 2.0):
+    if not (0.0 <= check_number(half_width, "strip half-width", DomainError)
+            < math.pi / 2.0):
         raise DomainError(f"strip half-width must lie in [0, pi/2), got {half_width!r}")
     return predicted_sector_after_gauss(half_width, alpha)
 

@@ -22,7 +22,9 @@ the batch of one.  The solve pipeline:
    _ISOLATION_SWEEP on, pairwise disjoint inclusion discs of radius
    ``d |p(z)/c_d| / prod |z - z_j|``, with |p(z)| at least u sum |c_k| |z|^k,
    may stand in for the step test: they hold d simple zeros (Braess &
-   Hadeler 1973; Carstensen 1991),
+   Hadeler 1973; Carstensen 1991).  A sweep evaluates p, p' and the bound's
+   sum |c_k| |z|^k of every active row by Horner's scheme on one complex
+   slab, two numpy calls per coefficient (``_slab``),
 3. cluster merging: iterates z_i, z_j are merged when they sit within
    _CLUSTER_TOL * max(1, |z_i|, |z_j|) of each other or when their
    Gerschgorin-style inclusion discs of radius ``d |p(z)/c_d| /
@@ -75,7 +77,13 @@ x86-64 CPU) where its scalar loop does not, and an in-place ``pv *= z`` on
 a one-element array takes the scalar loop.  So complex arrays are
 multiplied out of place, on contiguous operands of one shape, and per-row
 constants are broadcast only into additions and real factors, which round
-the same in either loop.
+the same in either loop.  A complex add rounds the same in every loop, so
+the Horner slab adds each product in place into its coefficient blocks.
+The slab carries the bound as complex rows too, |c_k| + 0i at |z| + 0i:
+their product (m + 0i)(a + 0i) rounds to m a, fused or not, so a finite
+bound has the bits of the float Horner.  Where m a overflows, the bound
+goes non-finite with the float Horner's (NaN one product after its inf),
+and only a test of finiteness, and the comparisons that pass it, read it.
 
 Real coefficients round as complex ones with zero imaginary parts: Aberth
 runs on complex128 columns (complex plus float arrays round the same, but
@@ -170,8 +178,9 @@ def _derivative(c: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _aberth(Q: np.ndarray) -> np.ndarray:
-    """Iterates for a (B, d+1) stack of degree-d polynomials, shape (B, d).
+def _aberth(Q: np.ndarray):
+    """Iterates for a (B, d+1) stack of degree-d polynomials, shape (B, d),
+    and the number of sweeps each row ran, shape (B,).
 
     Each row runs the sweeps it would run alone and leaves the active set
     after the sweep in which its own stopping test passes.
@@ -189,9 +198,10 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
     fallback_phase = np.exp(1j * (0.7 + np.arange(d)))
     nudge = np.arange(d) + 1.0
     out = np.empty_like(z)
+    sweeps = np.full(B, _MAX_ITERATIONS)
     rows = np.arange(B)
-    cols = _columns(Q, d)
-    abscols = np.abs(Q.T)[:, :, None]
+    horner = _slab(Q, d)
+    lead = np.abs(Q[:, -1:])
     unit = 2.0 ** -53
     noise = 4.0 * d * unit
     quiet_for = np.zeros(B, dtype=int)
@@ -206,7 +216,7 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
         diff = z[:, :, None] - z[:, None, :]
         diff.reshape(rows.size, -1)[:, ::d + 1] = np.inf
         stuck = (diff == 0).any(axis=(1, 2)) if (diff == 0).any() else None
-        pv, dv = _horner(cols, z)
+        pv, bound, dv = horner(z)
         repulse = (1.0 / diff).sum(axis=2)
         newton = pv / dv
         w = newton / (1.0 - newton * repulse)
@@ -232,11 +242,7 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
             tested &= ~stuck
         if tested.any():
             at = np.flatnonzero(tested)
-            az = np.abs(z[at])
-            acols = abscols[:, at]
-            mag = acols[-1]
-            for ck in acols[-2::-1]:
-                mag = mag * az + ck
+            mag = bound[at]
             apv = np.abs(pv[at])
             met = (np.isfinite(mag) & (apv <= noise * mag)).all(axis=1)
             loud = met & ~quiet[at]
@@ -245,22 +251,68 @@ def _aberth(Q: np.ndarray) -> np.ndarray:
                 # and one that rounds to 0 would shrink its disc to a point
                 met[loud] = _isolated(
                     diff[at[loud]], np.maximum(apv[loud], unit * mag[loud]),
-                    acols[-1][loud])
+                    lead[at[loud]])
             quiet[at] = met
         quiet_for = np.where(quiet, quiet_for + 1, 0)
         done |= quiet_for >= _STALL_SWEEPS
         z = step
         if done.any():
             out[rows[done]] = z[done]
+            sweeps[rows[done]] = sweep + 1
             keep = ~done
             rows, z, rad = rows[keep], z[keep], rad[keep]
             if not rows.size:
-                return out
-            cols = [ck[keep] for ck in cols]
-            abscols = abscols[:, keep]
+                return out, sweeps
+            horner = _slab(Q[rows], d)
+            lead = lead[keep]
             quiet_for = quiet_for[keep]
     out[rows] = z
-    return out
+    return out, sweeps
+
+
+def _slab(Q: np.ndarray, n: int, full: bool = True):
+    """Horner's scheme on the (B, d+1) stack Q at (B, n) points, as one
+    function of the points z that returns p(z), sum_k |c_k| |z|^k and p'(z),
+    each of shape (B, n); p(z) alone when ``full`` is false.
+
+    The values run on one complex slab H of blocks of shape (B, n).  In
+    full, block 2k holds c_k, block 2k+1 holds |c_k| + 0i and block 2d+2
+    holds p' = 0, and Z holds the blocks z, |z| + 0i and z.  Each
+    k = d-1..0 takes one product of the running (p, bound, p'), blocks
+    2k+2..2k+4, with Z, and one in-place add of it into blocks 2k..2k+2,
+    which then hold
+
+        (c_k + p z,  |c_k| + bound |z|,  p + p' z),
+
+    the next running triple; afterwards blocks 0, 1 and 2 hold p, the bound
+    and p'.  Without ``full``, block k holds c_k and the same two calls
+    take block k+1 into block k.  Every evaluation overwrites the arrays the
+    previous one returned."""
+    B, d = Q.shape[0], Q.shape[1] - 1
+    # blocks per coefficient, and blocks of the running values
+    m, w = (2, 3) if full else (1, 1)
+    start = np.zeros((m * d + w, B, n), np.complex128)
+    start[:m * (d + 1):m] = Q.T[:, :, None]
+    if full:
+        start[1::2] = np.abs(Q.T)[:, :, None]
+    H = np.empty_like(start)
+    T = np.empty((w, B, n), np.complex128)
+    Z = np.empty_like(T)
+    steps = [(H[m * k + m:m * k + m + w], H[m * k:m * k + w])
+             for k in range(d - 1, -1, -1)]
+    values = (H[0], H[1].real, H[2]) if full else H[0]
+
+    def horner(z):
+        np.copyto(H, start)
+        Z[0] = z
+        if full:
+            Z[1], Z[2] = np.abs(z), z
+        for run, acc in steps:
+            np.multiply(run, Z, out=T)
+            np.add(T, acc, out=acc)
+        return values
+
+    return horner
 
 
 def _isolated(diff: np.ndarray, apv: np.ndarray, lead: np.ndarray
@@ -277,13 +329,6 @@ def _isolated(diff: np.ndarray, apv: np.ndarray, lead: np.ndarray
     prods.reshape(n, -1)[:, ::d + 1] = 1.0
     radius = d * apv / lead / prods.prod(axis=2)
     return (gap > radius[:, :, None] + radius[:, None, :]).all(axis=(1, 2))
-
-
-def _columns(Q: np.ndarray, n: int) -> list:
-    """Column k of Q broadcast to shape (B, n) as complex128, for every k:
-    numpy adds same-shape complex operands fastest, and addition rounds the
-    same either way."""
-    return list(np.repeat(Q.T[:, :, None], n, axis=2).astype(np.complex128))
 
 
 def _polish(q: list, z: complex) -> complex:
@@ -331,7 +376,7 @@ def _inclusion_radii(Q: np.ndarray, Z: np.ndarray):
     B, n = Z.shape
     order = np.lexsort((Z.imag, Z.real), axis=-1)
     z = np.take_along_axis(Z, order, axis=-1)
-    pv, _ = _horner(_columns(Q, n), z)
+    pv = _slab(Q, n, full=False)(z)
     diff = z[:, :, None] - z[:, None, :]
     diff.reshape(B, -1)[:, ::n + 1] = 1.0
     prods = np.abs(diff).prod(axis=2)
@@ -685,7 +730,8 @@ def _solve_many(polys, config: SolverConfig | None) -> list:
         groups.setdefault(c.size - 1 - k0, []).append((i, c, k0))
     for d, members in groups.items():
         Q = _scaled(np.stack([c[k0:] for _, c, k0 in members]))
-        iterates = _aberth(Q) if d else np.empty((len(members), 0), complex)
+        iterates = (_aberth(Q)[0] if d
+                    else np.empty((len(members), 0), complex))
         results = _finish_many(Q, [k0 for *_, k0 in members], iterates, cfg)
         for (i, _, _), result in zip(members, results):
             out[i] = result

@@ -21,6 +21,7 @@ from sectorlab import (
     InvalidRootSpecError,
     LaguerreQSequence,
     NonConvergenceError,
+    NonpositiveRootPartError,
     PolyGenSpec,
     RealPolynomial,
     SectorLabError,
@@ -38,6 +39,7 @@ from sectorlab import (
     jsd_modulus_identity_check,
     parse_sequence_spec,
     predicted_sector_after_cosine_step,
+    predicted_strip_after_gauss,
     rn_profile,
     search_counterexample,
     three_term_transformed_roots,
@@ -500,6 +502,26 @@ def test_an_int_past_the_digit_limit_is_named_in_its_error(make, error):
     # repr raises a plain ValueError for an int of more than 4,300 digits
     with pytest.raises(error, match="int (of 16610 bits|too long to show)"):
         make()
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: jensen_sector_disc("1", 1.0, 0.5), NonpositiveRootPartError),
+    (lambda: jensen_sector_disc(1.0, True, 0.5), NonpositiveRootPartError),
+    (lambda: jensen_sector_disc(1.0, math.nan, 0.5), NonpositiveRootPartError),
+    (lambda: predicted_sector_after_cosine_step(0.3, "x", 2), DomainError),
+    (lambda: predicted_sector_after_cosine_step(None, 0.3, 2), DomainError),
+    (lambda: predicted_strip_after_gauss("0.5", 0.3), DomainError),
+    (lambda: jsd_modulus_identity_check(1.0, 1.0, "x", 1j), SectorLabError),
+    (lambda: jsd_modulus_identity_check(1.0, math.inf, 0.5, 1j),
+     SectorLabError),
+    (lambda: jsd_bracket(1.0, 1.0, math.nan, 1j), SectorLabError),
+    (lambda: jsd_bracket("1", 1.0, 0.5, 1j), SectorLabError),
+], ids=["disc-a", "disc-b-bool", "disc-b-nan", "cosstep-alpha",
+        "cosstep-theta", "strip-width", "identity-alpha", "identity-b",
+        "bracket-alpha", "bracket-a"])
+def test_a_bound_argument_that_is_no_finite_number_is_an_error(call, error):
+    with pytest.raises(error, match="must be (a number|finite), got"):
+        call()
 
 
 def test_search_exppower_p2_reports_safe_diagnostics():

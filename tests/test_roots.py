@@ -311,24 +311,16 @@ _POOL_360 = [31677.170318196942, -329505.32222228387, 1572883.855339971,
              -41.81410658775698, 1.0]
 
 
-def _sweeps(monkeypatch, coeffs):
+def _sweeps(coeffs):
     """The Aberth sweeps of one lone solve of ``coeffs``."""
-    calls = []
-    real = roots._horner
-
-    def counted(c, z):
-        calls.append(1)
-        return real(c, z)
-
-    monkeypatch.setattr(roots, "_horner", counted)
-    roots._aberth(np.array([coeffs]))
-    return len(calls)
+    _, sweeps = roots._aberth(np.array([coeffs]))
+    return int(sweeps[0])
 
 
-def test_a_stalled_row_leaves_at_its_noise_floor(monkeypatch):
+def test_a_stalled_row_leaves_at_its_noise_floor():
     # its relative step settles between 1e-12 and 1e-9; on the step test
     # alone it ran all _MAX_ITERATIONS sweeps
-    assert _sweeps(monkeypatch, _POOL_316) <= 30
+    assert 0 < _sweeps(_POOL_316) <= 30
     zs = find_roots(RealPolynomial(_POOL_316))
     assert [e.multiplicity for e in zs.zeros] == [1] * 5
     assert max(e.residual for e in zs.zeros) <= 1e-12
@@ -337,12 +329,12 @@ def test_a_stalled_row_leaves_at_its_noise_floor(monkeypatch):
 def test_isolated_zeros_leave_at_their_noise_floor(monkeypatch):
     # the step guard alone holds this row for the whole budget; its
     # inclusion discs come apart as soon as the isolation test may run
-    assert _sweeps(monkeypatch, _POOL_132) <= \
+    assert 0 < _sweeps(_POOL_132) <= \
         roots._ISOLATION_SWEEP + roots._STALL_SWEEPS
     zs = find_roots(RealPolynomial(_POOL_132))
     assert [e.multiplicity for e in zs.zeros] == [1] * 12
     monkeypatch.setattr(roots, "_ISOLATION_SWEEP", roots._MAX_ITERATIONS)
-    assert _sweeps(monkeypatch, _POOL_132) == roots._MAX_ITERATIONS
+    assert _sweeps(_POOL_132) == roots._MAX_ITERATIONS
 
 
 def test_multiple_zeros_never_pass_the_isolation_test(monkeypatch):
@@ -575,7 +567,7 @@ def test_stacked_aberth_rows_match_the_per_polynomial_loop():
     rng = np.random.default_rng(11)
     lone = [[q] for q in rng.normal(size=(40, 2))]
     for qs in list(by_degree.values()) + lone:
-        stacked = roots._aberth(np.stack(qs))
+        stacked = roots._aberth(np.stack(qs))[0]
         for row, q in zip(stacked, qs):
             assert row.view(np.float64).tolist() == \
                 _aberth_loop(q.astype(complex)).view(np.float64).tolist()
@@ -589,10 +581,57 @@ def test_stacked_aberth_fallback_and_budget_rows_match_the_loop(monkeypatch):
           np.array([2.0, -3.0, 0.5, 1.0])]
     for budget in (roots._MAX_ITERATIONS, 1):
         monkeypatch.setattr(roots, "_MAX_ITERATIONS", budget)
-        stacked = roots._aberth(np.stack(qs))
+        stacked = roots._aberth(np.stack(qs))[0]
         for row, q in zip(stacked, qs):
             assert row.view(np.float64).tolist() == \
                 _aberth_loop(q.astype(complex)).view(np.float64).tolist()
+
+
+def _slab_cases():
+    """(Q, z) pairs for the Horner slab: random stacks over many orders of
+    magnitude, degree 1 on one-element arrays, signed zeros, and points where
+    Horner overflows on the fallback row of the test above."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for B, d in [(1, 1), (1, 5), (4, 12), (9, 16), (3, 24)]:
+        Q = rng.normal(size=(B, d + 1)) * 10.0 ** rng.integers(-4, 5, (B, d + 1))
+        z = (rng.normal(size=(B, d)) + 1j * rng.normal(size=(B, d))) \
+            * 10.0 ** rng.integers(-3, 4, (B, d))
+        cases.append((Q, z))
+    cases += [(np.array([q]), np.array([[v]]))
+              for q, v in zip(rng.normal(size=(40, 2)),
+                              rng.normal(size=40) + 1j * rng.normal(size=40))]
+    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    for c0, c1 in [(1.0, -0.0), (-0.0, 1.0), (-1.0, -0.0), (0.0, -2.0)]:
+        for v in zeros:
+            cases.append((np.array([[c0, c1]]), np.array([[v]])))
+    cases.append((np.array([[1.0, -0.0, 0.0, -1.0]] * 2),
+                  np.array([zeros[:3], zeros[1:]])))
+    huge = 10.0 ** np.array([0, 50, 100, 150, 160, 250, 308])
+    z = np.concatenate([huge * cmath.exp(0.3j), -huge, [np.inf, np.nan]])
+    qs = [[1.0, 1e150, 1e150, 1.0], [1.0, 0.0, 0.0, 1.0], [2.0, -3.0, 0.5, 1.0]]
+    cases.append((np.array(qs), np.tile(z, (3, 1))))
+    return cases
+
+
+@np.errstate(all="ignore")
+def test_the_horner_slab_keeps_the_bits_of_horner_on_column_stacks():
+    for Q, z in _slab_cases():
+        cols = list(np.repeat(Q.T[:, :, None], z.shape[1], axis=2)
+                    .astype(np.complex128))
+        pv, dv = _horner(cols, z)
+        p, bound, dp = roots._slab(Q, z.shape[1])(z)
+        assert p.view(np.uint64).tolist() == pv.view(np.uint64).tolist()
+        assert dp.view(np.uint64).tolist() == dv.view(np.uint64).tolist()
+        assert roots._slab(Q, z.shape[1], full=False)(z) \
+            .view(np.uint64).tolist() == pv.view(np.uint64).tolist()
+        # the bound against the float Horner of |c_k| at |z|
+        az, mag = np.abs(z), np.abs(Q[:, -1:])
+        for ck in np.abs(Q.T[-2::-1]):
+            mag = mag * az + ck[:, None]
+        finite = np.isfinite(mag)
+        assert (np.isfinite(bound) == finite).all()
+        assert bound[finite].tolist() == mag[finite].tolist()
 
 
 def test_find_roots_many_returns_failures_in_place(monkeypatch):
@@ -794,7 +833,7 @@ def test_stacked_inclusion_radii_match_the_per_polynomial_loop():
     for qs in list(by_degree.values()) + [[q] for q in by_degree[1]]:
         Q = np.stack(qs).real
         Z = np.array([[_polish_loop(q, complex(v)) for v in row]
-                      for q, row in zip(qs, roots._aberth(Q))])
+                      for q, row in zip(qs, roots._aberth(Q)[0])])
         z, incl = roots._inclusion_radii(Q, Z)
         for q, zs, zr, ir in zip(qs, Z, z, incl):
             want_z, want_incl = _inclusion_loop(q, zs)
@@ -945,7 +984,7 @@ def _stacked_group():
     Q = np.array([c for c, _ in crafted] + natural)
     k0 = [0] * len(crafted) + [0, 2, 5, 36]
     iterates = np.concatenate((np.array([z for _, z in crafted]),
-                               roots._aberth(Q[len(crafted):])))
+                               roots._aberth(Q[len(crafted):])[0]))
     return Q, k0, iterates
 
 
