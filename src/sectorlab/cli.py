@@ -98,10 +98,7 @@ def _load_polynomial(args) -> RealPolynomial:
             values = [float(f) for f in fields]
         except ValueError as exc:
             raise InputError(f"--coeffs expects comma-separated numbers: {exc}")
-        try:
-            return RealPolynomial(values)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        return from_document({"coeffs": values})
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -338,7 +335,8 @@ def _add_common(sub, formats: tuple, with_input=True):
     sub.add_argument("-o", "--output", default=None,
                      help="write output to this path instead of stdout")
     sub.add_argument("--tol-residual", type=float, default=None,
-                     help="solver residual acceptance override")
+                     help="largest backward error |p(z)| / sum |c_k| |z|^k "
+                          "a solved zero may carry (default 1e-9)")
 
 
 # the verify flag of each campaign param that has one; beta and mult_theta

@@ -308,8 +308,12 @@ def apply_sequence_many(polys, seqs) -> list:
     Returns one entry per pair, in order: the image, or the exception the
     lone call would have raised.  Per degree group, each row's terms come
     from its own ``ms.terms`` (libm, term by term) and one multiply makes
-    the images.
+    the images.  Lists of different lengths raise InputError.
     """
+    if len(polys) != len(seqs):
+        raise InputError(f"apply_sequence_many needs one sequence per "
+                         f"polynomial, got {len(polys)} polynomials and "
+                         f"{len(seqs)} sequences")
     return _apply_many(polys, seqs)
 
 

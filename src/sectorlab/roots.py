@@ -41,8 +41,11 @@ the batch of one.  The solve pipeline:
 6. remaining conjugate iterates are averaged in pairs; a nonreal entry left
    unpaired is snapped to the axis or fails the solve, so the returned
    multiset is exactly conjugation invariant,
-7. every entry gets the normalized residual |p(z)| / (scale * max(1,|z|)^d)
-   with scale = max_k |c_k|; unless every entry is at most
+7. every entry gets the residual |q(z)| / sum_k |q_k| |z|^k, the backward
+   error whose floor step 2 stops on, on the polynomial q left after
+   deflation (the |z|^k of k origin zeros cancels; an origin zero gets 0).
+   The sum comes first: where it is not finite the residual is NaN, and
+   |q(z)| is not evaluated.  Unless every entry is at most
    ``residual_accept`` (a NaN is not) the polynomial's solve fails instead
    of returning a bad certificate.
 
@@ -54,16 +57,16 @@ the origin, no pair to merge and finite iterates is finished stacked: its
 singleton clusters are snapped, paired and certified by the residual on
 (B, d) arrays, in the order of the scalar finish and with its bits.  The
 stacked finish keeps only the rows it can certify so: every nonreal entry
-pairs with its own nearest mate, and every residual is finite and passes
-the gate.  It leaves every other row to the scalar finish, which decides
-it, exceptions included.  Scalar, per
-polynomial, on Python lists made once: a group of one row, which is every
-``find_roots`` call and where numpy's per-call cost outweighs a short loop,
-a row the stacked finish leaves, and a row with a pair to merge or a
-non-finite iterate: polishing and the union of the merged pairs, then
-refinement, snapping, pairing and the residual.  The merge test and the
-stacked finish take every |.| as np.hypot, which is libm's hypot bitwise,
-as Python's abs(complex) is; numpy's SIMD complex abs is not.
+pairs with its own nearest mate, and every residual passes the gate.  It
+leaves every other row to the scalar finish, which decides it, exceptions
+included.  Scalar, per polynomial, on Python lists made once: a group of
+one row, which is every ``find_roots`` call and where numpy's per-call
+cost outweighs a short loop, a row the stacked finish leaves, and a row
+with a pair to merge or a non-finite iterate: polishing and the union of
+the merged pairs, then refinement, snapping, pairing and the residual.
+The merge test and the stacked finish take every |.| as np.hypot, which is
+libm's hypot bitwise, as Python's abs(complex) is; numpy's SIMD complex
+abs is not.
 
 Iteration order, start configuration and merge order are fixed, so the
 same input and configuration give bitwise identical output, whatever else
@@ -71,25 +74,28 @@ shares the batch: each row's result is bitwise that of a lone solve.  Its
 Aberth sweeps do exactly the floating-point operations of a lone solve,
 while every complex product runs through the same numpy loop, and the
 stacked finish writes the residual's complex products out in real
-arithmetic, as Python's complex multiply computes them.  numpy's SIMD
-complex multiply fuses multiplies and adds (FMA; numpy 2.4 on an AVX-512
-x86-64 CPU) where its scalar loop does not, and an in-place ``pv *= z`` on
-a one-element array takes the scalar loop.  So complex arrays are
-multiplied out of place, on contiguous operands of one shape, and per-row
-constants are broadcast only into additions and real factors, which round
-the same in either loop.  A complex add rounds the same in every loop, so
-the Horner slab adds each product in place into its coefficient blocks.
-The slab carries the bound as complex rows too, |c_k| + 0i at |z| + 0i:
-their product (m + 0i)(a + 0i) rounds to m a, fused or not, so a finite
-bound has the bits of the float Horner.  Where m a overflows, the bound
-goes non-finite with the float Horner's (NaN one product after its inf),
-and only a test of finiteness, and the comparisons that pass it, read it.
+arithmetic, as Python's complex multiply computes them, and takes its sum
+as one float multiply and one float add per coefficient, as Python does.
+numpy's SIMD complex multiply fuses multiplies and adds (FMA; numpy 2.4 on
+an AVX-512 x86-64 CPU) where its scalar loop does not, and an in-place
+``pv *= z`` on a one-element array takes the scalar loop.  So complex
+arrays are multiplied out of place, on contiguous operands of one shape,
+and per-row constants are broadcast only into additions and real factors,
+which round the same in either loop.  A complex add rounds the same in
+every loop, so the Horner slab adds each product in place into its
+coefficient blocks.  The slab carries the bound as complex rows too,
+|c_k| + 0i at |z| + 0i: their product (m + 0i)(a + 0i) rounds to m a,
+fused or not, so a finite bound has the bits of the float Horner.  Where
+m a overflows, the bound goes non-finite with the float Horner's (NaN one
+product after its inf), and only a test of finiteness, and the comparisons
+that pass it, read it.
 
-Real coefficients round as complex ones with zero imaginary parts: Aberth
-runs on complex128 columns (complex plus float arrays round the same, but
-slower), its start radius is |c_0 (1 / c_d)|, as numpy's complex division
-computes it, and the scalar Horner paths run on Python complex numbers, so
-no signed zero depends on how the interpreter mixes float and complex.
+Real coefficients round as complex ones with zero imaginary parts: Aberth's
+slab holds them as complex128 blocks (complex plus float arrays round the
+same, but slower), and the scalar Horner paths run on Python complex
+numbers, so no signed zero depends on how the interpreter mixes float and
+complex.  The start radius |c_0 (1 / c_d)| is real float64 arithmetic on
+the rows of Q.
 
 The solver emits no floating-point warnings: ``_aberth`` and
 ``_finish_many`` (polishing, clustering and finishing) run under
@@ -140,9 +146,10 @@ _REAL_SNAP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The solve's acceptance threshold: the largest normalized residual a
-    returned zero may carry.  It decides only whether a solve succeeds,
-    never where its zeros land."""
+    """The solve's acceptance threshold: the largest residual a returned
+    zero may carry, the backward error |p(z)| / sum_k |c_k| |z|^k that the
+    Aberth iteration's noise floor also reads.  It decides only whether a
+    solve succeeds, never where its zeros land."""
 
     residual_accept: float = 1e-9
 
@@ -524,7 +531,7 @@ def deflate_origin(p: RealPolynomial):
 def _finish(q: np.ndarray, k0: int, clusters: list,
             cfg: SolverConfig) -> ZeroSet:
     """Refine, snap and pair the clusters of the real polynomial q(z) z^k0,
-    then certify every entry against its full coefficients."""
+    then certify every entry by its backward error on q."""
     degree = q.size - 1 + k0
     c = q.astype(np.complex128)
     # snap before pairing: real roots carrying opposite-signed imaginary
@@ -532,15 +539,18 @@ def _finish(q: np.ndarray, k0: int, clusters: list,
     entries = [(_snapped(_refine_cluster(c, ctr, m, span), _REAL_SNAP_TOL), m)
                for ctr, m, span, _ in clusters]
     entries = _pair_conjugates(entries, [r for *_, r in clusters])
-    if k0 > 0:
-        entries.append((0.0 + 0.0j, k0))
 
-    cl = [0j] * k0 + c.tolist()
-    scale = float(np.max(np.abs(q)))
+    cl, mags = c.tolist(), np.abs(q).tolist()
+    rest = mags[-2::-1]
     finished = []
     worst, nan = (-1.0, 0.0 + 0.0j), None
     for z, m in entries:
-        res = abs(_horner(cl, z)[0]) / (scale * max(1.0, abs(z)) ** degree)
+        # the sum first: where it is not finite the residual is NaN, so an
+        # overflowing denominator never rounds a residual down to 0
+        a, s = abs(z), mags[-1]
+        for mk in rest:
+            s = s * a + mk
+        res = abs(_horner(cl, z)[0]) / s if math.isfinite(s) else math.nan
         finished.append(ZeroEntry(z, m, res))
         if res > worst[0]:
             worst = (res, z)
@@ -555,6 +565,8 @@ def _finish(q: np.ndarray, k0: int, clusters: list,
         raise NonConvergenceError(
             f"zero at {z} carries residual {res:.3e} above the acceptance "
             f"threshold {cfg.residual_accept:.3e}", location=z, residual=res)
+    if k0 > 0:
+        finished.append(ZeroEntry(0.0 + 0.0j, k0, 0.0))
 
     finished.sort(key=lambda e: (e.location.real, e.location.imag))
     return ZeroSet(tuple(finished), degree)
@@ -604,36 +616,31 @@ def _finish_stacked(Q: np.ndarray, z: np.ndarray, incl: np.ndarray,
     iterates z (B, n) of the rows of Q, with inclusion radii ``incl``.
     Every step of _finish runs on (B, n) arrays in its order and with its
     bits: |z| is np.hypot, which is Python's abs(complex) bitwise on finite
-    parts (numpy's complex abs is not), and the products of the residual's
-    Horner are Python's complex products written out in real arithmetic,
-    which numpy's complex multiply is not (it fuses multiplies and adds in
-    its SIMD loop).  Returns each row's
-    ZeroSet, or None for a row left to _finish: one whose pairing
-    _pair_stacked leaves, or with a residual that is not finite, that fails
-    the gate or whose power max(1, |z|)**n overflows."""
-    B, n = z.shape
+    parts (numpy's complex abs is not), the sum of the backward error is a
+    float Horner, one multiply and one add per coefficient as in Python, and
+    the products of p's Horner are Python's complex products written out in
+    real arithmetic, which numpy's complex multiply is not (it fuses
+    multiplies and adds in its SIMD loop).  Returns each row's ZeroSet, or
+    None for a row left to _finish: one whose pairing _pair_stacked leaves,
+    or with a residual that fails the gate."""
+    n = z.shape[1]
     w = z + 0.0
     x, y = w.real, w.imag
     absz = np.hypot(x, y)
     y[(y != 0.0) & (np.abs(y) <= _REAL_SNAP_TOL * np.maximum(1.0, absz))] = 0.0
     left = _pair_stacked(w, absz, incl)
 
-    # the residual: Horner on the row of Q.  _finish's complex Horner also
-    # adds each coefficient's +0.0 imaginary part: that moves only the sign
-    # of a zero, which |p(z)| does not read
+    # the backward error |p(z)| / sum_k |c_k| |z|^k, both by Horner on the
+    # row of Q.  _finish's complex Horner also adds each coefficient's +0.0
+    # imaginary part: that moves only the sign of a zero, which |p(z)| does
+    # not read
+    A, absz = np.abs(Q), np.hypot(x, y)
     pre, pim = np.repeat(Q[:, -1:], n, axis=1), 0.0
-    for ck in Q.T[-2::-1]:
+    s = np.repeat(A[:, -1:], n, axis=1)
+    for ck, ak in zip(Q.T[-2::-1], A.T[-2::-1]):
         pre, pim = pre * x - pim * y + ck[:, None], pre * y + pim * x
-    apv = np.hypot(pre, pim)
-    left |= ~np.isfinite(apv).all(axis=1)
-    mags = np.maximum(1.0, np.hypot(x, y)).tolist()
-    pw = np.ones((B, n))
-    for r in np.flatnonzero(~left).tolist():
-        try:
-            pw[r] = [m ** n for m in mags[r]]
-        except OverflowError:
-            left[r] = True
-    res = apv / (np.abs(Q).max(axis=1)[:, None] * pw)
+        s = s * absz + ak[:, None]
+    res = np.where(np.isfinite(s), np.hypot(pre, pim) / s, np.nan)
     left |= ~(res <= cfg.residual_accept).all(axis=1)
 
     order = np.lexsort((y, x), axis=-1)

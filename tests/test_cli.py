@@ -55,7 +55,7 @@ def test_roots_of_huge_coefficients():
 
 
 def test_a_nan_residual_is_a_solver_failure():
-    # Horner overflows at every zero, so each residual is NaN
+    # sum |c_k| |z|^k overflows at the zeros, so each residual is NaN
     r = run("roots", "--coeffs=3.484956985489555e-36,-8.555198771167007e-291,"
             "-3.688332268644477e+122,1.3893518646189592e+30,"
             "-4.10662246874106e+292,-6.611093837414355e-36,"
@@ -118,6 +118,19 @@ def test_a_document_integer_past_the_digit_limit_is_an_input_error(tmp_path):
     assert r.returncode == 1
     assert r.stderr.startswith("input error: ")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("values", [[0, 0], [1, math.nan]],
+                         ids=["zero", "nan"])
+def test_coeffs_and_a_coefficient_document_fail_alike(tmp_path, values):
+    # --coeffs goes through the document's coefficient rule
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"coeffs": values}))
+    flag = run("roots", "--coeffs", ",".join(map(str, values)))
+    doc = run("roots", "--input", str(path))
+    assert flag.returncode == doc.returncode == 1
+    assert flag.stderr == doc.stderr
+    assert flag.stderr.startswith("input error: ")
 
 
 def test_output_file_written(tmp_path):

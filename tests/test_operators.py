@@ -344,6 +344,16 @@ def test_apply_sequence_many_matches_lone_applications():
                      seqs[i].theta) for i in affine] == [want[i] for i in affine]
 
 
+@pytest.mark.parametrize("polys, seqs", [(1, 2), (2, 1)])
+def test_apply_sequence_many_needs_one_sequence_per_polynomial(polys, seqs):
+    # one image per pair: a sequence left over is not dropped, and a missing
+    # one is not an IndexError
+    p, ms = RealPolynomial([1.0, 2.0, 1.0]), GaussSequence(0.5)
+    with pytest.raises(InputError, match=f"got {polys} polynomials and "
+                                         f"{seqs} sequences"):
+        apply_sequence_many([p] * polys, [ms] * seqs)
+
+
 def test_predicted_sector_after_gauss():
     assert math.isclose(predicted_sector_after_gauss(math.pi / 4.0, 0.5),
                         0.6414032478174578, rel_tol=1e-14)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +181,95 @@ def test_residuals_are_normalized_and_small():
             bound = p.scale() * max(1.0, abs(e.location)) ** p.degree
             assert direct <= 1e-9 * bound
             assert e.residual <= 1e-9
+
+
+def _is_backward_error(c, z, r):
+    """Whether r is |p(z)| / sum_k |c_k| |z|^k for the real coefficients c,
+    up to the rounding of a float evaluation: |r - r*| <= 8 (d + 1) u (1 + r),
+    where r* takes p(z) and the sum exactly in rationals at the float z,
+    with |z| the float abs(z).  Comparing squares keeps it rational."""
+    x, y, a = Fraction(z.real), Fraction(z.imag), Fraction(abs(z))
+    pre = pim = s = Fraction(0)
+    for ck in reversed([Fraction(v) for v in c]):
+        pre, pim = pre * x - pim * y + ck, pre * y + pim * x
+        s = s * a + abs(ck)
+    r = Fraction(r)
+    tol = 8 * len(c) * Fraction(2) ** -53 * (1 + r)
+    lo = max(r - tol, Fraction(0)) * s
+    return lo * lo <= pre * pre + pim * pim <= ((r + tol) * s) ** 2
+
+
+def test_lone_and_stacked_residuals_are_the_backward_error():
+    # solved zeros, lone and batched, of polynomials with and without
+    # origin zeros: the residual of a zero of z^k q(z) is taken on q, which
+    # is the backward error of p, since |z|^k cancels
+    rng = np.random.default_rng(17)
+    polys = []
+    for _ in range(30):
+        deg = int(rng.integers(1, 11))
+        c = rng.normal(size=deg + 1) * 10.0 ** rng.integers(-2, 3)
+        polys.append(RealPolynomial([0.0] * int(rng.integers(0, 4)) + list(c)))
+    checked = 0
+    for p, alone, batched in zip(polys, map(find_roots, polys),
+                                 find_roots_many(polys)):
+        c = p.coeffs.tolist()
+        for e in alone.zeros + batched.zeros:
+            if e.location == 0:
+                assert e.residual == 0.0
+            else:
+                assert _is_backward_error(c, e.location, e.residual)
+                checked += 1
+    assert checked > 200
+    # crafted points off the zeros, where |p(z)| is near the sum and the old
+    # max_k |c_k| max(1, |z|)^d normalization differs from it: the stacked
+    # finish of a group and the scalar finish of each row alone
+    cfg = SolverConfig(residual_accept=math.inf)
+    Q = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-2, 3, size=(6, 1))
+    pts = [-3.0, 0.5, 2 + 1.5j, 2 - 1.5j]
+    iterates = np.array([[v * (1 + 0.5 * r) for v in pts] for r in range(6)])
+    group = roots._finish_many(Q, [0] * 6, iterates, cfg)
+    for r, result in enumerate(group):
+        lone = roots._finish_many(Q[r:r + 1], [0], iterates[r:r + 1], cfg)[0]
+        assert _bits(lone) == _bits(result)
+        for e in result.zeros:
+            assert e.residual > 1e-6
+            assert _is_backward_error(Q[r].tolist(), e.location, e.residual)
+
+
+@pytest.mark.parametrize("accept", [1e-9, math.inf])
+def test_a_stacked_row_whose_sum_overflows_fails_the_gate(monkeypatch,
+                                                          accept):
+    # sum |c_k| |z|^k overflows at every crafted iterate of 1 + 1e300 z^4:
+    # the residual is NaN, which no threshold passes.  The stacked finish
+    # leaves the row, and the scalar finish fails it
+    cfg = SolverConfig(residual_accept=accept)
+    quartic = np.poly([0.5, 3.0, 1 + 2j, 1 - 2j])[::-1].real
+    Q = np.array([[1.0, 0.0, 0.0, 0.0, 1e300], quartic])
+    iterates = np.concatenate((
+        [[1e5 + 1e5j, 1e5 - 1e5j, -1e5 + 1e5j, -1e5 - 1e5j]],
+        roots._aberth(Q[1:])[0]))
+    stacked = []
+    finish = roots._finish_stacked
+
+    def spied(*args):
+        out = finish(*args)
+        stacked.extend(out)
+        return out
+
+    monkeypatch.setattr(roots, "_finish_stacked", spied)
+    group = roots._finish_many(Q, [0, 0], iterates, cfg)
+    assert stacked[0] is None and isinstance(stacked[1], roots.ZeroSet)
+    assert isinstance(group[0], NonConvergenceError)
+    assert "carries residual nan above" in str(group[0])
+    assert math.isnan(group[0].residual)
+    assert _bits(group[1]) == _bits(stacked[1])
+
+
+def test_zeros_a_float_apart_by_600_orders_are_found():
+    # the old normalization's max(1, |z|)^2 overflowed at 1e300
+    zs = find_roots(RealPolynomial([1.0, -1e300, 1.0]))
+    assert [(e.location, e.multiplicity, e.residual) for e in zs.zeros] == \
+        [(1e-300 + 0j, 1, 0.0), (1e300 + 0j, 1, 0.0)]
 
 
 def test_conjugate_closure_of_reported_zeros():
@@ -386,7 +476,8 @@ def test_conjugate_mates_pair_within_their_inclusion_discs():
     assert [e.multiplicity for e in zs.zeros] == [1] * 14
     bag = {e.location for e in zs.zeros}
     assert {z.conjugate() for z in bag} == bag
-    assert max(e.residual for e in zs.zeros) <= 1e-20
+    # every residual is on Aberth's noise floor, the backward error 4 d u
+    assert max(e.residual for e in zs.zeros) <= 4 * 14 * 2.0 ** -53
 
 
 # the benchmark's solve pool at seed 4, #129: 14 simple zeros, two of them
@@ -517,8 +608,8 @@ def test_find_roots_many_bitwise_equals_lone_solves():
 
 
 def test_repeated_polynomials_are_solved_once(monkeypatch):
-    # its residual overflows, as in test_a_failing_finish_is_its_own_entry
-    hard = [0.0] * 39 + [-1e10, 1.0]
+    # its residuals are NaN, as in test_a_failing_finish_is_its_own_entry
+    hard = _NAN_RESIDUAL
     polys = [RealPolynomial(_POOL_316), RealPolynomial([2.0, -2.0, 1.0]),
              RealPolynomial(_POOL_316), RealPolynomial(hard),
              RealPolynomial([0.0, 2.0, -2.0, 1.0]), RealPolynomial(hard),
@@ -535,7 +626,7 @@ def test_repeated_polynomials_are_solved_once(monkeypatch):
     monkeypatch.setattr(roots, "_aberth", counted)
     batch = find_roots_many(polys)
     assert [_bits(r) for r in batch] == lone
-    assert isinstance(batch[3], OverflowError) and batch[5] is batch[3]
+    assert isinstance(batch[3], NonConvergenceError) and batch[5] is batch[3]
     # four distinct coefficient sets reach Aberth: z (2 - 2z + z^2) is no
     # copy of 2 - 2z + z^2
     assert sum(rows) == 4
@@ -765,16 +856,28 @@ def _finish_loop(c, q, k0, iterates, cfg):
                for ctr, m, span, _ in clusters]
         raw = [(roots._snapped(z, roots._REAL_SNAP_TOL), m) for z, m in raw]
         entries.extend(roots._pair_conjugates(raw, [r for *_, r in clusters]))
-    if k0 > 0:
-        entries.append((0.0 + 0.0j, k0))
-    cl = c.tolist()
-    scale = float(np.max(np.abs(c)))
+    ql = q.tolist()
     finished = []
     for z, m in entries:
-        res = abs(_horner(cl, z)[0]) / (scale * max(1.0, abs(z)) ** degree)
+        # the backward error |q(z)| / sum_k |q_k| |z|^k, NaN where the sum
+        # is not finite
+        s = 0.0
+        for qk in reversed(ql):
+            s = s * abs(z) + abs(qk)
+        res = abs(_horner(ql, z)[0]) / s if math.isfinite(s) else math.nan
         finished.append(roots.ZeroEntry(z, m, res))
-    if not all(e.residual <= cfg.residual_accept for e in finished):
-        raise NonConvergenceError("residual above the acceptance threshold")
+    if k0 > 0:
+        finished.append(roots.ZeroEntry(0.0 + 0.0j, k0, 0.0))
+    # a failure names the first largest residual, or the first NaN when
+    # every number passes
+    worst = max((e for e in finished if e.residual == e.residual),
+                key=lambda e: e.residual, default=None)
+    if worst is None or worst.residual <= cfg.residual_accept:
+        worst = next((e for e in finished if e.residual != e.residual), None)
+    if worst is not None and not worst.residual <= cfg.residual_accept:
+        raise NonConvergenceError(
+            f"zero at {worst.location} carries residual {worst.residual:.3e} "
+            f"above the acceptance threshold {cfg.residual_accept:.3e}")
     finished.sort(key=lambda e: (e.location.real, e.location.imag))
     return roots.ZeroSet(tuple(finished), degree)
 
@@ -912,13 +1015,13 @@ def test_near_pairs_hold_every_pair_the_exact_test_merges():
 
 
 def test_a_failing_finish_is_its_own_entry(monkeypatch):
-    # residual: |z|^40 overflows a float for the root 1e10 of z^39 (z - 1e10)
-    huge = RealPolynomial([0.0] * 39 + [-1e10, 1.0])
-    with pytest.raises(OverflowError):
+    # residual: sum |c_k| |z|^k overflows at the zeros, so residuals are NaN
+    huge = RealPolynomial(_NAN_RESIDUAL)
+    with pytest.raises(NonConvergenceError):
         find_roots(huge)
     good = [RealPolynomial([-3.0, 1.0]), RealPolynomial([2.0, 0.5])]
     out = find_roots_many([good[0], huge, good[1]])
-    assert isinstance(out[1], OverflowError)
+    assert isinstance(out[1], NonConvergenceError)
     assert [_bits(out[0]), _bits(out[2])] == [_bits(find_roots(p)) for p in good]
 
     # polish: a stand-in that overflows near the double root 7 of
@@ -957,8 +1060,7 @@ def _stacked_group():
     """One degree-4 group for the stacked finish, as (Q, k0, iterates).
 
     Crafted iterates, far enough apart that no pair may merge, and Aberth
-    iterates of quartics, with origin zeros of several orders and a
-    residual that overflows."""
+    iterates of quartics, with origin zeros of several orders."""
     q = np.poly([1j, -1j, 2j, -2j])[::-1]
     crafted = [
         # 0.18 - 3i is the nearest lower mate of both upper entries: the
@@ -971,7 +1073,7 @@ def _stacked_group():
         # 1 + i has no lower mate in reach: not conjugate closed
         (q, [1 + 1j, -1 - 3j, 3.0, -3.0]),
         # p(-i) = 1.3e308 (1 - i) + 1 has finite parts, and |p(-i)| = 1.8e308:
-        # Python's abs raises
+        # sum |c_k| |z|^k overflows first, so the residual is NaN
         ([1.3e308, 1.3e308, 0, 0, 1], [-0.5, -0.25, 1j, -1j]),
         # Horner's scheme meets inf - inf: NaN residuals, which fail
         ([1, 0, 0, 0, 1e300], [1e5 + 1e5j, 1e5 - 1e5j, -1e5 + 1e5j,
@@ -979,7 +1081,7 @@ def _stacked_group():
     ]
     real = np.poly([0.5, 3.0, 1 + 2j, 1 - 2j])[::-1].real
     natural = [real, real, real,
-               # |z|^40 overflows at the zero 1e10
+               # |z|^40 overflowed the old normalization at the zero 1e10
                np.poly([1e10, 1j, -1j, 2.0])[::-1].real]
     Q = np.array([c for c, _ in crafted] + natural)
     k0 = [0] * len(crafted) + [0, 2, 5, 36]
@@ -1007,11 +1109,13 @@ def test_stacked_finish_branches_match_lone_rows(monkeypatch, accept):
     assert [_bits(r) for r in group] == lone
     assert "could not be restored" in str(group[1])
     assert "could not be restored" in str(group[3])
-    assert str(group[4]) == "absolute value too large"
+    assert isinstance(group[4], NonConvergenceError)
     assert isinstance(group[5], NonConvergenceError)
     assert "carries residual nan above" in str(group[5])
-    assert isinstance(group[9], OverflowError)
+    assert isinstance(group[9], roots.ZeroSet)
     if accept == 1e300:
+        # sum |c_k| |z|^k overflows at -0.5 and +-i
+        assert "carries residual nan above" in str(group[4])
         assert [e.location for e in group[0].zeros] == \
             [0.09 - 3j, 0.09 + 3j, 0.4575 - 3j, 0.4575 + 3j]
         assert group[2].zeros[-1].location == 2 + 0j
@@ -1022,7 +1126,7 @@ def test_stacked_finish_branches_match_lone_rows(monkeypatch, accept):
         assert all(isinstance(r, roots.ZeroSet) for r in group[6:9])
 
 
-# Horner overflows at every zero of this polynomial: each residual is NaN
+# sum |c_k| |z|^k overflows at the zeros of this polynomial: NaN residuals
 _NAN_RESIDUAL = [3.484956985489555e-36, -8.555198771167007e-291,
                  -3.688332268644477e+122, 1.3893518646189592e+30,
                  -4.10662246874106e+292, -6.611093837414355e-36,
