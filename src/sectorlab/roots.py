@@ -24,7 +24,13 @@ the batch of one.  The solve pipeline:
    may stand in for the step test: they hold d simple zeros (Braess &
    Hadeler 1973; Carstensen 1991).  A sweep evaluates p, p' and the bound's
    sum |c_k| |z|^k of every active row by Horner's scheme on one complex
-   slab, two numpy calls per coefficient (``_slab``),
+   slab, two numpy calls per coefficient (``_slab``).  A group of one row
+   sweeps on a loop of its own that keeps its stopping state in Python
+   scalars (``_aberth_lone``).  Both loops run each sweep through
+   ``_sweep``, ``_floor`` and ``_isolated`` on (B, d) arrays, so a lone
+   row has the bits and the sweep count of the same row in a stack; the
+   lone loop only drops the active set's gathers, masks and compaction,
+   whose numpy calls cost as much for one row as for sixty,
 3. cluster merging: iterates z_i, z_j are merged when they sit within
    _CLUSTER_TOL * max(1, |z_i|, |z_j|) of each other or when their
    Gerschgorin-style inclusion discs of radius ``d |p(z)/c_d| /
@@ -50,7 +56,8 @@ the batch of one.  The solve pipeline:
    of returning a bad certificate.
 
 Stacked on (B, d) arrays, once per degree group: Aberth (a row leaves the
-stack after the sweep in which its own stopping test passes), and stage 3's
+stack after the sweep in which its own stopping test passes; a group of one
+takes the one-row loop, with the bits of its stacked row), and stage 3's
 sort, inclusion radii and merge test, on the Aberth iterates and again on
 the polished ones.  In a group of two or more rows, a row with no zero at
 the origin, no pair to merge and finite iterates is finished stacked: its
@@ -190,7 +197,9 @@ def _aberth(Q: np.ndarray):
     and the number of sweeps each row ran, shape (B,).
 
     Each row runs the sweeps it would run alone and leaves the active set
-    after the sweep in which its own stopping test passes.
+    after the sweep in which its own stopping test passes.  A stack of one
+    row runs ``_aberth_lone``: the same sweeps, without the bookkeeping of
+    the active set.
     """
     B, d = Q.shape[0], Q.shape[1] - 1
     radius = np.empty(B)
@@ -202,17 +211,15 @@ def _aberth(Q: np.ndarray):
     # even-degree real input in near-cyclic dynamics for many iterations
     ramp = 0.9 + 0.2 * np.arange(d) / max(1, d - 1)
     z = radius[:, None] * ramp * np.exp(1j * ang)
-    fallback_phase = np.exp(1j * (0.7 + np.arange(d)))
-    nudge = np.arange(d) + 1.0
+    rad = np.repeat(radius[:, None], d, axis=1)
+    horner = _slab(Q, d)
+    lead = np.abs(Q[:, -1:])
+    if B == 1:
+        return _aberth_lone(z, rad, horner, lead)
     out = np.empty_like(z)
     sweeps = np.full(B, _MAX_ITERATIONS)
     rows = np.arange(B)
-    horner = _slab(Q, d)
-    lead = np.abs(Q[:, -1:])
-    unit = 2.0 ** -53
-    noise = 4.0 * d * unit
     quiet_for = np.zeros(B, dtype=int)
-    rad = np.repeat(radius[:, None], d, axis=1)
     # a row stops on its relative step, or on its noise floor (step 2 of the
     # module docstring), where ill-conditioned simple roots stall with steps
     # of 1e-12 to 1e-9.  The step guard keeps out early "stagnation" exits:
@@ -220,45 +227,26 @@ def _aberth(Q: np.ndarray):
     # sweep 19, while their Weierstrass inclusion disks still straddle the
     # distinct roots, which the cluster stage would then wrongly merge
     for sweep in range(_MAX_ITERATIONS):
-        diff = z[:, :, None] - z[:, None, :]
-        diff.reshape(rows.size, -1)[:, ::d + 1] = np.inf
-        stuck = (diff == 0).any(axis=(1, 2)) if (diff == 0).any() else None
-        pv, bound, dv = horner(z)
-        repulse = (1.0 / diff).sum(axis=2)
-        newton = pv / dv
-        w = newton / (1.0 - newton * repulse)
-        finite = np.isfinite(w)
-        if not finite.all():
-            fallback = 0.01 * (np.abs(z) + rad) * fallback_phase
-            w = np.where(finite, w,
-                         np.where(np.isfinite(newton), newton, fallback))
-        step = z - w
-        rel = (np.abs(w) / np.maximum(1.0, np.abs(step))).max(axis=1)
+        step, rel, stuck, diff, pv, bound = _sweep(z, rad, horner)
         done = rel <= _CONVERGENCE_TOL
         quiet = rel <= _STALL_TOL
         # the rows whose noise floor is tested: the quiet ones, and from
         # sweep _ISOLATION_SWEEP on every row
         tested = quiet | (sweep >= _ISOLATION_SWEEP)
         if stuck is not None:
-            # coincident iterates break the repulsion term; such a row is
-            # separated instead, skips this sweep's stopping tests and
-            # starts its count of quiet sweeps again
-            step[stuck] = z[stuck] + rad[stuck] * 1e-9 * nudge
+            # a row with coincident iterates skips this sweep's stopping
+            # tests and starts its count of quiet sweeps again
             done &= ~stuck
             quiet &= ~stuck
             tested &= ~stuck
         if tested.any():
             at = np.flatnonzero(tested)
             mag = bound[at]
-            apv = np.abs(pv[at])
-            met = (np.isfinite(mag) & (apv <= noise * mag)).all(axis=1)
+            apv, met = _floor(pv[at], mag)
             loud = met & ~quiet[at]
             if loud.any():
-                # a |p(z)| below one rounding, u sum |c_k| |z|^k, is noise,
-                # and one that rounds to 0 would shrink its disc to a point
-                met[loud] = _isolated(
-                    diff[at[loud]], np.maximum(apv[loud], unit * mag[loud]),
-                    lead[at[loud]])
+                met[loud] = _isolated(diff[at[loud]], apv[loud], mag[loud],
+                                      lead[at[loud]])
             quiet[at] = met
         quiet_for = np.where(quiet, quiet_for + 1, 0)
         done |= quiet_for >= _STALL_SWEEPS
@@ -275,6 +263,66 @@ def _aberth(Q: np.ndarray):
             quiet_for = quiet_for[keep]
     out[rows] = z
     return out, sweeps
+
+
+def _aberth_lone(z: np.ndarray, rad: np.ndarray, horner, lead: np.ndarray):
+    """``_aberth``'s loop for a stack of one row, with its stopping state in
+    Python scalars: the sweeps and tests of the stacked loop on the same
+    (1, d) arrays, so the same bits and sweep count, without the gathers,
+    masks and compaction of the active set."""
+    quiet_for = 0
+    for sweep in range(_MAX_ITERATIONS):
+        step, rel, stuck, diff, pv, bound = _sweep(z, rad, horner)
+        rel, stuck = rel.item(), stuck is not None
+        quiet = rel <= _STALL_TOL and not stuck
+        if not stuck and (quiet or sweep >= _ISOLATION_SWEEP):
+            apv, met = _floor(pv, bound)
+            if met.item() and not quiet:
+                met = _isolated(diff, apv, bound, lead)
+            quiet = met.item()
+        quiet_for = quiet_for + 1 if quiet else 0
+        z = step
+        if (rel <= _CONVERGENCE_TOL and not stuck) or \
+                quiet_for >= _STALL_SWEEPS:
+            return z, np.array([sweep + 1])
+    return z, np.array([_MAX_ITERATIONS])
+
+
+def _sweep(z: np.ndarray, rad: np.ndarray, horner):
+    """One Aberth sweep of the (B, d) iterates z, which start at radii
+    ``rad``, on the Horner slab of their rows.  Returns the next iterates,
+    each row's largest relative step, the mask of the rows with coincident
+    iterates (None when there is none), and what the noise-floor test reads:
+    the differences z_i - z_j with inf on the diagonal, p(z) and
+    sum_k |c_k| |z|^k."""
+    B, d = z.shape
+    diff = z[:, :, None] - z[:, None, :]
+    diff.reshape(B, -1)[:, ::d + 1] = np.inf
+    stuck = (diff == 0).any(axis=(1, 2)) if (diff == 0).any() else None
+    pv, bound, dv = horner(z)
+    repulse = (1.0 / diff).sum(axis=2)
+    newton = pv / dv
+    w = newton / (1.0 - newton * repulse)
+    finite = np.isfinite(w)
+    if not finite.all():
+        fallback = 0.01 * (np.abs(z) + rad) * np.exp(1j * (0.7 + np.arange(d)))
+        w = np.where(finite, w,
+                     np.where(np.isfinite(newton), newton, fallback))
+    step = z - w
+    rel = (np.abs(w) / np.maximum(1.0, np.abs(step))).max(axis=1)
+    if stuck is not None:
+        # coincident iterates break the repulsion term; such a row is
+        # separated instead
+        step[stuck] = z[stuck] + rad[stuck] * 1e-9 * (np.arange(d) + 1.0)
+    return step, rel, stuck, diff, pv, bound
+
+
+def _floor(pv: np.ndarray, mag: np.ndarray):
+    """|p(z)| of the (n, d) values pv, and per row whether every one is
+    within the backward-error bound 4 d u ``mag``, mag = sum_k |c_k| |z|^k."""
+    apv = np.abs(pv)
+    noise = 4.0 * pv.shape[1] * 2.0 ** -53
+    return apv, (np.isfinite(mag) & (apv <= noise * mag)).all(axis=1)
 
 
 def _slab(Q: np.ndarray, n: int, full: bool = True):
@@ -322,19 +370,21 @@ def _slab(Q: np.ndarray, n: int, full: bool = True):
     return horner
 
 
-def _isolated(diff: np.ndarray, apv: np.ndarray, lead: np.ndarray
-              ) -> np.ndarray:
+def _isolated(diff: np.ndarray, apv: np.ndarray, mag: np.ndarray,
+              lead: np.ndarray) -> np.ndarray:
     """Per row, whether the inclusion discs of radius
     d |p(z_i)| / |c_d| / prod |z_i - z_j| are pairwise disjoint; ``diff``
-    holds z_i - z_j with inf on the diagonal, ``apv`` |p(z_i)| and ``lead``
-    |c_d|.  The discs hold every zero, and a connected group of m of them
-    holds m (Braess & Hadeler 1973; Carstensen 1991), so disjoint discs hold
-    d simple zeros."""
+    holds z_i - z_j with inf on the diagonal, ``apv`` |p(z_i)|, ``mag``
+    sum_k |c_k| |z_i|^k and ``lead`` |c_d|.  A |p(z)| below one rounding,
+    u mag, is noise, and one that rounds to 0 would shrink its disc to a
+    point, so |p(z)| is taken as at least u mag.  The discs hold every
+    zero, and a connected group of m of them holds m (Braess & Hadeler
+    1973; Carstensen 1991), so disjoint discs hold d simple zeros."""
     n, d = apv.shape
     gap = np.abs(diff)
     prods = gap.copy()
     prods.reshape(n, -1)[:, ::d + 1] = 1.0
-    radius = d * apv / lead / prods.prod(axis=2)
+    radius = d * np.maximum(apv, 2.0 ** -53 * mag) / lead / prods.prod(axis=2)
     return (gap > radius[:, :, None] + radius[:, None, :]).all(axis=(1, 2))
 
 
@@ -733,7 +783,7 @@ def _solve_many(polys, config: SolverConfig | None) -> list:
             copies.append((i, j))
             continue
         # deflate_origin without building a polynomial
-        k0 = int(np.flatnonzero(c)[0])
+        k0 = 0 if c[0] != 0.0 else int(np.flatnonzero(c)[0])
         groups.setdefault(c.size - 1 - k0, []).append((i, c, k0))
     for d, members in groups.items():
         Q = _scaled(np.stack([c[k0:] for _, c, k0 in members]))

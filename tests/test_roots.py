@@ -328,7 +328,8 @@ def test_locations_with_multiplicity_expands():
 @np.errstate(all="ignore")
 def _aberth_loop(q):
     """Reference: the Aberth stage one polynomial at a time, as it ran
-    before the stacked kernel; every row of the stack must match it."""
+    before the stacked kernel; every row of the stack must match it.
+    Returns the iterates and the number of sweeps run."""
     d = q.size - 1
     radius = float(abs(q[0] / q[-1])) ** (1.0 / d)
     if not math.isfinite(radius) or radius == 0.0:
@@ -370,14 +371,14 @@ def _aberth_loop(q):
             gap = np.abs(diff)
             near = gap.copy()
             np.fill_diagonal(near, 1.0)
-            radius = d * np.maximum(np.abs(pv), 2.0 ** -53 * mag) / \
+            disc = d * np.maximum(np.abs(pv), 2.0 ** -53 * mag) / \
                 abs(q[-1]) / near.prod(axis=1)
-            quiet = bool((gap > radius[:, None] + radius[None, :]).all())
+            quiet = bool((gap > disc[:, None] + disc[None, :]).all())
         quiet_for = quiet_for + 1 if quiet else 0
         z = z - w
         if rel <= roots._CONVERGENCE_TOL or quiet_for >= roots._STALL_SWEEPS:
-            break
-    return z
+            return z, sweep + 1
+    return z, roots._MAX_ITERATIONS
 
 
 # two polynomials of the benchmark's solve pool (published generator, seed 42)
@@ -647,6 +648,20 @@ def test_residual_accept_moves_no_zero():
             [_bits(base[i]) for i in both]
 
 
+def _check_stacked_and_lone_rows(qs):
+    """Each row of the stack qs through ``roots._aberth`` in the stack and
+    alone, where it takes the one-row loop, and through ``_aberth_loop``:
+    the same bits and the same number of sweeps."""
+    stacked, sweeps = roots._aberth(np.stack(qs))
+    for row, n, q in zip(stacked, sweeps.tolist(), qs):
+        lone, [m] = roots._aberth(q[None, :])
+        ref, k = _aberth_loop(q.astype(complex))
+        assert row.view(np.float64).tolist() == \
+            lone[0].view(np.float64).tolist() == \
+            ref.view(np.float64).tolist()
+        assert n == m == k
+
+
 def test_stacked_aberth_rows_match_the_per_polynomial_loop():
     by_degree = {}
     for p in _batch_corpus():
@@ -657,11 +672,14 @@ def test_stacked_aberth_rows_match_the_per_polynomial_loop():
     # take a loop of its own
     rng = np.random.default_rng(11)
     lone = [[q] for q in rng.normal(size=(40, 2))]
-    for qs in list(by_degree.values()) + lone:
-        stacked = roots._aberth(np.stack(qs))[0]
-        for row, q in zip(stacked, qs):
-            assert row.view(np.float64).tolist() == \
-                _aberth_loop(q.astype(complex)).view(np.float64).tolist()
+    # the solve workload's pool, scaled as a solve hands it to _aberth; #360
+    # runs the whole sweep budget
+    pool = {}
+    for p in _pool(42):
+        q = roots._scaled(deflate_origin(p)[0].coeffs[None, :])[0]
+        pool.setdefault(q.size, []).append(q)
+    for qs in list(by_degree.values()) + lone + list(pool.values()):
+        _check_stacked_and_lone_rows(qs)
 
 
 def test_stacked_aberth_fallback_and_budget_rows_match_the_loop(monkeypatch):
@@ -672,10 +690,7 @@ def test_stacked_aberth_fallback_and_budget_rows_match_the_loop(monkeypatch):
           np.array([2.0, -3.0, 0.5, 1.0])]
     for budget in (roots._MAX_ITERATIONS, 1):
         monkeypatch.setattr(roots, "_MAX_ITERATIONS", budget)
-        stacked = roots._aberth(np.stack(qs))[0]
-        for row, q in zip(stacked, qs):
-            assert row.view(np.float64).tolist() == \
-                _aberth_loop(q.astype(complex)).view(np.float64).tolist()
+        _check_stacked_and_lone_rows(qs)
 
 
 def _slab_cases():
@@ -889,7 +904,7 @@ def _solve_loop(p, cfg):
     k0 = int(np.flatnonzero(c)[0])
     q = c[k0:]
     try:
-        iterates = _aberth_loop(q) if q.size > 1 else None
+        iterates = _aberth_loop(q)[0] if q.size > 1 else None
         return _finish_loop(c, q, k0, iterates, cfg)
     except Exception as exc:
         return exc
