@@ -62,8 +62,6 @@ __all__ = [
     "RnProfile",
     "rn_profile",
     "three_term_transformed_roots",
-    "jsd_bracket",
-    "jsd_modulus_identity_check",
     "double_sector_demo",
     "PolyGenSpec",
     "draw_sector_spec",
@@ -166,45 +164,6 @@ def three_term_transformed_roots(n: int, b: float, c: float,
         r2 = r1.conjugate()
     pair = sorted((r1, r2), key=lambda z: (z.real, z.imag))
     return (pair[0], pair[1]), float(rn)
-
-
-def jsd_modulus_identity_check(a: float, b: float, alpha: float,
-                               z: complex) -> float:
-    """Residual of the modulus identity behind the sector-disc containment.
-
-    With z = x + iy the difference of squared moduli
-
-        |(e^{i alpha} z - a)^2 + b^2|^2 - |(e^{-i alpha} z - a)^2 + b^2|^2
-
-    equals 8 y sin(alpha) [a (a^2+b^2+x^2+y^2) - 2 x (a^2+b^2) cos(alpha)],
-    and the sign of the bracket decides disc membership.  Both sides are
-    evaluated in extended precision; the return value is
-    |lhs - rhs| / max(1, |lhs|, |rhs|).
-    """
-    for value, name in ((a, "a"), (b, "b"), (alpha, "alpha")):
-        check_number(value, name)
-    ld = np.longdouble
-    aL, bL, alL = ld(a), ld(b), ld(alpha)
-    x, y = ld(complex(z).real), ld(complex(z).imag)
-    zc = np.clongdouble(complex(z))
-    rot = np.clongdouble(np.cos(alL)) + np.clongdouble(1j) * np.clongdouble(np.sin(alL))
-    w1 = (rot * zc - aL) ** 2 + bL * bL
-    w2 = (np.conj(rot) * zc - aL) ** 2 + bL * bL
-    lhs = (w1 * np.conj(w1)).real - (w2 * np.conj(w2)).real
-    mod2 = aL * aL + bL * bL
-    rhs = (8.0 * y * np.sin(alL)
-           * (aL * (mod2 + x * x + y * y) - 2.0 * x * mod2 * np.cos(alL)))
-    return float(abs(lhs - rhs) / max(ld(1.0), abs(lhs), abs(rhs)))
-
-
-def jsd_bracket(a: float, b: float, alpha: float, z: complex) -> float:
-    """The sign-carrying factor 8 y sin(alpha) [...] from the identity above."""
-    for value, name in ((a, "a"), (b, "b"), (alpha, "alpha")):
-        check_number(value, name)
-    x, y = complex(z).real, complex(z).imag
-    mod2 = a * a + b * b
-    return (8.0 * y * math.sin(alpha)
-            * (a * (mod2 + x * x + y * y) - 2.0 * x * mod2 * math.cos(alpha)))
 
 
 def double_sector_demo(ms: MultiplierSequence,

@@ -71,10 +71,6 @@ class OffAxisError(SectorLabError):
 
 # --- operators --------------------------------------------------------------
 
-class ZeroPolynomialResultError(SectorLabError):
-    """Every blend coefficient vanished (e.g. beta = lambda + pi, alpha = 0)."""
-
-
 class DegenerateSequenceError(SectorLabError):
     """A multiplier sequence annihilated every coefficient."""
 

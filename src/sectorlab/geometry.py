@@ -1,8 +1,7 @@
-"""Sectors, strips and sector-discs in the complex plane.
+"""Sectors and sector-discs in the complex plane.
 
 A sector ``S(theta)`` is the set ``{z : |arg z| <= theta}`` together with the
-origin; a double sector additionally folds through the origin; a strip
-``sigma(A)`` is ``{z : |Im z| <= A}``.
+origin; a double sector additionally folds through the origin.
 
 The sector-disc ``Delta(a, b; alpha)`` attached to a conjugate root pair
 ``a +/- ib`` (a, b > 0) and a rotation angle alpha is the closed disc with
@@ -14,7 +13,9 @@ which is declared empty when |sec alpha| >= sec theta, theta = arg(a + ib).
 Only cos(alpha) enters, so alpha is first reduced to [0, pi] by taking it
 mod 2 pi and reflecting angles above pi.  For reduced angles beyond pi/2 the
 center sits on the negative real axis; the disc is still the correct trap
-for rotation-blend zeros there, so no positivity of c is imposed.
+for rotation-blend zeros there, so no positivity of c is imposed.  A pair
+whose a^2 + b^2 is not a normal float, or whose disc's center or radius is
+not finite, has no disc in floats: DomainError.
 
 A nonempty disc is tangent to the two rays arg z = +/- gamma where
 cos(gamma) = cos(theta) sec(alpha), and the tangency points lie on the
@@ -25,42 +26,25 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (DomainError, EmptyDiscError, NonpositiveRootPartError,
-                     NotInRightHalfPlaneError, OffAxisError, SectorLabError,
-                     check_number)
+                     NotInRightHalfPlaneError, OffAxisError, check_number)
 from .roots import ZeroSet
 
 __all__ = [
-    "Sector",
     "SectorDisc",
     "TangencyData",
     "reference_angle",
     "jensen_sector_disc",
     "disc_tangency_data",
     "principal_arg",
-    "in_sector",
-    "in_double_sector",
-    "in_disc",
     "min_enclosing_sector",
     "min_enclosing_double_sector",
-    "min_enclosing_strip",
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class Sector:
-    """Closed sector |arg z| <= half_angle, 0 <= half_angle < pi/2."""
-
-    half_angle: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.half_angle < math.pi / 2.0):
-            raise SectorLabError(
-                f"sector half-angle {self.half_angle!r} outside [0, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -110,14 +94,18 @@ def jensen_sector_disc(a: float, b: float, alpha: float) -> SectorDisc:
     ar = reference_angle(alpha)
     cos_alpha = math.cos(ar)
     mod2 = a * a + b * b
-    cos_theta = a / math.sqrt(mod2)
-    # empty exactly when |sec alpha| >= sec theta, i.e. |cos alpha| <= cos theta
-    ratio = cos_alpha / cos_theta
-    if abs(ratio) <= 1.0:
-        return SectorDisc.empty_disc()
-    center = cos_alpha * mod2 / a
-    radius = math.sqrt(mod2 * (ratio * ratio - 1.0))
-    return SectorDisc(center, radius, False)
+    if sys.float_info.min <= mod2 <= sys.float_info.max:
+        cos_theta = a / math.sqrt(mod2)
+        # empty exactly when |sec alpha| >= sec theta, i.e. |cos alpha| <= cos theta
+        ratio = cos_alpha / cos_theta
+        if abs(ratio) <= 1.0:
+            return SectorDisc.empty_disc()
+        center = cos_alpha * mod2 / a
+        radius = math.sqrt(mod2 * (ratio * ratio - 1.0))
+        if math.isfinite(center) and math.isfinite(radius):
+            return SectorDisc(center, radius, False)
+    raise DomainError(f"the disc of a = {a!r}, b = {b!r} leaves the float "
+                      f"range (a^2 + b^2 = {mod2!r})")
 
 
 def disc_tangency_data(disc: SectorDisc, a: float, b: float,
@@ -132,24 +120,6 @@ def disc_tangency_data(disc: SectorDisc, a: float, b: float,
     gamma = math.acos(max(-1.0, min(1.0, cos_theta / math.cos(ar))))
     points = (cmath.rect(mod, gamma), cmath.rect(mod, -gamma))
     return TangencyData(gamma, mod, points)
-
-
-def in_sector(z: complex, sector: Sector, tol: float = 1e-9) -> bool:
-    """Membership with tolerance measured in angle space; 0 is in every sector."""
-    if z == 0:
-        return True
-    return abs(principal_arg(z)) <= sector.half_angle + tol
-
-
-def in_double_sector(z: complex, sector: Sector, tol: float = 1e-9) -> bool:
-    return in_sector(z, sector, tol) or in_sector(-z, sector, tol)
-
-
-def in_disc(z: complex, disc: SectorDisc, tol: float = 1e-9) -> bool:
-    """Disc membership with tolerance tol * max(1, |z|); empty contains nothing."""
-    if disc.empty:
-        return False
-    return abs(z - disc.center) <= disc.radius + tol * max(1.0, abs(z))
 
 
 def _effective_locations(zs: ZeroSet) -> list:
@@ -178,11 +148,3 @@ def min_enclosing_double_sector(zs: ZeroSet) -> float:
         ang = abs(principal_arg(z))
         theta = max(theta, min(ang, math.pi - ang))
     return theta
-
-
-def min_enclosing_strip(points) -> float:
-    """Smallest half-width |Im| strip containing the given points."""
-    pts = list(points)
-    if not pts:
-        raise SectorLabError("cannot measure a strip from no points")
-    return max(abs(complex(p).imag) for p in pts)

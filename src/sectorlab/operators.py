@@ -1,4 +1,4 @@
-"""Multiplier sequences, rotation blends, and the sector/strip bounds they obey.
+"""Multiplier sequences, rotation blends, and the sector bounds they obey.
 
 A multiplier sequence acts diagonally on coefficients:
 ``T[sum c_k z^k] = sum gamma_k c_k z^k``.  The families provided:
@@ -40,7 +40,6 @@ an honest shorter coefficient vector.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -48,11 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateSequenceError, DomainError,
-                     HypothesisViolationError, InputError,
-                     NotInRightHalfPlaneError, SectorLabError,
-                     ZeroPolynomialResultError, check_number, shown)
+                     HypothesisViolationError, InputError, SectorLabError,
+                     check_number, shown)
 from .poly import RealPolynomial, _real_polynomials
-from .roots import SolverConfig, find_roots
 
 __all__ = [
     "MultiplierSequence",
@@ -62,8 +59,6 @@ __all__ = [
     "LaguerreQSequence",
     "ExpPowerSequence",
     "ExplicitSequence",
-    "BlendParams",
-    "rotation_blend",
     "apply_sequence",
     "apply_sequence_many",
     "cosine_affine_transform",
@@ -71,9 +66,6 @@ __all__ = [
     "predicted_sector_after_cosine_step",
     "predicted_sector",
     "cosine_power_limit",
-    "exp_poly_principal_zeros",
-    "predicted_strip_after_gauss",
-    "bc_strip_bound",
     "parse_sequence_spec",
 ]
 
@@ -235,33 +227,6 @@ class ExplicitSequence(MultiplierSequence):
         return isinstance(other, ExplicitSequence) and self.values == other.values
 
 
-@dataclass(frozen=True)
-class BlendParams:
-    alpha: float
-    lam: float
-    beta: float
-
-
-def rotation_blend(p: RealPolynomial, bp: BlendParams) -> np.ndarray:
-    """The complex128 coefficients, ascending, of
-    e^{i lam} p(e^{i alpha} z) + e^{i beta} p(e^{-i alpha} z).
-
-    Blend factors of modulus <= 1e-13 are taken as exact zeros, and trailing
-    zero coefficients are stripped, so the degree drops when the leading
-    factor vanishes; an all-zero result raises.
-    """
-    k = np.arange(p.coeffs.size)
-    w = np.exp(1j * (bp.lam + k * bp.alpha)) + np.exp(1j * (bp.beta - k * bp.alpha))
-    w[np.abs(w) <= 2.0 * _TRIG_SNAP] = 0.0
-    out = p.coeffs * w
-    nonzero = np.flatnonzero(out)
-    if not nonzero.size:
-        raise ZeroPolynomialResultError(
-            "every blend coefficient vanished (beta - lambda = pi mod 2 pi "
-            "combined with the rotation angle)")
-    return out[: nonzero[-1] + 1]
-
-
 def _apply_many(polys, seqs) -> list:
     """apply_sequence_many, which apply_sequence and cosine_affine_transform
     call under this private name: a traced run wraps every public
@@ -335,7 +300,13 @@ def predicted_sector_after_gauss(theta: float, alpha: float) -> float:
         raise DomainError(f"theta must lie in [0, pi/2), got {theta!r}")
     if not (check_number(alpha, "alpha", DomainError) > 0.0):
         raise DomainError(f"alpha must be positive, got {alpha!r}")
-    return math.acos(min(1.0, math.exp(0.5 * alpha * alpha) * math.cos(theta)))
+    try:
+        scale = math.exp(0.5 * alpha * alpha)
+    except OverflowError:
+        # e^{alpha^2/2} past the float range: times any cos theta in range
+        # (>= 6e-17 on [0, pi/2)) it is >= 1
+        return 0.0
+    return math.acos(min(1.0, scale * math.cos(theta)))
 
 
 def predicted_sector_after_cosine_step(theta: float, alpha: float,
@@ -366,46 +337,6 @@ def cosine_power_limit(alpha: float, N: int) -> float:
     if abs(alpha) / N >= math.pi / 2.0:
         raise DomainError(f"|alpha|/N must be below pi/2, got {abs(alpha) / N!r}")
     return math.cos(alpha / N) ** (N * N)
-
-
-def exp_poly_principal_zeros(p: RealPolynomial,
-                             config: SolverConfig | None = None) -> list:
-    """Principal logarithms of the zeros of p.
-
-    The exponential sum ``sum c_k e^{kz}`` vanishes exactly at the logarithms
-    of the zeros of ``sum c_k w^k``; restricting to zeros strictly inside the
-    right half-plane keeps every principal logarithm in |Im| < pi/2.
-    """
-    if p.coeffs[0] == 0.0:
-        raise NotInRightHalfPlaneError(
-            "p(0) = 0 puts a zero at the origin, which has no logarithm",
-            offender=0.0 + 0.0j)
-    logs = []
-    for e in find_roots(p, config).zeros:
-        z = e.location
-        if z.real <= 0.0:
-            raise NotInRightHalfPlaneError(
-                f"zero {z} is not strictly inside the right half-plane",
-                offender=z)
-        logs.append(cmath.log(z))
-    return logs
-
-
-def predicted_strip_after_gauss(half_width: float, alpha: float) -> float:
-    """arccos(min(1, e^{alpha^2/2} cos A)) for principal-zero strips: the
-    Gauss sector bound, since Im log z = arg z."""
-    if not (0.0 <= check_number(half_width, "strip half-width", DomainError)
-            < math.pi / 2.0):
-        raise DomainError(f"strip half-width must lie in [0, pi/2), got {half_width!r}")
-    return predicted_sector_after_gauss(half_width, alpha)
-
-
-def bc_strip_bound(half_width: float, alpha: float) -> float:
-    """Comparison strip width sqrt(max(A^2 - alpha^2, 0))."""
-    check_number(alpha, "alpha", DomainError)
-    if check_number(half_width, "strip half-width", DomainError) < 0.0:
-        raise DomainError(f"strip half-width must be >= 0, got {half_width!r}")
-    return math.sqrt(max(half_width * half_width - alpha * alpha, 0.0))
 
 
 # the families parse_sequence_spec reads by key=value, keyed by spec name

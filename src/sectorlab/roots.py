@@ -130,7 +130,6 @@ __all__ = [
     "ZeroSet",
     "find_roots",
     "find_roots_many",
-    "deflate_origin",
 ]
 
 # fixed start rotation, 1/sqrt(2) radians
@@ -572,12 +571,6 @@ def _pair_conjugates(entries: list, radii: list) -> list:
     return out
 
 
-def deflate_origin(p: RealPolynomial):
-    """Split p(z) = z^k q(z) with q(0) != 0; returns (q, k)."""
-    k = int(np.flatnonzero(p.coeffs)[0])
-    return RealPolynomial(p.coeffs[k:]), k
-
-
 def _finish(q: np.ndarray, k0: int, clusters: list,
             cfg: SolverConfig) -> ZeroSet:
     """Refine, snap and pair the clusters of the real polynomial q(z) z^k0,
@@ -782,7 +775,7 @@ def _solve_many(polys, config: SolverConfig | None) -> list:
         if j != i:
             copies.append((i, j))
             continue
-        # deflate_origin without building a polynomial
+        # the index of the lowest nonzero coefficient: p = z^k0 q
         k0 = 0 if c[0] != 0.0 else int(np.flatnonzero(c)[0])
         groups.setdefault(c.size - 1 - k0, []).append((i, c, k0))
     for d, members in groups.items():

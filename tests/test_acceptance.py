@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -20,18 +21,17 @@ from sectorlab import (
     PolyGenSpec,
     RealPolynomial,
     apply_sequence,
-    bc_strip_bound,
     cosine_power_limit,
     double_sector_demo,
     find_roots,
     jensen_sector_disc,
-    jsd_bracket,
-    jsd_modulus_identity_check,
-    predicted_strip_after_gauss,
     rn_profile,
     three_term_transformed_roots,
     verify_theorem,
 )
+
+from paper import (bc_strip_bound, jsd_bracket, jsd_modulus_identity_check,
+                   predicted_strip_after_gauss)
 
 _CLI = [sys.executable, "-m", "sectorlab.cli"]
 
@@ -258,3 +258,15 @@ def test_cli_report_and_svg_are_byte_identical(tmp_path):
                 "--show-discs", "-o", str(path))
         assert r.returncode == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_readme_python_api_example_runs():
+    # README's `## Python API` block, executed as written; its results are
+    # the ones its comments state
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1]
+    names = {}
+    exec(block.split("```", 1)[0], names)
+    assert math.isclose(names["theta"], math.pi / 4.0, rel_tol=1e-12)
+    assert not names["report"].found_counterexample()
+    assert names["forced"].found_counterexample()

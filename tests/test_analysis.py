@@ -33,18 +33,17 @@ from sectorlab import (
     draw_sector_spec,
     find_roots,
     from_sector_roots,
-    in_disc,
     jensen_sector_disc,
-    jsd_bracket,
-    jsd_modulus_identity_check,
     parse_sequence_spec,
     predicted_sector_after_cosine_step,
-    predicted_strip_after_gauss,
     rn_profile,
     search_counterexample,
     three_term_transformed_roots,
     verify_theorem,
 )
+
+from paper import (in_disc, jsd_bracket, jsd_modulus_identity_check,
+                   predicted_strip_after_gauss)
 from test_golden import SEARCH_CASES, VERIFY_CASES
 
 _SQRT_LN2 = math.sqrt(math.log(2.0))
@@ -600,7 +599,8 @@ def test_cosine_images_are_half_their_rotation_blends(monkeypatch, theorem,
     # the 100-trial golden campaigns: every cosaffine image is, within
     # 1e-12 max(1, max |c_k|), (1/2) [e^{i lam} p(e^{i theta} z)
     # + e^{-i lam} p(e^{-i theta} z)], both padded to the degree of p
-    from sectorlab import BlendParams, CosineAffineSequence, rotation_blend
+    from sectorlab import CosineAffineSequence
+    from paper import BlendParams, rotation_blend
     seen, many = [], analysis.apply_sequence_many
 
     def spied(polys, seqs):

@@ -171,6 +171,14 @@ def test_apply_gauss_collapse():
     assert lines["roots_after"] == "2.82615396995 (×1), 2.83070577347 (×1)"
 
 
+def test_apply_gauss_past_the_exponential_range():
+    # e^{alpha^2/2} overflows at alpha = 40: the predicted sector is 0
+    r = run("apply", "--op", "gauss:alpha=40", "--coeffs", "2,-2,1")
+    assert r.returncode == 0
+    assert "predicted 0\n" in r.stdout
+    assert "Traceback" not in r.stderr
+
+
 def test_apply_explicit_degree_drop():
     r = run("apply", "--op", "explicit:1,0", "--coeffs", "1,1")
     lines = dict(l.split(" ", 1) for l in r.stdout.strip().splitlines())

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,21 +14,19 @@ from sectorlab import (
     NotInRightHalfPlaneError,
     OffAxisError,
     RealPolynomial,
-    Sector,
     SectorDisc,
     SectorLabError,
     disc_tangency_data,
     find_roots,
-    in_disc,
-    in_double_sector,
-    in_sector,
     jensen_sector_disc,
     min_enclosing_double_sector,
     min_enclosing_sector,
-    min_enclosing_strip,
     principal_arg,
     reference_angle,
 )
+
+from paper import (Sector, in_disc, in_double_sector, in_sector,
+                   min_enclosing_strip)
 
 # Delta(1, 1; pi/8), computed from the closed forms
 _DISC_CENTER = 1.8477590650225735
@@ -111,6 +110,18 @@ def test_disc_rejects_nonpositive_pair_parts():
     for a, b in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -1.0)):
         with pytest.raises(NonpositiveRootPartError):
             jensen_sector_disc(a, b, 0.3)
+
+
+@pytest.mark.parametrize("a,b,alpha", [
+    (1e160, 1e160, 0.1),    # a^2 + b^2 overflows
+    (1e300, 1.0, 0.0),
+    (1e-162, 1e-162, 0.0),  # a^2 + b^2 underflows to 0
+    (1e-160, 1e-160, 0.0),  # a^2 + b^2 is subnormal
+    (1e-10, 1e150, 0.0),    # the center and radius overflow
+])
+def test_a_disc_past_the_float_range_raises_domain_error(a, b, alpha):
+    with pytest.raises(DomainError, match=re.escape(f"a = {a!r}, b = {b!r}")):
+        jensen_sector_disc(a, b, alpha)
 
 
 def test_tangency_oracle():
@@ -234,7 +245,7 @@ def test_disc_traps_nonreal_blend_zeros_of_its_pair():
     # for p with the single pair a +/- ib land inside Delta(a, b; alpha);
     # real blend zeros may fall anywhere on the axis
     rng = np.random.default_rng(5150)
-    from sectorlab import BlendParams, rotation_blend
+    from paper import BlendParams, rotation_blend
 
     checked = 0
     while checked < 100:

@@ -14,9 +14,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from sectorlab import (PolyGenSpec, deflate_origin, draw_sector_spec,
-                       from_sector_roots, parse_sequence_spec, roots,
-                       search_counterexample, verify_theorem)
+from sectorlab import (PolyGenSpec, draw_sector_spec, from_sector_roots,
+                       parse_sequence_spec, roots, search_counterexample,
+                       verify_theorem)
+
+from paper import deflate_origin
 
 pytestmark = pytest.mark.skipif(
     np.finfo(np.longdouble).nmant != 63,

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sectorlab import (
-    BlendParams,
     CosineAffineSequence,
     CosineStepSequence,
     DegenerateSequenceError,
@@ -22,20 +21,19 @@ from sectorlab import (
     NotInRightHalfPlaneError,
     RealPolynomial,
     SectorLabError,
-    ZeroPolynomialResultError,
     apply_sequence,
     apply_sequence_many,
-    bc_strip_bound,
     cosine_affine_transform,
     cosine_power_limit,
-    exp_poly_principal_zeros,
     find_roots,
     parse_sequence_spec,
     predicted_sector_after_cosine_step,
     predicted_sector_after_gauss,
-    predicted_strip_after_gauss,
-    rotation_blend,
 )
+
+from paper import (BlendParams, ZeroPolynomialResultError, bc_strip_bound,
+                   exp_poly_principal_zeros, predicted_strip_after_gauss,
+                   rotation_blend)
 
 # frozen from the closed forms
 _BLEND_ZERO = 1.3065629648763764 + 1.058924144384121j
@@ -360,6 +358,10 @@ def test_predicted_sector_after_gauss():
     # alpha^2 = ln 2 collapses theta = pi/4 to the positive axis
     assert predicted_sector_after_gauss(math.pi / 4.0, _SQRT_LN2) == 0.0
     assert predicted_sector_after_gauss(math.pi / 4.0, 1.0) == 0.0
+    # e^{alpha^2/2} overflows, and times any admissible cos theta it is >= 1
+    for alpha in (40.0, 1e3):
+        for theta in (0.0, math.pi / 4.0, math.nextafter(math.pi / 2.0, 0.0)):
+            assert predicted_sector_after_gauss(theta, alpha) == 0.0
     with pytest.raises(DomainError):
         predicted_sector_after_gauss(math.pi / 2.0, 0.5)
     with pytest.raises(DomainError):

@@ -16,7 +16,6 @@ from sectorlab import (
     SectorRootSpec,
     SolverConfig,
     ZeroPolynomialError,
-    deflate_origin,
     draw_sector_spec,
     find_roots,
     find_roots_many,
@@ -26,6 +25,7 @@ from sectorlab import (
 from sectorlab import roots
 from sectorlab.poly import _horner
 
+from paper import deflate_origin
 
 def expand(zero_set):
     """Zero locations repeated by multiplicity."""
