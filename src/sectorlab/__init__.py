@@ -53,7 +53,7 @@ __all__ = [
     "draw_sector_spec", "find_roots", "find_roots_many", "from_document",
     "from_sector_roots", "from_sector_roots_many", "jensen_sector_disc",
     "min_enclosing_double_sector", "min_enclosing_sector",
-    "parse_sequence_spec",
+    "parse_sequence_spec", "predicted_sector",
     "predicted_sector_after_cosine_step", "predicted_sector_after_gauss",
     "principal_arg", "reference_angle", "rn_profile",
     "search_counterexample", "three_term_transformed_roots", "to_document",

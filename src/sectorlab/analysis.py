@@ -24,7 +24,9 @@ A trial is a generator that yields once.  It draws its spec and parameters
 from its own stream and makes one request, the spec (for ``roms`` a
 polynomial) and the multiplier sequence T: ``p, q, zeros = yield request``
 gives it the polynomial p, its image q = T[p] and the zeros of q.  A failed
-expansion, application or solve is thrown in at the yield.  The loop runs a
+expansion, application or solve is thrown in at the yield.  The trial
+returns its margin and a zero of q that attains it; a violation's
+certificate is p's coefficients, T's spec and that zero.  The loop runs a
 chunk of trials in two passes: it draws every trial's request, answers them
 all with one ``from_sector_roots_many``, one ``apply_sequence_many`` and one
 ``find_roots_many`` call, then hands each trial its answer to judge.  Each
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -47,10 +48,10 @@ import numpy as np
 
 from .errors import (DegenerateLeadingError, DegenerateSequenceError,
                      DegreeZeroError, InputError, NonConvergenceError,
-                     NotInRightHalfPlaneError, SectorLabError, SignFlipError,
-                     ZeroInteriorTermError, check_integer, check_number, shown)
-from .geometry import (jensen_sector_disc, min_enclosing_double_sector,
-                       min_enclosing_sector)
+                     SectorLabError, SignFlipError, ZeroInteriorTermError,
+                     check_integer, check_number, shown)
+from .geometry import (_widest_zero, jensen_sector_disc,
+                       min_enclosing_double_sector)
 from .operators import (CosineAffineSequence, CosineStepSequence,
                         ExplicitSequence, ExpPowerSequence, GaussSequence,
                         MultiplierSequence, apply_sequence_many,
@@ -155,7 +156,7 @@ def three_term_transformed_roots(n: int, b: float, c: float,
         s = math.sqrt(disc)
         t = -0.5 * (B + math.copysign(s, B)) if B != 0.0 else 0.5 * s
         if t == 0.0:
-            r1 = r2 = 0.0 + 0.0j
+            r1 = r2 = 0j
         else:
             r1, r2 = complex(t / A), complex(C / t)
     else:
@@ -283,17 +284,14 @@ class VerificationReport:
     counterexample: Counterexample | None
     params: dict
     skipped: int = 0
-    elapsed: float = 0.0
 
     def found_counterexample(self) -> bool:
         return self.counterexample is not None
 
     def to_json_dict(self) -> dict:
-        # elapsed stays out: serialized reports must be run-to-run identical
-        out = {k: v for k, v in asdict(self).items() if k != "elapsed"}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample.to_json_dict()
-        return out
+        cex = self.counterexample
+        return {**asdict(self),
+                "counterexample": None if cex is None else cex.to_json_dict()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -338,13 +336,12 @@ def _trial_jsd(gen, params, rng):
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     beta = _uniform(rng, -math.pi, math.pi, params.get("beta"))
     try:
-        p, _, zeros = yield spec, CosineAffineSequence(0.5 * (lam - beta), alpha)
+        _, _, zeros = yield spec, CosineAffineSequence(0.5 * (lam - beta), alpha)
     except (DegenerateSequenceError, DegreeZeroError):
         return None, None
     discs = [jensen_sector_disc(a, b, alpha) for a, b in spec.pairs]
     live = [d for d in discs if not d.empty]
-    worst = None
-    worst_zero = None
+    worst = worst_zero = None
     for z in zeros.locations():
         if z.imag == 0.0:
             continue
@@ -358,10 +355,7 @@ def _trial_jsd(gen, params, rng):
             margin = -abs(z.imag) / max(1.0, abs(z))
         if worst is None or margin < worst:
             worst, worst_zero = margin, z
-    if worst is None:
-        return None, None
-    return worst, (p, f"blend alpha={alpha!r} lambda={lam!r} beta={beta!r}",
-                   worst_zero, None)
+    return worst, worst_zero
 
 
 def _gauss_draw(spec, params, rng):
@@ -383,18 +377,16 @@ def _cosine_step_draw(spec, params, rng):
 def _sector_trial(draw_sequence):
     """The trial of the proven sector bound (``operators.predicted_sector``)
     under the sequence ``draw_sequence(spec, params, rng)`` draws after the
-    spec; margin = predicted - measured, -pi for a zero outside the right
-    half-plane."""
+    spec; margin = predicted - measured at the widest zero, -pi when it lies
+    outside the open right half-plane."""
     def trial(gen, params, rng):
         spec = draw_sector_spec(gen, rng)
         ms = draw_sequence(spec, params, rng)
-        p, _, zeros = yield spec, ms
-        predicted = predicted_sector(ms, spec.max_angle())
-        op = ms.spec_string()
-        try:
-            return predicted - min_enclosing_sector(zeros), (p, op, None, None)
-        except NotInRightHalfPlaneError as exc:
-            return -math.pi, (p, op, exc.offender, None)
+        _, _, zeros = yield spec, ms
+        measured, zero = _widest_zero(zeros)
+        if measured >= math.pi / 2.0:
+            return -math.pi, zero
+        return predicted_sector(ms, spec.max_angle()) - measured, zero
     return trial
 
 
@@ -403,22 +395,22 @@ _trial_cosak = _sector_trial(_cosine_step_draw)
 
 
 def _trial_lms2(gen, params, rng):
-    """All-real preservation by cos(lambda + k theta); margin = -|Im z|/max(1,|z|)."""
+    """All-real preservation by cos(lambda + k theta); margin =
+    -|Im z|/max(1,|z|), 0.0 at the first zero when every zero is real."""
     spec = draw_sector_spec(gen, rng)
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     theta = _uniform(rng, -math.pi, math.pi, params.get("mult_theta"))
     ms = CosineAffineSequence(lam, theta)
     try:
-        p, _, zeros = yield spec, ms
+        _, _, zeros = yield spec, ms
     except DegenerateSequenceError:
         return None, None
-    worst = 0.0
-    worst_zero = None
+    worst, worst_zero = 0.0, zeros.zeros[0].location
     for e in zeros.zeros:
         margin = -abs(e.location.imag) / max(1.0, abs(e.location))
         if margin < worst:
             worst, worst_zero = margin, e.location
-    return worst, (p, ms.spec_string(), worst_zero, None)
+    return worst, worst_zero
 
 
 def _trial_roms(gen, params, rng):
@@ -426,9 +418,8 @@ def _trial_roms(gen, params, rng):
     ms = params["sequence"]
     n = int(rng.integers(max(gen.deg_lo, 2), gen.deg_hi + 1))
     coeffs = [math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]
-    p, _, zeros = yield RealPolynomial(coeffs), ms
-    worst = math.inf
-    worst_zero = None
+    _, _, zeros = yield RealPolynomial(coeffs), ms
+    worst, worst_zero = math.inf, None
     for e in zeros.zeros:
         z = e.location
         margin = -abs(z.imag) / max(1.0, abs(z))
@@ -436,20 +427,16 @@ def _trial_roms(gen, params, rng):
             margin = min(margin, z.real / max(1.0, abs(z.real)))
         if margin < worst:
             worst, worst_zero = margin, z
-    return worst, (p, ms.spec_string(), worst_zero, None)
+    return worst, worst_zero
 
 
 def _trial_search(gen, params, rng):
     """Sector growth under params["sequence"]; margin = theta_before -
-    theta_after."""
-    ms = params["sequence"]
+    theta_after, theta_after at the widest zero."""
     spec = draw_sector_spec(gen, rng)
-    p, _, zeros = yield spec, ms
-    after = max(abs(math.atan2(e.location.imag, e.location.real))
-                for e in zeros.zeros)
-    before = spec.max_angle()
-    return before - after, (p, ms.spec_string(), None,
-                            f"sector grew from {before!r} to {after!r}")
+    _, _, zeros = yield spec, params["sequence"]
+    after, zero = _widest_zero(zeros)
+    return spec.max_angle() - after, zero
 
 
 @dataclass(frozen=True)
@@ -458,13 +445,13 @@ class Campaign:
     request (a ``SectorRootSpec`` or a ``RealPolynomial`` p, and the
     ``MultiplierSequence`` T), for which it receives (p, T[p], the
     ``ZeroSet`` of T[p]).  The exception of a failed expansion, application
-    or solve is thrown in at the yield.  It may return before yielding.  It
-    returns (margin, info), margin None when nothing was tested.  A
-    margin below -``tolerance`` is a violation, and info = (polynomial,
-    operator, offending zero or None, certificate detail or None) describes
-    it.  ``params`` names the params the trial reads, and so the flags
-    ``sectorlab verify`` takes for it; ``theta`` and ``deg_hi`` are the
-    command line's generator defaults."""
+    or solve is thrown in at the yield.  It returns (margin, zero): margin
+    None when nothing was tested, as when it returns before yielding or
+    after a thrown-in failure, and zero a zero of T[p] attaining the margin.
+    A margin below -``tolerance`` is a violation, whose certificate the
+    trial loop writes from p, T and the zero.  ``params`` names the params
+    the trial reads, and so the flags ``sectorlab verify`` takes for it;
+    ``theta`` and ``deg_hi`` are the command line's generator defaults."""
 
     trial: Callable
     tolerance: float
@@ -518,30 +505,33 @@ def _answer_many(requests: list, config: SolverConfig | None) -> list:
 def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
                trials: range, config: SolverConfig | None) -> list:
     """Run ``trials`` to completion; per trial, what it returned or the
-    exception it did not handle.  The draw pass takes each trial's request,
-    one _answer_many call answers them all, and the judge pass hands each
-    trial its answer.  A trial that yields again breaks the protocol: its
-    outcome is a RuntimeError."""
+    exception it did not handle, and the (p, T) it was answered for, None
+    when it was not.  The draw pass takes each trial's request, one
+    _answer_many call answers them all, and the judge pass hands each trial
+    its answer.  A trial that yields again breaks the protocol: its outcome
+    is a RuntimeError."""
     outcomes, pending = {}, {}
     for t in trials:
         step = campaign.trial(gen, params, _trial_rng(gen.seed, t))
         try:
             pending[t] = step, next(step)
         except StopIteration as stop:
-            outcomes[t] = stop.value
+            outcomes[t] = stop.value, None
         except Exception as exc:  # the trial's own outcome
-            outcomes[t] = exc
+            outcomes[t] = exc, None
     answers = _answer_many([r for _, r in pending.values()], config)
-    for (t, (step, _)), answer in zip(pending.items(), answers):
+    for (t, (step, (_, ms))), answer in zip(pending.items(), answers):
+        failed = isinstance(answer, Exception)
         try:
-            (step.throw if isinstance(answer, Exception) else step.send)(answer)
-            outcomes[t] = RuntimeError(
+            (step.throw if failed else step.send)(answer)
+            outcome = RuntimeError(
                 f"trial {t} yielded twice; a campaign trial yields once: "
                 f"p, q, zeros = yield request")
         except StopIteration as stop:
-            outcomes[t] = stop.value
+            outcome = stop.value
         except Exception as exc:  # the trial's own outcome
-            outcomes[t] = exc
+            outcome = exc
+        outcomes[t] = outcome, None if failed else (answer[0], ms)
     return [outcomes[t] for t in trials]
 
 
@@ -549,40 +539,38 @@ def _run_trials(theorem_id: str, campaign: Campaign, gen: PolyGenSpec,
                 params: dict, report_params: dict, trials: int,
                 config: SolverConfig | None) -> VerificationReport:
     """The trial loop of every campaign, which returns its report.  A margin
-    below -report_params["tolerance"] is a violation.  A margin None or a
-    NonConvergenceError skips the trial; any other exception a trial raises
-    is raised once its chunk has run, from the earliest such trial.  A trial
-    count that is not an integer, or below one, raises InputError."""
+    below -report_params["tolerance"] is a violation, and the worst one is
+    the report's certificate.  A margin None or a NonConvergenceError skips
+    the trial; any other exception a trial raises is raised once its chunk
+    has run, from the earliest such trial.  A trial count that is not an
+    integer, or below one, raises InputError."""
     trials = check_integer(trials, "trials", InputError)
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {shown(trials)}")
     tol = report_params["tolerance"]
-    start = time.perf_counter()
     worst = cex = None
     skipped = 0
     for lo in range(0, trials, _CHUNK):
         chunk = range(lo, min(lo + _CHUNK, trials))
-        for t, outcome in zip(chunk, _run_chunk(campaign, gen, params, chunk,
-                                                config)):
+        for t, (outcome, answered) in zip(
+                chunk, _run_chunk(campaign, gen, params, chunk, config)):
             if isinstance(outcome, NonConvergenceError):
                 outcome = None, None
             elif isinstance(outcome, Exception):
                 raise outcome
-            margin, info = outcome
+            margin, zero = outcome
             if margin is None:
                 skipped += 1
                 continue
             if worst is None or margin < worst:
                 worst = margin
             if margin < -tol and (cex is None or margin < cex.margin):
-                p, op, zero, detail = info
-                cex = Counterexample(t, tuple(p.coeffs.tolist()), op,
-                                     zero if zero is not None else 0.0 + 0.0j,
-                                     margin,
-                                     detail or f"margin {margin!r} below "
-                                               f"-{tol!r}")
+                p, ms = answered
+                cex = Counterexample(t, tuple(p.coeffs.tolist()),
+                                     ms.spec_string(), zero, margin,
+                                     f"margin {margin!r} below {-tol!r}")
     return VerificationReport(theorem_id, trials, gen.seed, worst, cex,
-                              report_params, skipped, time.perf_counter() - start)
+                              report_params, skipped)
 
 
 def verify_theorem(theorem_id: str, gen: PolyGenSpec, params: dict | None = None,

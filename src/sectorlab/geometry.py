@@ -85,12 +85,16 @@ def principal_arg(z: complex) -> float:
     return a
 
 
-def jensen_sector_disc(a: float, b: float, alpha: float) -> SectorDisc:
-    """Sector-disc for the pair a +/- ib at rotation angle alpha."""
+def _check_pair(a: float, b: float) -> None:
     if not (check_number(a, "a", NonpositiveRootPartError) > 0.0
             and check_number(b, "b", NonpositiveRootPartError) > 0.0):
         raise NonpositiveRootPartError(
             f"disc requires a > 0 and b > 0, got ({a!r}, {b!r})")
+
+
+def jensen_sector_disc(a: float, b: float, alpha: float) -> SectorDisc:
+    """Sector-disc for the pair a +/- ib at rotation angle alpha."""
+    _check_pair(a, b)
     ar = reference_angle(alpha)
     cos_alpha = math.cos(ar)
     mod2 = a * a + b * b
@@ -113,6 +117,7 @@ def disc_tangency_data(disc: SectorDisc, a: float, b: float,
     """Tangent-ray angle and tangency points of a nonempty disc."""
     if disc.empty:
         raise EmptyDiscError("an empty disc has no tangency data")
+    _check_pair(a, b)
     ar = reference_angle(alpha)
     mod = math.hypot(a, b)
     cos_theta = a / mod
@@ -122,29 +127,32 @@ def disc_tangency_data(disc: SectorDisc, a: float, b: float,
     return TangencyData(gamma, mod, points)
 
 
-def _effective_locations(zs: ZeroSet) -> list:
-    return [e.location for e in zs.zeros if e.location != 0]
+def _widest_zero(zs: ZeroSet):
+    """The largest |arg z| over the nonzero zeros and the first zero that
+    attains it; (0.0, None) when every zero is at the origin."""
+    theta, widest = 0.0, None
+    for z in zs.locations():
+        ang = abs(principal_arg(z))
+        if z != 0 and (widest is None or ang > theta):
+            theta, widest = ang, z
+    return theta, widest
 
 
 def min_enclosing_sector(zs: ZeroSet) -> float:
     """Smallest half-angle whose sector holds every zero; origin zeros ignored."""
-    theta = 0.0
-    for z in _effective_locations(zs):
-        ang = abs(principal_arg(z))
-        if ang >= math.pi / 2.0:
-            raise NotInRightHalfPlaneError(
-                f"zero {z} lies outside the open right half-plane", offender=z)
-        theta = max(theta, ang)
+    theta, z = _widest_zero(zs)
+    if theta >= math.pi / 2.0:
+        raise NotInRightHalfPlaneError(
+            f"zero {z} lies outside the open right half-plane", offender=z)
     return theta
 
 
 def min_enclosing_double_sector(zs: ZeroSet) -> float:
     """Smallest folded half-angle; each zero contributes min(|arg z|, pi - |arg z|)."""
-    locs = _effective_locations(zs)
-    if not locs:
+    if all(z == 0 for z in zs.locations()):
         raise OffAxisError("no zeros away from the origin to measure")
     theta = 0.0
-    for z in locs:
+    for z in zs.locations():
         ang = abs(principal_arg(z))
         theta = max(theta, min(ang, math.pi - ang))
     return theta

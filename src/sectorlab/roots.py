@@ -586,7 +586,7 @@ def _finish(q: np.ndarray, k0: int, clusters: list,
     cl, mags = c.tolist(), np.abs(q).tolist()
     rest = mags[-2::-1]
     finished = []
-    worst, nan = (-1.0, 0.0 + 0.0j), None
+    worst, nan = (-1.0, 0j), None
     for z, m in entries:
         # the sum first: where it is not finite the residual is NaN, so an
         # overflowing denominator never rounds a residual down to 0
@@ -609,7 +609,7 @@ def _finish(q: np.ndarray, k0: int, clusters: list,
             f"zero at {z} carries residual {res:.3e} above the acceptance "
             f"threshold {cfg.residual_accept:.3e}", location=z, residual=res)
     if k0 > 0:
-        finished.append(ZeroEntry(0.0 + 0.0j, k0, 0.0))
+        finished.append(ZeroEntry(0j, k0, 0.0))
 
     finished.sort(key=lambda e: (e.location.real, e.location.imag))
     return ZeroSet(tuple(finished), degree)

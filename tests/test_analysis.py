@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from sectorlab import analysis
 from sectorlab import (
@@ -29,6 +30,7 @@ from sectorlab import (
     SolverConfig,
     SignFlipError,
     ZeroInteriorTermError,
+    apply_sequence,
     double_sector_demo,
     draw_sector_spec,
     find_roots,
@@ -409,7 +411,7 @@ def test_jsd_quadratic_keeps_a_pinned_alpha():
     report = verify_theorem("jsd", gen, {"quadratic": True, "alpha": 0.4},
                             trials=20, tolerance=-1.0)
     assert report.skipped == 14
-    assert report.counterexample.operator.startswith("blend alpha=0.4 ")
+    assert parse_sequence_spec(report.counterexample.operator).theta == 0.4
     report = verify_theorem("jsd", gen, {"quadratic": True, "alpha": 1.5},
                             trials=20)
     assert report.skipped == 20 and report.worst_margin is None
@@ -634,7 +636,7 @@ def test_unhandled_trial_error_comes_from_the_earliest_trial(monkeypatch):
         judged.append(u)
         if u < 0.5:
             raise ValueError(f"draw {u!r}")
-        return 0.0, (p, "probe", None, None)
+        return 0.0, 1 + 1j
 
     monkeypatch.setitem(analysis.CAMPAIGNS, "fails",
                         analysis.Campaign(trial, 1e-7))
@@ -683,7 +685,8 @@ def _trial_probe(gen, params, rng):
     inexact = rng.uniform() < 0.5
     p = RealPolynomial([-2.0, 0.0, 1.0] if inexact else [2.0, -2.0, 1.0])
     _, _, zeros = yield p, ExplicitSequence([1.0, 1.0, 1.0])
-    return min(e.location.real for e in zeros.zeros), (p, "probe", None, None)
+    z = min(zeros.locations(), key=lambda z: z.real)
+    return z.real, z
 
 
 def test_nonconvergence_skips_only_its_own_trial(monkeypatch):
@@ -749,7 +752,7 @@ def _refusing(error):
             raise error("refused before the request")
         p = RealPolynomial([2.0, -2.0, 1.0])
         yield p, ExplicitSequence([1.0, 1.0, 1.0])
-        return 0.0, (p, "probe", None, None)
+        return 0.0, 1 + 1j
     return trial
 
 
@@ -771,7 +774,7 @@ def _trial_asks_twice(gen, params, rng):
     p = RealPolynomial([2.0, -2.0, 1.0])
     _, q, _ = yield p, ExplicitSequence([1.0, 1.0, 1.0])
     yield q, ExplicitSequence([1.0, 1.0, 1.0])
-    return 0.0, (p, "probe", None, None)
+    return 0.0, 1 + 1j
 
 
 def test_a_trial_that_yields_twice_breaks_the_protocol(monkeypatch):
@@ -872,7 +875,8 @@ def test_jsd_skips_a_blend_with_nothing_to_solve(gen, params):
 
 @pytest.mark.parametrize("theorem, params", [
     ("zsro", {}), ("cosak", {}), ("lms2", {}), ("roms", {}),
-    ("roms", {"sequence": LaguerreQSequence(0.5)}), ("search", {})])
+    ("roms", {"sequence": LaguerreQSequence(0.5)}), ("search", {}),
+    ("jsd", {}), ("period-strip", {})])
 def test_forced_certificates_name_an_operator_that_parses_back(
         monkeypatch, theorem, params):
     # every tested trial violates tolerance -1, so each run certifies one
@@ -888,5 +892,12 @@ def test_forced_certificates_name_an_operator_that_parses_back(
                           deg_hi=campaign.deg_hi)
         report = verify_theorem(theorem, gen, params, trials=20,
                                 tolerance=-1.0)
-    op = report.counterexample.operator
-    assert parse_sequence_spec(op).spec_string() == op
+    cex = report.counterexample
+    ms = parse_sequence_spec(cex.operator)
+    assert ms.spec_string() == cex.operator
+    # the named zero is a zero of the image the certificate rebuilds: its
+    # backward error |q(z)| / sum |q_k| |z|^k passes the solver's gate
+    q = apply_sequence(RealPolynomial(cex.coeffs), ms).coeffs
+    z = cex.offending_zero
+    backward = abs(polyval(z, q)) / polyval(abs(z), np.abs(q))
+    assert z != 0j and backward <= SolverConfig().residual_accept

@@ -179,6 +179,18 @@ def test_tangency_requires_nonempty_disc():
         disc_tangency_data(SectorDisc.empty_disc(), 1.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("a, b", [("x", 1.0), (1.0, math.nan), (0.0, 0.0),
+                                  (-1.0, 1.0)])
+def test_tangency_checks_its_pair_as_the_disc_does(a, b):
+    # a bare TypeError, a NaN modulus, a ZeroDivisionError and a ray angle
+    # past pi/2 before the pair was checked
+    d = jensen_sector_disc(1.0, 1.0, 0.3)
+    with pytest.raises(NonpositiveRootPartError):
+        jensen_sector_disc(a, b, 0.3)
+    with pytest.raises(NonpositiveRootPartError):
+        disc_tangency_data(d, a, b, 0.3)
+
+
 def test_sector_membership():
     s = Sector(math.pi / 4.0)
     assert in_sector(1 + 1j, s, tol=1e-12)

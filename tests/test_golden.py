@@ -43,18 +43,18 @@ VERIFY_CASES = [
     ("roms", "roms", dict(deg_hi=16, theta=0.785398), None, 50,
      "454d910e40601a5551a3fc685df3d3066795d52ddb82ce990676ecbda07e5b0b"),
     ("zsro-forced", "zsro", _WIDE, None, 20,
-     "dbfe42bf08b08c51429db93969eabc8009b2467a22ad6c8971fc047bec427034"),
+     "0ce5c724d324268e2944df692e1d7c74c6e983c98451c63442ada7a2b206cd69"),
     ("jsd-forced", "jsd", _WIDE, None, 20,
-     "c6435bec4b45ad5b882a84e8b9c7177b5c8d38c4bd6ac05fc9181359317a6088"),
+     "f762579099c904dd076e5665061b275ff49addc7400b1c9dbd71f7edfe021116"),
     ("roms-forced", "roms", dict(deg_hi=16, theta=0.785398), None, 10,
-     "9e1883939f16df63367c9524130ef2901a32e54cf44b0eae8eebc0f5778c886d"),
+     "c6085e3a5bf63639f10e657922bcc494ccf3ab8531f63e08e33ab3333dafb267"),
 ]
 
 # (seed, sha256, trial index of the certificate or None)
 SEARCH_CASES = [
     (42, "5e0a15d15894282ce70dadbc64051c284726e20aa0bc4778649f8409d2e33eec",
      None),
-    (1, "a144a56e517022e173df34dbf5d6ac25956462459433269313eeebb475a4ddf5",
+    (1, "ef65a39b8813be391a5e98ad98fe26a3db56a3cc7089d7a30b8f5e08a373e48d",
      181),
 ]
 
