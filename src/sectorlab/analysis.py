@@ -15,10 +15,12 @@ margin crosses the violation tolerance.  Each theorem campaign is one entry
 of the ``CAMPAIGNS`` registry: its trial function, its violation tolerance
 and the generator defaults of ``sectorlab verify``; ``SEARCH_CAMPAIGN`` is
 the same for ``search_counterexample``.  One trial loop runs them all and
-returns their report.  Each trial derives its RNG stream from (seed, trial
-index), so reports are byte-identical across reruns.  A spec takes one block
-of raw doubles u from it, each uniform numpy's lo + (hi - lo) * u: the bits
-of one call per draw.
+returns their report.  Each trial draws from its own RNG stream, bitwise
+``np.random.default_rng([seed, trial index])`` with the seed masked to 64
+bits, so reports are byte-identical across reruns; the streams of a chunk
+are seeded together, in one array pass of numpy's SeedSequence hash.  A spec
+takes one block of raw doubles u from its stream, each uniform numpy's
+lo + (hi - lo) * u: the bits of one call per draw.
 
 A trial is a generator that yields once.  It draws its spec and parameters
 from its own stream and makes one request, the spec (for ``roms`` a
@@ -42,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -120,9 +123,10 @@ def rn_profile(ms: MultiplierSequence, window: int) -> RnProfile:
     if check_integer(window, "window") < 3:
         raise SectorLabError(f"window must be >= 3, got {window!r}")
     gamma = ms.terms(window + 1)
-    if np.any(gamma[1:window + 1] == 0.0):
+    # gamma_{n+1}^2 underflows to 0 before gamma_{n+1} does
+    if np.any(gamma[1:window + 1] ** 2 == 0.0):
         raise ZeroInteriorTermError(
-            "an interior gamma vanishes; r_n is undefined there")
+            "an interior gamma^2 vanishes; r_n is undefined there")
     values = tuple(float(gamma[n] * gamma[n + 2] / gamma[n + 1] ** 2)
                    for n in range(window))
     return RnProfile(values, window, min(values), max(values),
@@ -147,8 +151,9 @@ def three_term_transformed_roots(n: int, b: float, c: float,
     if g2 == 0.0:
         raise DegenerateLeadingError(
             f"gamma_{n + 2} = 0 leaves no quadratic factor")
-    if g1 == 0.0:
-        raise ZeroInteriorTermError(f"gamma_{n + 1} = 0 makes r_n undefined")
+    if g1 * g1 == 0.0:  # as in rn_profile
+        raise ZeroInteriorTermError(
+            f"gamma_{n + 1}^2 = 0 makes r_n undefined")
     rn = g0 * g2 / (g1 * g1)
     A, B, C = g2, -g1 * b, g0 * c
     disc = B * B - 4.0 * A * C
@@ -225,8 +230,71 @@ class PolyGenSpec:
             raise SectorLabError("real_fraction must lie in [0, 1]")
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, trial])
+@cache
+def _preset_state() -> type:
+    """A seed sequence type whose state is already computed: PCG64 asks it
+    for its four 64-bit words and seeds itself from them with numpy's code.
+    It is built on first use, so importing sectorlab loads no numpy.random."""
+
+    class PresetState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PresetState
+
+
+# the constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _trial_rngs(seed: int, trials: range) -> list:
+    """Per trial t of ``trials``, bitwise ``np.random.default_rng([seed &
+    (2**64 - 1), t])``, every stream seeded in one array pass.
+
+    This is numpy's SeedSequence (numpy/random/bit_generator.pyx) run on
+    uint32 arrays with one entry per trial, for trials below 2**64: the
+    entropy words of [seed, t] fill a pool of four, padded with the zeros
+    SeedSequence hashes in their place; hashmix and mix stir the pool, and
+    generate_state(4, uint64) draws PCG64's seed words from it."""
+    seed &= 0xFFFFFFFFFFFFFFFF
+    t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    t_lo = (t & np.uint64(_M32)).astype(np.uint32)
+    t_hi = (t >> np.uint64(32)).astype(np.uint32)
+    s_lo, s_hi, zero = (np.full_like(t_lo, w)
+                        for w in (seed & _M32, seed >> 32, 0))
+    pool = [s_lo, s_hi, t_lo, t_hi] if seed >> 32 else [s_lo, t_lo, t_hi, zero]
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * _MULT_A & _M32
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    pool = [hashmix(w) for w in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                x = (np.uint32(_MIX_MULT_L) * pool[dst]
+                     - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = x ^ (x >> np.uint32(16))
+    h, state = _INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(h)
+        h = h * _MULT_B & _M32
+        v = v * np.uint32(h)
+        state.append(v ^ (v >> np.uint32(16)))
+    # two little-endian 32-bit words make each 64-bit word
+    words = np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    preset = _preset_state()
+    return [np.random.Generator(np.random.PCG64(preset(w))) for w in words]
 
 
 def _uniform_at(lo: float, hi: float, u: float) -> float:
@@ -506,13 +574,13 @@ def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
                trials: range, config: SolverConfig | None) -> list:
     """Run ``trials`` to completion; per trial, what it returned or the
     exception it did not handle, and the (p, T) it was answered for, None
-    when it was not.  The draw pass takes each trial's request, one
-    _answer_many call answers them all, and the judge pass hands each trial
-    its answer.  A trial that yields again breaks the protocol: its outcome
-    is a RuntimeError."""
+    when it was not.  One _trial_rngs call seeds every trial's stream, the
+    draw pass takes each trial's request, one _answer_many call answers them
+    all, and the judge pass hands each trial its answer.  A trial that
+    yields again breaks the protocol: its outcome is a RuntimeError."""
     outcomes, pending = {}, {}
-    for t in trials:
-        step = campaign.trial(gen, params, _trial_rng(gen.seed, t))
+    for t, rng in zip(trials, _trial_rngs(gen.seed, trials)):
+        step = campaign.trial(gen, params, rng)
         try:
             pending[t] = step, next(step)
         except StopIteration as stop:

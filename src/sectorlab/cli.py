@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -33,7 +34,13 @@ __all__ = ["main", "cli_entry", "build_parser"]
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool reserves 2 for solver
-    nonconvergence, so usage errors are remapped to 1."""
+    nonconvergence, so usage errors are remapped to 1.  An argument that
+    starts with -<digit> or -.<digit> is a value, not a flag: --coeffs
+    "-1.5,1" reads like --coeffs=-1.5,1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -110,6 +110,8 @@ def test_rn_profile_guards():
         rn_profile(GaussSequence(0.5), window=2)
     with pytest.raises(ZeroInteriorTermError):
         rn_profile(ExplicitSequence([1.0, 0.0, 1.0, 1.0, 1.0]), window=3)
+    with pytest.raises(ZeroInteriorTermError):
+        rn_profile(ExplicitSequence([1.0, 1.0, 1e-200, 1.0, 1.0]), window=3)
 
 
 def test_three_term_oracle_gauss_sqrt_ln2():
@@ -158,6 +160,25 @@ def test_three_term_guards():
         three_term_transformed_roots(0, 3.0, 2.0, ExplicitSequence([1.0, 1.0, 0.0]))
     with pytest.raises(ZeroInteriorTermError):
         three_term_transformed_roots(0, 3.0, 2.0, ExplicitSequence([1.0, 0.0, 1.0]))
+    # gamma_1 is not 0, but its square underflows to 0
+    with pytest.raises(ZeroInteriorTermError):
+        three_term_transformed_roots(0, 3.0, 2.0,
+                                     ExplicitSequence([1.0, 1e-200, 1.0]))
+
+
+@pytest.mark.parametrize("alpha,p,skipped", [(0.3, 3.0, 31), (0.1, 4.0, 77)])
+def test_search_skips_the_probe_rows_whose_ratio_underflows(alpha, p, skipped):
+    # gamma_{n+1}^2 underflows to 0 inside the ladder and the r_n window
+    ms = ExpPowerSequence(alpha=alpha, p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = search_counterexample(
+            ms, PolyGenSpec(seed=42, deg_hi=12, theta=0.6), trials=200)
+    assert report.trials == 200 and report.skipped == skipped
+    ladder = report.params["three_term_probe"]["ladder"]
+    assert 0 < len(ladder) < 13
+    assert all(ms.term(row["n"] + 1) ** 2 > 0.0 for row in ladder)
+    assert "rn_tail_trend" not in report.params
 
 
 @pytest.mark.parametrize("call, message", [
@@ -284,6 +305,27 @@ def test_draw_sector_spec_all_real_when_theta_zero():
         assert draw_sector_spec(gen, rng).pairs == ()
 
 
+def _stream(seed, t):
+    """Trial t's stream as numpy seeds it, one SeedSequence per call."""
+    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, t])
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
+                                  -1, -5])
+@pytest.mark.parametrize("trials", [
+    range(0, 40), range(1000, 1200), range(2**32 - 2, 2**32 + 2),
+    range(2**64 - 2, 2**64)], ids=["first", "chunk", "2**32", "2**64"])
+def test_chunk_streams_are_numpys_seed_sequence_streams(seed, trials):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the uint32 wraparound is silent
+        rngs = analysis._trial_rngs(seed, trials)
+    assert len(rngs) == len(trials)
+    for t, rng in zip(trials, rngs):
+        ref = _stream(seed, t)
+        assert rng.bit_generator.state == ref.bit_generator.state, t
+        assert rng.random(3).tolist() == ref.random(3).tolist()
+
+
 def _scalar_draw_sector_spec(gen, rng):
     """draw_sector_spec as it was written with one rng.uniform call per
     draw; the block draw must match it bit for bit."""
@@ -327,13 +369,13 @@ def test_block_draws_equal_one_uniform_call_per_draw_bitwise(seed):
     for kw in _DRAW_SETTINGS:
         gen = PolyGenSpec(seed=seed, **kw)
         for t in range(40):
-            rng, ref = analysis._trial_rng(seed, t), analysis._trial_rng(seed, t)
+            rng, ref = _stream(seed, t), _stream(seed, t)
             assert _spec_bits(draw_sector_spec(gen, rng)) == \
                 _spec_bits(_scalar_draw_sector_spec(gen, ref)), (kw, t)
             # the same number of doubles consumed
             assert rng.random() == ref.random()
     # the trials' parameter draws share the block draw's formula
-    rng, ref = analysis._trial_rng(seed, 0), analysis._trial_rng(seed, 0)
+    rng, ref = _stream(seed, 0), _stream(seed, 0)
     for lo, hi in ((0.0, math.pi), (-math.pi, math.pi), (0.1, 1.0),
                    (0.05, math.pi / 2.0 - 0.05), (math.log(0.3), math.log(3.0))):
         assert analysis._uniform(rng, lo, hi, None) == float(ref.uniform(lo, hi))
@@ -641,7 +683,7 @@ def test_unhandled_trial_error_comes_from_the_earliest_trial(monkeypatch):
     monkeypatch.setitem(analysis.CAMPAIGNS, "fails",
                         analysis.Campaign(trial, 1e-7))
     monkeypatch.setattr(analysis, "_CHUNK", 7)
-    draws = [analysis._trial_rng(5, t).uniform() for t in range(30)]
+    draws = [rng.uniform() for rng in analysis._trial_rngs(5, range(30))]
     failing = [t for t, u in enumerate(draws) if u < 0.5]
     # two failing trials share the first chunk, and later chunks fail too
     assert failing[1] < 7 < failing[2]
@@ -696,7 +738,8 @@ def test_nonconvergence_skips_only_its_own_trial(monkeypatch):
     gen = PolyGenSpec(seed=5)
     strict = SolverConfig(residual_accept=1e-30)
     report = verify_theorem("probe", gen, trials=30, config=strict)
-    inexact = sum(analysis._trial_rng(5, t).uniform() < 0.5 for t in range(30))
+    inexact = sum(rng.uniform() < 0.5
+                  for rng in analysis._trial_rngs(5, range(30)))
     assert 0 < inexact < 30
     assert report.skipped == inexact
     assert report.worst_margin == 1.0
@@ -758,7 +801,8 @@ def _refusing(error):
 
 def test_a_trial_that_raises_before_its_request(monkeypatch):
     gen = PolyGenSpec(seed=5)
-    early = sum(analysis._trial_rng(5, t).uniform() < 0.5 for t in range(30))
+    early = sum(rng.uniform() < 0.5
+                for rng in analysis._trial_rngs(5, range(30)))
     assert 0 < early < 30
     monkeypatch.setitem(analysis.CAMPAIGNS, "refuses", analysis.Campaign(
         _refusing(NonConvergenceError), 1e-7))

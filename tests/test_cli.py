@@ -41,6 +41,14 @@ def test_readme_command_line_examples_print_what_they_show():
         assert r.stdout.splitlines() == shown
 
 
+def test_the_cli_imports_no_numpy_random():
+    # about 9 ms of every call; only the campaigns' streams need it
+    r = subprocess.run([sys.executable, "-c", "import sys, sectorlab.cli; "
+                        "print('numpy.random' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout == "False\n", r.stderr
+
+
 def test_roots_text_output():
     r = run("roots", "--coeffs", "2,-2,1")
     assert r.returncode == 0
@@ -131,6 +139,17 @@ def test_coeffs_and_a_coefficient_document_fail_alike(tmp_path, values):
     assert flag.returncode == doc.returncode == 1
     assert flag.stderr == doc.stderr
     assert flag.stderr.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "--op", "gauss:alpha=0.5"], ["roots"], ["sector"], ["plot"],
+], ids=["apply", "roots", "sector", "plot"])
+@pytest.mark.parametrize("coeffs", ["-1.5,1", "-.5,1,-1e0"])
+def test_coeffs_starting_with_a_minus_read_alike_in_both_forms(argv, coeffs):
+    spaced = run(*argv, "--coeffs", coeffs)
+    joined = run(*argv, f"--coeffs={coeffs}")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout != ""
 
 
 def test_output_file_written(tmp_path):
