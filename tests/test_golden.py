@@ -48,6 +48,13 @@ VERIFY_CASES = [
      "f762579099c904dd076e5665061b275ff49addc7400b1c9dbd71f7edfe021116"),
     ("roms-forced", "roms", dict(deg_hi=16, theta=0.785398), None, 10,
      "c6085e3a5bf63639f10e657922bcc494ccf3ab8531f63e08e33ab3333dafb267"),
+    ("cosak-forced", "cosak", _WIDE, None, 20,
+     "68796552ed165715718241fb6c554c9545f505dbb28644cc24908bb46834d09d"),
+    ("lms2-forced", "lms2", dict(deg_hi=12, theta=0.0, real_fraction=1.0),
+     None, 20,
+     "a924fe2ee43d077617ed25421209e927a973c047b55d8be131b494743a31f9eb"),
+    ("jsd-quadratic-forced", "jsd", {}, {"quadratic": True}, 20,
+     "94a975221228fa566c9fcd0e6130cb663e928a1438ed030bfe90bab129eb1aea"),
 ]
 
 # (seed, sha256, trial index of the certificate or None)
