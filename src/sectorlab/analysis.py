@@ -22,21 +22,19 @@ are seeded together, in one array pass of numpy's SeedSequence hash.  A spec
 takes one block of raw doubles u from its stream, each uniform numpy's
 lo + (hi - lo) * u: the bits of one call per draw.
 
-A trial is a generator that yields once.  It draws its spec and parameters
-from its own stream and makes one request, the spec (for ``roms`` a
-polynomial) and the multiplier sequence T: ``p, q, zeros = yield request``
-gives it the polynomial p, its image q = T[p] and the zeros of q.  A failed
-expansion, application or solve is thrown in at the yield.  The trial
-returns its margin and a zero of q that attains it; a violation's
-certificate is p's coefficients, T's spec and that zero.  The loop runs a
-chunk of trials in two passes: it draws every trial's request, answers them
-all with one ``from_sector_roots_many``, one ``apply_sequence_many`` and one
-``find_roots_many`` call, then hands each trial its answer to judge.  Each
-of these returns bitwise what the lone call returns, so a report does not
-depend on how trials are batched.  An exception a trial does not handle is
-raised after its chunk, from the earliest such trial: trials share no state
-and the solver emits no warnings, so the later trials of that chunk leave
-no trace.
+A trial is a plain function.  It draws from its own stream and returns its
+request, the spec (for ``roms`` a polynomial) p and the multiplier sequence
+T, and its claim on the zeros of T[p]: ``_sector``, ``_real``,
+``_real_positive`` or ``_in_discs``, its arguments bound.  The loop runs a
+chunk of trials in two passes: it draws every trial, answers all requests
+with one ``from_sector_roots_many``, one ``apply_sequence_many`` and one
+``find_roots_many`` call, then applies each claim to its zeros for the
+margin and a zero attaining it; a violation's certificate is p's
+coefficients, T's spec and that zero.  Each batched call returns bitwise
+what the lone call returns, so a report does not depend on how trials are
+batched.  An exception of a draw or a claim is raised after its chunk, from
+the earliest such trial: trials share no state and the solver emits no
+warnings, so the later trials of that chunk leave no trace.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -369,15 +367,65 @@ def _uniform(rng, lo: float, hi: float, fixed) -> float:
     return float(fixed) if fixed is not None else _uniform_at(lo, hi, rng.random())
 
 
+def _sector(bound, proven, zeros):
+    """bound - the measured sector angle, at the widest zero; -pi there when
+    ``proven`` and that zero lies outside the open right half-plane."""
+    measured, zero = _widest_zero(zeros)
+    if proven and measured >= math.pi / 2.0:
+        return -math.pi, zero
+    return bound - measured, zero
+
+
+def _real(zeros):
+    """-|Im z|/max(1,|z|) at the worst zero; 0.0 at the first if all real."""
+    worst, worst_zero = 0.0, zeros.zeros[0].location
+    for e in zeros.zeros:
+        margin = -abs(e.location.imag) / max(1.0, abs(e.location))
+        if margin < worst:
+            worst, worst_zero = margin, e.location
+    return worst, worst_zero
+
+
+def _real_positive(zeros):
+    """As _real, and for a real zero also min with Re z/max(1,|Re z|)."""
+    worst, worst_zero = math.inf, None
+    for e in zeros.zeros:
+        z = e.location
+        margin = -abs(z.imag) / max(1.0, abs(z))
+        if z.imag == 0.0:
+            margin = min(margin, z.real / max(1.0, abs(z.real)))
+        if margin < worst:
+            worst, worst_zero = margin, z
+    return worst, worst_zero
+
+
+def _in_discs(discs, circle, zeros):
+    """Signed disc slack (r - |z - c|) / max(1, |z|) of the disc holding a
+    nonreal zero z best; with no disc, -|Im z| / max(1, |z|); with
+    ``circle``, -| |z-c| - r | / r at the one disc.  None if all are real."""
+    worst = worst_zero = None
+    for z in zeros.locations():
+        if z.imag == 0.0:
+            continue
+        if circle:
+            d = discs[0]
+            margin = -abs(abs(z - d.center) - d.radius) / d.radius
+        elif discs:
+            margin = max((d.radius - abs(z - d.center)) / max(1.0, abs(z))
+                         for d in discs)
+        else:
+            margin = -abs(z.imag) / max(1.0, abs(z))
+        if worst is None or margin < worst:
+            worst, worst_zero = margin, z
+    return worst, worst_zero
+
+
 def _trial_jsd(gen, params, rng):
     """Containment (or boundary sharpness) of blend zeros in sector discs.
 
     The blend is e^{i (lam + beta) / 2} times twice the real polynomial
     ``cosine_affine_transform(p, (lam - beta) / 2, alpha)``, solved here:
     the solver returns its zeros exactly real or in exact conjugate pairs.
-
-    Margin units: signed disc slack (r - |z - c|), normalized by max(1, |z|);
-    in sharpness mode, -| |z-c| - r | / r.
     """
     quadratic = params.get("quadratic", False)
     if quadratic:
@@ -397,33 +445,15 @@ def _trial_jsd(gen, params, rng):
             if not jensen_sector_disc(a, b, alpha).empty:
                 break
             if params.get("alpha") is not None:
-                return None, None
+                return None
             alpha = _uniform_at(0.0, math.pi, rng.random())
         else:
-            return None, None
+            return None
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     beta = _uniform(rng, -math.pi, math.pi, params.get("beta"))
-    try:
-        _, _, zeros = yield spec, CosineAffineSequence(0.5 * (lam - beta), alpha)
-    except (DegenerateSequenceError, DegreeZeroError):
-        return None, None
     discs = [jensen_sector_disc(a, b, alpha) for a, b in spec.pairs]
-    live = [d for d in discs if not d.empty]
-    worst = worst_zero = None
-    for z in zeros.locations():
-        if z.imag == 0.0:
-            continue
-        if quadratic:
-            d = live[0]
-            margin = -abs(abs(z - d.center) - d.radius) / d.radius
-        elif live:
-            margin = max((d.radius - abs(z - d.center)) / max(1.0, abs(z))
-                         for d in live)
-        else:
-            margin = -abs(z.imag) / max(1.0, abs(z))
-        if worst is None or margin < worst:
-            worst, worst_zero = margin, z
-    return worst, worst_zero
+    return ((spec, CosineAffineSequence(0.5 * (lam - beta), alpha)),
+            partial(_in_discs, [d for d in discs if not d.empty], quadratic))
 
 
 def _gauss_draw(spec, params, rng):
@@ -443,18 +473,16 @@ def _cosine_step_draw(spec, params, rng):
 
 
 def _sector_trial(draw_sequence):
-    """The trial of the proven sector bound (``operators.predicted_sector``)
-    under the sequence ``draw_sequence(spec, params, rng)`` draws after the
-    spec; margin = predicted - measured at the widest zero, -pi when it lies
-    outside the open right half-plane."""
+    """The trial of the sector angle under the sequence ``draw_sequence(spec,
+    params, rng)`` draws after the spec: its claim bounds the angle by the
+    proven one (``operators.predicted_sector``), or else by the spec's own."""
     def trial(gen, params, rng):
         spec = draw_sector_spec(gen, rng)
         ms = draw_sequence(spec, params, rng)
-        _, _, zeros = yield spec, ms
-        measured, zero = _widest_zero(zeros)
-        if measured >= math.pi / 2.0:
-            return -math.pi, zero
-        return predicted_sector(ms, spec.max_angle()) - measured, zero
+        theta = spec.max_angle()
+        bound = predicted_sector(ms, theta)
+        proven = bound is not None
+        return (spec, ms), partial(_sector, bound if proven else theta, proven)
     return trial
 
 
@@ -463,62 +491,31 @@ _trial_cosak = _sector_trial(_cosine_step_draw)
 
 
 def _trial_lms2(gen, params, rng):
-    """All-real preservation by cos(lambda + k theta); margin =
-    -|Im z|/max(1,|z|), 0.0 at the first zero when every zero is real."""
+    """All-real preservation by cos(lambda + k theta)."""
     spec = draw_sector_spec(gen, rng)
     lam = _uniform(rng, -math.pi, math.pi, params.get("lam"))
     theta = _uniform(rng, -math.pi, math.pi, params.get("mult_theta"))
-    ms = CosineAffineSequence(lam, theta)
-    try:
-        _, _, zeros = yield spec, ms
-    except DegenerateSequenceError:
-        return None, None
-    worst, worst_zero = 0.0, zeros.zeros[0].location
-    for e in zeros.zeros:
-        margin = -abs(e.location.imag) / max(1.0, abs(e.location))
-        if margin < worst:
-            worst, worst_zero = margin, e.location
-    return worst, worst_zero
+    return (spec, CosineAffineSequence(lam, theta)), _real
 
 
 def _trial_roms(gen, params, rng):
     """T[(1-z)^n] keeps every zero real and positive for admissible T."""
-    ms = params["sequence"]
     n = int(rng.integers(max(gen.deg_lo, 2), gen.deg_hi + 1))
     coeffs = [math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]
-    _, _, zeros = yield RealPolynomial(coeffs), ms
-    worst, worst_zero = math.inf, None
-    for e in zeros.zeros:
-        z = e.location
-        margin = -abs(z.imag) / max(1.0, abs(z))
-        if z.imag == 0.0:
-            margin = min(margin, z.real / max(1.0, abs(z.real)))
-        if margin < worst:
-            worst, worst_zero = margin, z
-    return worst, worst_zero
-
-
-def _trial_search(gen, params, rng):
-    """Sector growth under params["sequence"]; margin = theta_before -
-    theta_after, theta_after at the widest zero."""
-    spec = draw_sector_spec(gen, rng)
-    _, _, zeros = yield spec, params["sequence"]
-    after, zero = _widest_zero(zeros)
-    return spec.max_angle() - after, zero
+    return (RealPolynomial(coeffs), params["sequence"]), _real_positive
 
 
 @dataclass(frozen=True)
 class Campaign:
-    """``trial(gen, params, rng)`` is a generator that yields once: its
-    request (a ``SectorRootSpec`` or a ``RealPolynomial`` p, and the
-    ``MultiplierSequence`` T), for which it receives (p, T[p], the
-    ``ZeroSet`` of T[p]).  The exception of a failed expansion, application
-    or solve is thrown in at the yield.  It returns (margin, zero): margin
-    None when nothing was tested, as when it returns before yielding or
-    after a thrown-in failure, and zero a zero of T[p] attaining the margin.
-    A margin below -``tolerance`` is a violation, whose certificate the
-    trial loop writes from p, T and the zero.  ``params`` names the params
-    the trial reads, and so the flags ``sectorlab verify`` takes for it;
+    """``trial(gen, params, rng)`` returns (request, claim), or None when it
+    tests nothing.  The request is a ``SectorRootSpec`` or ``RealPolynomial``
+    p and the ``MultiplierSequence`` T; the claim, a margin function with its
+    arguments bound, maps the ``ZeroSet`` of T[p] to (margin, zero), margin
+    None when nothing was tested and zero a zero attaining it.  A margin
+    below -``tolerance`` is a violation, certified by p, T and the zero.  A
+    NonConvergenceError leaves the trial untested, as do the failures of
+    expansion, application or solve that ``vacuous`` names.  ``params`` names
+    the params the trial reads, and so the flags of ``sectorlab verify``;
     ``theta`` and ``deg_hi`` are the command line's generator defaults."""
 
     trial: Callable
@@ -526,24 +523,29 @@ class Campaign:
     params: tuple = ()
     theta: float = 0.785398
     deg_hi: int = 16
+    vacuous: tuple = ()
 
+
+# a cosaffine image that is identically zero, or a nonzero constant
+_BLEND_VACUOUS = (DegenerateSequenceError, DegreeZeroError)
 
 # the theorem campaigns of verify_theorem, keyed by theorem id
 CAMPAIGNS = {
     "jsd": Campaign(_trial_jsd, 1e-8, ("quadratic", "alpha", "lam", "beta"),
-                    theta=1.4),
+                    theta=1.4, vacuous=_BLEND_VACUOUS),
     "zsro": Campaign(_trial_zsro, 1e-7, ("alpha",)),
     "cosak": Campaign(_trial_cosak, 1e-7, ("alpha", "N")),
     "lms2": Campaign(_trial_lms2, 0.0, ("lam", "mult_theta"), theta=0.0,
-                     deg_hi=12),
+                     deg_hi=12, vacuous=_BLEND_VACUOUS),
     # the strip of the principal logs is the sector: Im log z = arg z
     "period-strip": Campaign(_trial_zsro, 1e-7, ("alpha",)),
     "roms": Campaign(_trial_roms, 1e-7, ("sequence", "alpha")),
 }
 THEOREM_IDS = tuple(CAMPAIGNS)
 # the hunt of search_counterexample; its params carry the "sequence"
-SEARCH_CAMPAIGN = Campaign(_trial_search, 1e-7, ("sequence",), theta=0.6,
-                           deg_hi=12)
+SEARCH_CAMPAIGN = Campaign(
+    _sector_trial(lambda spec, params, rng: params["sequence"]), 1e-7,
+    ("sequence",), theta=0.6, deg_hi=12)
 
 # trials run together, whose requests are answered as one batch
 _CHUNK = 1000
@@ -572,34 +574,31 @@ def _answer_many(requests: list, config: SolverConfig | None) -> list:
 
 def _run_chunk(campaign: Campaign, gen: PolyGenSpec, params: dict,
                trials: range, config: SolverConfig | None) -> list:
-    """Run ``trials`` to completion; per trial, what it returned or the
-    exception it did not handle, and the (p, T) it was answered for, None
-    when it was not.  One _trial_rngs call seeds every trial's stream, the
-    draw pass takes each trial's request, one _answer_many call answers them
-    all, and the judge pass hands each trial its answer.  A trial that
-    yields again breaks the protocol: its outcome is a RuntimeError."""
-    outcomes, pending = {}, {}
+    """Per trial of ``trials``: (margin, zero) or the exception of its draw,
+    answer or claim, and the (p, T) it was judged on, None when it was not.
+    One _trial_rngs call seeds every trial's stream, the draw pass takes
+    each trial's request and claim, one _answer_many call answers them all,
+    and each claim judges its trial's zeros."""
+    outcomes, asked = {}, {}
     for t, rng in zip(trials, _trial_rngs(gen.seed, trials)):
-        step = campaign.trial(gen, params, rng)
         try:
-            pending[t] = step, next(step)
-        except StopIteration as stop:
-            outcomes[t] = stop.value, None
+            drawn = campaign.trial(gen, params, rng)
         except Exception as exc:  # the trial's own outcome
             outcomes[t] = exc, None
-    answers = _answer_many([r for _, r in pending.values()], config)
-    for (t, (step, (_, ms))), answer in zip(pending.items(), answers):
-        failed = isinstance(answer, Exception)
+            continue
+        if drawn is None:
+            outcomes[t] = (None, None), None
+        else:
+            asked[t] = drawn
+    answers = _answer_many([request for request, _ in asked.values()], config)
+    for (t, ((_, ms), claim)), answer in zip(asked.items(), answers):
+        if isinstance(answer, Exception):
+            outcomes[t] = answer, None
+            continue
         try:
-            (step.throw if failed else step.send)(answer)
-            outcome = RuntimeError(
-                f"trial {t} yielded twice; a campaign trial yields once: "
-                f"p, q, zeros = yield request")
-        except StopIteration as stop:
-            outcome = stop.value
+            outcomes[t] = claim(answer[2]), (answer[0], ms)
         except Exception as exc:  # the trial's own outcome
-            outcome = exc
-        outcomes[t] = outcome, None if failed else (answer[0], ms)
+            outcomes[t] = exc, None
     return [outcomes[t] for t in trials]
 
 
@@ -608,21 +607,22 @@ def _run_trials(theorem_id: str, campaign: Campaign, gen: PolyGenSpec,
                 config: SolverConfig | None) -> VerificationReport:
     """The trial loop of every campaign, which returns its report.  A margin
     below -report_params["tolerance"] is a violation, and the worst one is
-    the report's certificate.  A margin None or a NonConvergenceError skips
-    the trial; any other exception a trial raises is raised once its chunk
-    has run, from the earliest such trial.  A trial count that is not an
-    integer, or below one, raises InputError."""
+    the report's certificate.  A margin None, a NonConvergenceError or an
+    exception of ``campaign.vacuous`` skips the trial; any other is raised
+    once its chunk has run, from the earliest such trial.  A trial count
+    that is not an integer, or below one, raises InputError."""
     trials = check_integer(trials, "trials", InputError)
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {shown(trials)}")
     tol = report_params["tolerance"]
+    untested = (NonConvergenceError, *campaign.vacuous)
     worst = cex = None
     skipped = 0
     for lo in range(0, trials, _CHUNK):
         chunk = range(lo, min(lo + _CHUNK, trials))
         for t, (outcome, answered) in zip(
                 chunk, _run_chunk(campaign, gen, params, chunk, config)):
-            if isinstance(outcome, NonConvergenceError):
+            if isinstance(outcome, untested):
                 outcome = None, None
             elif isinstance(outcome, Exception):
                 raise outcome

@@ -5,12 +5,15 @@ import hashlib
 import json
 import math
 import warnings
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
 from sectorlab import analysis
+from sectorlab.roots import ZeroEntry, ZeroSet
 from sectorlab import (
     CosineStepSequence,
     DegenerateLeadingError,
@@ -665,20 +668,24 @@ def test_cosine_images_are_half_their_rotation_blends(monkeypatch, theorem,
         assert np.abs(diff).max() <= 1e-12 * max(1.0, p.scale())
 
 
+_IDENTITY_REQUEST = (RealPolynomial([2.0, -2.0, 1.0]),
+                     ExplicitSequence([1.0, 1.0, 1.0]))
+
+
 def test_unhandled_trial_error_comes_from_the_earliest_trial(monkeypatch):
-    # a trial that raises after its answer on about half its draws: every
-    # trial of the earliest failing trial's chunk is judged, and no later
-    # chunk runs
+    # a claim that raises on about half its draws: every trial of the
+    # earliest failing trial's chunk is judged, and no later chunk runs
     judged = []
 
     def trial(gen, params, rng):
         u = rng.uniform()
-        p = RealPolynomial([2.0, -2.0, 1.0])
-        yield p, ExplicitSequence([1.0, 1.0, 1.0])
-        judged.append(u)
-        if u < 0.5:
-            raise ValueError(f"draw {u!r}")
-        return 0.0, 1 + 1j
+
+        def claim(zeros):
+            judged.append(u)
+            if u < 0.5:
+                raise ValueError(f"draw {u!r}")
+            return 0.0, 1 + 1j
+        return _IDENTITY_REQUEST, claim
 
     monkeypatch.setitem(analysis.CAMPAIGNS, "fails",
                         analysis.Campaign(trial, 1e-7))
@@ -722,13 +729,16 @@ def test_period_strip_is_zsro_in_log_coordinates(theta, seed, tolerance):
     assert strip == sector
 
 
+def _leftmost(zeros):
+    z = min(zeros.locations(), key=lambda z: z.real)
+    return z.real, z
+
+
 def _trial_probe(gen, params, rng):
     """Solves z^2 - 2 (inexact zeros) or z^2 - 2z + 2 (exact zeros)."""
     inexact = rng.uniform() < 0.5
     p = RealPolynomial([-2.0, 0.0, 1.0] if inexact else [2.0, -2.0, 1.0])
-    _, _, zeros = yield p, ExplicitSequence([1.0, 1.0, 1.0])
-    z = min(zeros.locations(), key=lambda z: z.real)
-    return z.real, z
+    return (p, ExplicitSequence([1.0, 1.0, 1.0])), _leftmost
 
 
 def test_nonconvergence_skips_only_its_own_trial(monkeypatch):
@@ -749,15 +759,11 @@ def test_nonconvergence_skips_only_its_own_trial(monkeypatch):
 
 
 def _answered(trial, zeros_of):
-    """``trial`` answered with the zeros ``zeros_of(p, q)`` in place of those
-    of its image q."""
+    """``trial`` whose claim judges the zeros ``zeros_of(*request)`` in place
+    of those of its image."""
     def answered(gen, params, rng):
-        inner = trial(gen, params, rng)
-        p, q, _ = yield next(inner)
-        try:
-            inner.send((p, q, zeros_of(p, q)))
-        except StopIteration as stop:
-            return stop.value
+        request, claim = trial(gen, params, rng)
+        return request, lambda zeros: claim(zeros_of(*request))
     return answered
 
 
@@ -768,7 +774,8 @@ def test_jsd_without_a_live_disc_measures_the_distance_to_the_axis(
     # margin is -|Im z| / max(1, |z|)
     pair = find_roots(RealPolynomial([2.0, -2.0, 1.0]))
     monkeypatch.setitem(analysis.CAMPAIGNS, "answered", analysis.Campaign(
-        _answered(analysis._trial_jsd, lambda p, q: pair), 1e-8, ("alpha",)))
+        _answered(analysis._trial_jsd, lambda spec, ms: pair), 1e-8,
+        ("alpha",)))
     report = verify_theorem("answered", PolyGenSpec(seed=42, theta=1.4),
                             {"alpha": 1.5}, trials=10)
     assert report.skipped == 0 and report.worst_margin == -1.0 / abs(1 + 1j)
@@ -777,9 +784,12 @@ def test_jsd_without_a_live_disc_measures_the_distance_to_the_axis(
 def test_a_zero_outside_the_right_half_plane_certifies_minus_pi(monkeypatch):
     # zsro's trial answered with the zeros of p(-z), which all lie outside
     # the right half-plane
+    def reflected(spec, ms):
+        c = from_sector_roots(spec).coeffs
+        return find_roots(RealPolynomial(c * (-1.0) ** np.arange(c.size)))
+
     monkeypatch.setitem(analysis.CAMPAIGNS, "answered", analysis.Campaign(
-        _answered(analysis._trial_zsro, lambda p, q: find_roots(RealPolynomial(
-            p.coeffs * (-1.0) ** np.arange(p.coeffs.size)))), 1e-7))
+        _answered(analysis._trial_zsro, reflected), 1e-7))
     report = verify_theorem("answered", PolyGenSpec(seed=42), trials=10)
     assert report.skipped == 0 and report.worst_margin == -math.pi
     cex = report.counterexample
@@ -793,9 +803,7 @@ def _refusing(error):
     def trial(gen, params, rng):
         if rng.uniform() < 0.5:
             raise error("refused before the request")
-        p = RealPolynomial([2.0, -2.0, 1.0])
-        yield p, ExplicitSequence([1.0, 1.0, 1.0])
-        return 0.0, 1 + 1j
+        return _IDENTITY_REQUEST, lambda zeros: (0.0, 1 + 1j)
     return trial
 
 
@@ -814,24 +822,10 @@ def test_a_trial_that_raises_before_its_request(monkeypatch):
         verify_theorem("refuses", gen, trials=30)
 
 
-def _trial_asks_twice(gen, params, rng):
-    p = RealPolynomial([2.0, -2.0, 1.0])
-    _, q, _ = yield p, ExplicitSequence([1.0, 1.0, 1.0])
-    yield q, ExplicitSequence([1.0, 1.0, 1.0])
-    return 0.0, 1 + 1j
-
-
-def test_a_trial_that_yields_twice_breaks_the_protocol(monkeypatch):
-    monkeypatch.setitem(analysis.CAMPAIGNS, "twice",
-                        analysis.Campaign(_trial_asks_twice, 1e-7))
-    with pytest.raises(RuntimeError, match="yields once: p, q, zeros = yield"):
-        verify_theorem("twice", PolyGenSpec(seed=5), trials=3)
-
-
 @pytest.mark.parametrize("theorem", ["jsd", "roms"])
 def test_a_chunk_expands_applies_and_solves_in_one_call_each(monkeypatch,
                                                              theorem):
-    # 100 trials in chunks of 40: three chunks.  jsd's trials catch a
+    # 100 trials in chunks of 40: three chunks.  jsd's campaign skips a
     # failed application or solve, and roms requests polynomials, not specs
     monkeypatch.setattr(analysis, "_CHUNK", 40)
     calls = []
@@ -915,6 +909,75 @@ def test_jsd_skips_a_blend_with_nothing_to_solve(gen, params):
     report = verify_theorem("jsd", gen, params, trials=5)
     assert report.skipped == 5
     assert report.worst_margin is None and report.counterexample is None
+
+
+def test_lms2_skips_a_constant_image():
+    # cos(k pi/2) vanishes at odd k and leaves a linear polynomial its
+    # constant term only: a trial of degree 1 tests nothing, as in jsd
+    report = verify_theorem(
+        "lms2", PolyGenSpec(theta=0.0, deg_hi=12, real_fraction=1.0),
+        {"lam": 0.0, "mult_theta": math.pi / 2.0}, trials=50)
+    linear = sum(int(rng.integers(1, 13)) == 1
+                 for rng in analysis._trial_rngs(0, range(50)))
+    assert linear > 0 and report.skipped == linear
+    assert report.worst_margin == 0.0 and report.counterexample is None
+
+
+def _zeros(*locations):
+    """A ZeroSet of simple zeros at ``locations``, in that order."""
+    return ZeroSet(tuple(ZeroEntry(complex(z), 1, 0.0) for z in locations),
+                   len(locations))
+
+
+def _disc(center, radius):
+    return SimpleNamespace(center=complex(center), radius=radius)
+
+
+_PAST = math.atan2(1.0, -1.0)  # the angle of -1 + i, past pi/2
+
+
+@pytest.mark.parametrize("claim, zeros, margin, zero", [
+    # all real: 0.0 at the first zero, not the -0.0 of its own margin
+    (analysis._real, (2.0, -3.0), 0.0, 2.0),
+    (analysis._real, (0.5, 1 + 1j, 1 - 1j), -1.0 / abs(1 + 1j), 1 + 1j),
+    (analysis._real, (0.5j, -0.5j), -0.5, 0.5j),
+    (analysis._real_positive, (2.0, -0.5), -0.5, -0.5),
+    (analysis._real_positive, (0.5, -4.0), -1.0, -4.0),
+    # roms's inf start: the -0.0 of the first zero's own margin
+    (analysis._real_positive, (0.5, 4.0), -0.0, 0.5),
+    (analysis._real_positive, (1 + 1j, 1 - 1j, 3.0), -1.0 / abs(1 + 1j),
+     1 + 1j),
+    # no disc: the distance to the real axis
+    (partial(analysis._in_discs, [], False), (2.0, 1 + 1j, 1 - 1j),
+     -1.0 / abs(1 + 1j), 1 + 1j),
+    # every zero real: nothing tested
+    (partial(analysis._in_discs, [], False), (1.0, 2.0), None, None),
+    (partial(analysis._in_discs, [_disc(1, 2.0)], True), (1.0, -2.0),
+     None, None),
+    (partial(analysis._in_discs, [_disc(1, 1.0)], False),
+     (1 + 0.5j, 1 - 0.5j, 3 + 3j), (1.0 - abs(2 + 3j)) / abs(3 + 3j), 3 + 3j),
+    # the disc that holds the zero best
+    (partial(analysis._in_discs, [_disc(1, 1.0), _disc(3 + 3j, 1.0)], False),
+     (1 + 0.5j, 1 - 0.5j, 3 + 3j), 1.0 / abs(3 + 3j), 3 + 3j),
+    (partial(analysis._in_discs, [_disc(1, 2.0)], True),
+     (1 + 0.5j, 1 - 0.5j), -0.75, 1 + 0.5j),
+    (partial(analysis._sector, 0.9, True), (1 + 1j, 1 - 1j),
+     0.9 - math.pi / 4.0, 1 + 1j),
+    # a zero past pi/2: -pi under a proven bound, bound - angle under none
+    (partial(analysis._sector, 0.3, True), (1.0, -1 + 1j, -1 - 1j),
+     -math.pi, -1 + 1j),
+    (partial(analysis._sector, 0.3, False), (1.0, -1 + 1j, -1 - 1j),
+     0.3 - _PAST, -1 + 1j),
+], ids=["real-all-real", "real-pair", "real-imaginary", "real-positive-neg",
+        "real-positive-far-neg", "real-positive-all-pos", "real-positive-pair",
+        "discs-none", "discs-all-real", "circle-all-real", "discs-one",
+        "discs-best", "circle", "sector-inside", "sector-proven-past",
+        "sector-unproven-past"])
+def test_margin_functions(claim, zeros, margin, zero):
+    got_margin, got_zero = claim(_zeros(*zeros))
+    assert got_margin == margin and got_zero == zero
+    if margin == 0.0:
+        assert math.copysign(1.0, got_margin) == math.copysign(1.0, margin)
 
 
 @pytest.mark.parametrize("theorem, params", [
